@@ -19,7 +19,7 @@ window starts at ``rejoin + SETTLE_MARGIN`` — the margin covers the
 client watchdog's detect delay, the reconnect delay, the cache re-warm,
 and the closed-loop tenants' pipelines refilling after the degraded
 period.  Windows are measured from the per-job completion records
-(``ClusterReport.records``), not whole-run aggregates, so the drain
+(``RunReport.records``), not whole-run aggregates, so the drain
 tail after the arrival horizon cannot mask degradation.
 
 Doubles as a CI smoke test::

@@ -6,8 +6,8 @@ and per qpair flight, per-chunk pool seeding) and the *optimized* one
 (immediate-event FIFO lane, closed-form device timing, callback
 flights, bulk pool preload).  The optimizations are only admissible if
 they are invisible to the simulation: ``python -m repro perfcheck``
-runs the fig06 (single-node) and fig08 (multi-node emulated) workloads
-under both implementations in one process — flipping
+runs six gate workloads (:func:`default_workloads`: fig06, fig08 and
+the fleet presets) under both implementations in one process — flipping
 :func:`repro.sim.set_fastpath` between builds — and asserts the
 *witnesses* are bit-identical:
 
@@ -79,16 +79,16 @@ def _xform_pay_for_use(num_samples: int, horizon: float) -> Dict[str, Any]:
     :func:`run_perfcheck` surfaces as a failure.  On top of that, the
     pair runs under both kernels like every other gate.
     """
-    from ..bench.workloads import dlfs_cluster, dlfs_xform
+    from ..bench.workloads import preset, run_fleet
 
-    x = _full_witness(dlfs_xform(
-        num_storage=2, num_clients=2, num_samples=num_samples,
-        horizon=horizon, spec=None, metrics=True,
-    ))
-    flat = _full_witness(dlfs_cluster(
-        num_storage=2, num_clients=2, num_samples=num_samples,
-        horizon=horizon, replicas=1, balancer=False, metrics=True,
-    ))
+    x = _full_witness(run_fleet(preset(
+        "xform", num_samples=num_samples, horizon=horizon, xform=None,
+        metrics=True,
+    )))
+    flat = _full_witness(run_fleet(preset(
+        "cluster", num_storage=2, num_samples=num_samples, horizon=horizon,
+        replicas=1, balancer=False, metrics=True,
+    )))
     x["self_divergences"] = tuple(
         f"pay-for-use: {key} xform={x.get(key)!r} != flat={flat.get(key)!r}"
         for key in sorted(set(x) | set(flat))
@@ -98,26 +98,21 @@ def _xform_pay_for_use(num_samples: int, horizon: float) -> Dict[str, Any]:
 
 
 def default_workloads(quick: bool = False) -> Dict[str, Callable[[], Any]]:
-    """The fig06/fig08/tenancy correctness gates.
+    """The six correctness gates: fig06, fig08, and the fleet presets.
 
-    All return a :class:`~repro.bench.workloads.TraceReport`-shaped
-    result with metrics enabled so the snapshot digest is part of the
-    witness.  ``quick`` shrinks the sample counts for CI smoke use; the
-    datapath coverage (client → reactor → qpair → device → fabric) is
-    the same.  The tenancy workload routes through the multi-tenant
-    splice — admission, SFQ lanes, cache partition — so the fast-path
-    kernel is also proven invisible to the fair-queued datapath.  The
-    cluster workload drives the replicated serving tier through a full
-    crash/failover/rejoin cycle, proving the fast-path kernel invisible
-    to lane teardown, re-routing, and the handoff copy loop too.  The
-    xform workloads gate the fetch/transform tier: the pushdown
-    datapath under both kernels, and the pay-for-use identity (no
-    stages ⇒ bit-identical to the flat cluster datapath, checked
-    inside the workload via ``self_divergences``).
+    Each returns a result with ``sim_time``, ``samples_read``,
+    delivered/failed counts and metrics enabled (a ``TraceReport`` or a
+    ``RunReport``), so the snapshot digest is part of the witness.
+    ``quick`` shrinks the sample counts for CI smoke use; the datapath
+    coverage (client → reactor → qpair → device → fabric) is the same.
+    The fleet gates extend the proof to the fair-queued datapath
+    (admission, SFQ lanes, cache partition), a full cluster
+    crash/failover/rejoin cycle (lane teardown, re-routing, the handoff
+    copy loop), the transform tier's pushdown datapath, and its
+    pay-for-use identity (no stages ⇒ bit-identical to the flat cluster
+    datapath, checked inside the workload via ``self_divergences``).
     """
-    from ..bench.workloads import dlfs_cluster, dlfs_observed, dlfs_tenancy, \
-        dlfs_xform
-    from ..xform import XformSpec, parse_stages
+    from ..bench.workloads import dlfs_observed, preset, run_fleet
 
     samples = 256 if quick else 1024
     nodes = 2 if quick else 4
@@ -135,21 +130,18 @@ def default_workloads(quick: bool = False) -> Dict[str, Callable[[], Any]]:
             samples=samples, batch=32, mode="chunk", num_nodes=nodes,
             trace=False, metrics=True,
         ),
-        "tenancy_multi_tenant": lambda: dlfs_tenancy(
-            horizon=horizon, warmup=horizon / 5, metrics=True,
-        ),
-        "cluster_crash_rejoin": lambda: dlfs_cluster(
-            num_storage=cluster_nodes, num_clients=1, replicas=2,
+        "tenancy_multi_tenant": lambda: run_fleet(preset(
+            "serve", horizon=horizon, warmup=horizon / 5, metrics=True,
+        )),
+        "cluster_crash_rejoin": lambda: run_fleet(preset(
+            "cluster", num_storage=cluster_nodes, num_clients=1,
             num_samples=cluster_samples, horizon=0.01,
             node_crashes=((1, 0.004, 0.008),), metrics=True,
-        ),
-        "xform_pushdown": lambda: dlfs_xform(
-            num_storage=2, num_clients=2, num_samples=xform_samples,
-            horizon=xform_horizon,
-            spec=XformSpec(stages=parse_stages("parse,augment:0.5"),
-                           workers=2),
+        )),
+        "xform_pushdown": lambda: run_fleet(preset(
+            "xform", num_samples=xform_samples, horizon=xform_horizon,
             metrics=True,
-        ),
+        )),
         "xform_pay_for_use": lambda: _xform_pay_for_use(
             xform_samples, xform_horizon
         ),

@@ -29,12 +29,14 @@ loudly, sanitized run or not).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from ..bench.workloads import FleetSpec, preset, run_fleet
 from ..sim import engine as _engine
 from ..sim.rng import rng as sim_rng
 
@@ -44,8 +46,8 @@ __all__ = [
     "perturbed_tiebreaks",
     "run_sanitizer",
     "default_workload",
-    "cluster_crash_workload",
-    "xform_crash_workload",
+    "fleet_witness",
+    "SWEEPS",
     "scale_hybrid_workload",
     "scenario_pack_workload",
 ]
@@ -211,74 +213,20 @@ def default_workload() -> Any:
     )
 
 
-def cluster_crash_workload() -> Dict[str, Any]:
-    """The replicated-serving sweep target: crash during handoff.
+def fleet_witness(spec: FleetSpec) -> Dict[str, Any]:
+    """Sweep target: one :class:`~repro.bench.workloads.FleetSpec` run.
 
-    A node crashes under live traffic and rejoins while the shard
-    handoff copy is still in flight, so the abort-the-graft race, the
-    per-fetch failover path, and the qpair teardown/rejoin lifecycle
-    all run under perturbed tiebreaks.  Returns a plain dict witness
-    including the lifecycle counters — a tiebreak-dependent failover or
-    handoff would diverge there even if the delivered samples happen to
-    match.
+    The result witness plus the layer counters: a tiebreak-dependent
+    failover, handoff, routing or re-dispatch decision diverges there
+    even if the delivered samples happen to match.
     """
-    from ..bench.workloads import dlfs_cluster
-
-    report = dlfs_cluster(
-        num_storage=4, num_clients=1, replicas=2, num_samples=2048,
-        horizon=0.01, node_crashes=((1, 0.004, 0.008),),
-    )
-    witness: Dict[str, Any] = {
-        "sim_time": float(report.sim_time),
-        "samples_sha1": hashlib.sha1(
-            bytes(report.samples_read.tobytes())
-        ).hexdigest(),
-        "samples_n": int(len(report.samples_read)),
-        "delivered": int(report.delivered),
-        "failed": int(report.failed),
-    }
-    for key, value in report.lifecycle.items():
-        witness[f"lifecycle.{key}"] = value
+    report = run_fleet(spec)
+    witness = _witness(report)
+    for section in ("lifecycle", "tier", "routed"):
+        for key, value in getattr(report, section).items():
+            witness[f"{section}.{key}"] = value
     for key in ("failovers", "node_down", "node_up"):
         witness[f"recovery.{key}"] = report.recovery.get(key, 0)
-    return witness
-
-
-def xform_crash_workload() -> Dict[str, Any]:
-    """The transform-tier sweep target: worker crash with re-dispatch.
-
-    A transform worker crashes under live traffic and rejoins while
-    tasks are queued, in service, and mid-ship, so the re-dispatch
-    path, the slot-waiter bounce, the transfer-engine credit release,
-    and the affinity-failover re-routing all run under perturbed
-    tiebreaks.  Single client, like the other sweep targets — the
-    sanitizer falsifies tiebreak dependence inside the datapath, not
-    arrival races between symmetric closed-loop clients.  Returns a
-    plain dict witness including the tier counters — a
-    tiebreak-dependent routing or re-dispatch decision would diverge
-    there even if the delivered samples happen to match.
-    """
-    from ..bench.workloads import dlfs_xform
-    from ..xform import XformSpec, parse_stages
-
-    report = dlfs_xform(
-        num_storage=2, num_clients=1, num_samples=512, horizon=0.004,
-        spec=XformSpec(stages=parse_stages("parse,augment:0.5"), workers=2),
-        xform_crashes=((0, 0.002, 0.005),),
-    )
-    witness: Dict[str, Any] = {
-        "sim_time": float(report.sim_time),
-        "samples_sha1": hashlib.sha1(
-            bytes(report.samples_read.tobytes())
-        ).hexdigest(),
-        "samples_n": int(len(report.samples_read)),
-        "delivered": int(report.delivered),
-        "failed": int(report.failed),
-    }
-    for key, value in report.tier.items():
-        witness[f"tier.{key}"] = value
-    for lane, count in report.routed.items():
-        witness[f"routed.{lane}"] = count
     return witness
 
 
@@ -330,6 +278,29 @@ def scenario_pack_workload() -> Dict[str, Any]:
         witness[f"{name}.digest"] = fingerprint_digest(fp)
         witness[f"{name}.sim_time"] = float(fp["sim_time"])
     return witness
+
+
+#: Sweep name -> zero-argument workload; ``sanitize --scenario`` offers
+#: these (plus ``all``).
+SWEEPS: Dict[str, Callable[[], Any]] = {
+    "default": default_workload,
+    # A node crashes under live traffic and rejoins while the shard
+    # handoff copy is still in flight: the abort-the-graft race, the
+    # per-fetch failover path, and the qpair teardown/rejoin lifecycle.
+    "cluster": functools.partial(fleet_witness, preset(
+        "cluster", num_storage=4, num_clients=1, replicas=2,
+        num_samples=2048, horizon=0.01, node_crashes=((1, 0.004, 0.008),),
+    )),
+    # A transform worker crashes and rejoins while tasks are queued, in
+    # service, and mid-ship: re-dispatch, the slot-waiter bounce, the
+    # transfer-engine credit release, and affinity-failover re-routing.
+    "xform": functools.partial(fleet_witness, preset(
+        "xform", num_storage=2, num_clients=1, num_samples=512,
+        horizon=0.004, xform_crashes=((0, 0.002, 0.005),),
+    )),
+    "scale": scale_hybrid_workload,
+    "scenario": scenario_pack_workload,
+}
 
 
 def run_sanitizer(

@@ -14,7 +14,8 @@ Every driver takes explicit counts so a user can crank them up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,12 +30,14 @@ from ..kernelfs import Ext4FileSystem
 from ..octopus import OctopusFS
 from ..sim import Environment
 from ..sim import rng as sim_rng
+from ..tenancy import TenantSpec, TenantWorkload, TrafficEngine
 from ..train import (
     DLFSTFAdapter,
     Ext4TFAdapter,
     OctopusTFAdapter,
     TFIngestSpec,
 )
+from ..xform import XformRuntime, XformSpec, XformTier, parse_stages
 
 __all__ = [
     "dlfs_single_node",
@@ -49,18 +52,21 @@ __all__ = [
     "tf_ingest_throughput",
     "dlfs_chaos",
     "dlfs_observed",
+    "run_fleet",
+    "preset",
     "dlfs_tenancy",
     "dlfs_cluster",
     "dlfs_xform",
     "demo_tenants",
     "fair_tenants",
     "cluster_tenants",
+    "PRESETS",
+    "SECTIONS",
     "Result",
     "ChaosResult",
     "TraceReport",
-    "TenancyReport",
-    "ClusterReport",
-    "XformReport",
+    "FleetSpec",
+    "RunReport",
 ]
 
 DEFAULT_SEED = 42
@@ -150,6 +156,28 @@ def _dataset(num_samples: int, sample_bytes: int) -> Dataset:
     return Dataset.fixed("bench", num_samples, sample_bytes, seed=DEFAULT_SEED)
 
 
+def _measure(env, clients, warmup_batches: int, batches: int, batch: int):
+    """Run every client's warm-up, then its measured batches (the read
+    meter starts in between); returns ``(throughput, bandwidth)``."""
+    for c in clients:
+        c.sequence(seed=DEFAULT_SEED)
+
+    def app(env, client):
+        state = {}
+        for _ in range(warmup_batches):
+            yield from _bread_rolling(client, batch, state)
+        client.reactor.read_meter.start()
+        for _ in range(batches):
+            yield from _bread_rolling(client, batch, state)
+
+    procs = [env.process(app(env, c), name=f"app{c.rank}") for c in clients]
+    env.run(until=env.all_of(procs))
+    return (
+        sum(c.sample_throughput() for c in clients),
+        sum(c.bandwidth() for c in clients),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Single-node drivers (Fig 6, Fig 7)
 # ---------------------------------------------------------------------------
@@ -190,21 +218,9 @@ def dlfs_single_node(
         fs.client(rank=r, num_ranks=cores, node=cluster.node(0), core_index=r)
         for r in range(cores)
     ]
-    for c in clients:
-        c.sequence(seed=DEFAULT_SEED)
-
-    def app(env, client):
-        state = {}
-        for _ in range(warmup_batches):
-            yield from _bread_rolling(client, batch, state)
-        client.reactor.read_meter.start()
-        for _ in range(batches):
-            yield from _bread_rolling(client, batch, state)
-
-    procs = [env.process(app(env, c), name=f"app{c.rank}") for c in clients]
-    env.run(until=env.all_of(procs))
-    throughput = sum(c.sample_throughput() for c in clients)
-    bandwidth = sum(c.bandwidth() for c in clients)
+    throughput, bandwidth = _measure(
+        env, clients, warmup_batches, batches, batch
+    )
     busiest = max(
         cluster.node(0).cpu.core(r).utilization() for r in range(cores)
     )
@@ -281,21 +297,9 @@ def dlfs_multi_node(
         fs.client(rank=r, num_ranks=num_nodes, node=cluster.node(r))
         for r in range(num_nodes)
     ]
-    for c in clients:
-        c.sequence(seed=DEFAULT_SEED)
-
-    def app(env, client):
-        state = {}
-        for _ in range(warmup_batches):
-            yield from _bread_rolling(client, batch, state)
-        client.reactor.read_meter.start()
-        for _ in range(batches_per_node):
-            yield from _bread_rolling(client, batch, state)
-
-    procs = [env.process(app(env, c)) for c in clients]
-    env.run(until=env.all_of(procs))
-    throughput = sum(c.sample_throughput() for c in clients)
-    bandwidth = sum(c.bandwidth() for c in clients)
+    throughput, bandwidth = _measure(
+        env, clients, warmup_batches, batches_per_node, batch
+    )
     util = max(n.cpu.core(0).utilization() for n in cluster)
     return Result(throughput, bandwidth, util, env.now)
 
@@ -541,21 +545,9 @@ def dlfs_disaggregated(
         fs.client(rank=r, num_ranks=num_clients, node=cluster.node(r))
         for r in range(num_clients)
     ]
-    for c in clients:
-        c.sequence(seed=DEFAULT_SEED)
-
-    def app(env, client):
-        state = {}
-        for _ in range(warmup_batches):
-            yield from _bread_rolling(client, batch, state)
-        client.reactor.read_meter.start()
-        for _ in range(batches_per_client):
-            yield from _bread_rolling(client, batch, state)
-
-    procs = [env.process(app(env, c)) for c in clients]
-    env.run(until=env.all_of(procs))
-    throughput = sum(c.sample_throughput() for c in clients)
-    bandwidth = sum(c.bandwidth() for c in clients)
+    throughput, bandwidth = _measure(
+        env, clients, warmup_batches, batches_per_client, batch
+    )
     return Result(throughput, bandwidth, 0.0, env.now)
 
 
@@ -749,46 +741,8 @@ def dlfs_observed(
 
 
 # ---------------------------------------------------------------------------
-# Multi-tenant serving driver
+# Fleet serving: one builder for the tenancy, cluster and xform layers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TenancyReport:
-    """One multi-tenant serving run (:func:`dlfs_tenancy`)."""
-
-    #: Delivered samples per simulated second (over the full run).
-    sample_throughput: float
-    #: Samples delivered across all tenants.
-    delivered: int
-    #: Samples lost to unrecoverable faults.
-    failed: int
-    #: Jobs bounced by admission control (token-bucket queue overflow).
-    rejected_jobs: int
-    #: Final simulated time (arrival horizon + drain + teardown).
-    sim_time: float
-    #: Every completed job's sample indices in (tenant, job-key) order —
-    #: the determinism witness (completion-order independent).
-    samples_read: np.ndarray
-    #: Per-tenant accounting rows at the end of the run (after drain).
-    per_tenant: tuple
-    #: The same rows snapshotted at the arrival-horizon edge, while the
-    #: system is still saturated.  Whole-run shares equalize during the
-    #: drain (every admitted job eventually completes), so fairness is
-    #: only visible in this window.
-    window_rows: tuple
-    #: Fraction of device-service bytes per tenant over the measured
-    #: window ``[warmup, horizon]``.  This is the SFQ fairness metric:
-    #: job-level bytes over-credit backlogged tenants whose jobs dedup
-    #: onto already-pending fetches.
-    service_shares: dict
-    #: Device-service byte deltas behind ``service_shares``.
-    service_bytes: dict
-    #: Scheduler counters: preemptions, forced (anti-starvation) serves.
-    preemptions: int
-    forced_serves: int
-    #: The observability bundle (null objects unless metrics/trace on).
-    obs: object
-
 
 def demo_tenants() -> tuple:
     """The reference three-tenant mix: ``(specs, workloads)``.
@@ -799,11 +753,9 @@ def demo_tenants() -> tuple:
     open-loop scan tenant that is rate-limited by a token bucket, runs
     at a lower priority class, and is capped to a quarter of the sample
     cache and half of each qpair's depth — the configuration the
-    example, the ``serve`` CLI, and the perfcheck workload all share.
+    example, the ``serve`` preset, and the perfcheck workload all share.
     Sample ranges are disjoint thirds of a 3072-sample dataset.
     """
-    from ..tenancy import TenantSpec, TenantWorkload
-
     specs = (
         TenantSpec(name="train_a", weight=2.0, slo_latency=5e-3),
         TenantSpec(name="train_b", weight=1.0, slo_latency=5e-3),
@@ -842,8 +794,6 @@ def fair_tenants(
     under saturation the achieved device-service shares are set purely
     by the SFQ weights.
     """
-    from ..tenancy import TenantSpec, TenantWorkload
-
     specs = tuple(
         TenantSpec(name=f"t{i}w{w:g}", weight=float(w))
         for i, w in enumerate(weights)
@@ -858,156 +808,15 @@ def fair_tenants(
     return specs, workloads
 
 
-def dlfs_tenancy(
-    specs: Optional[tuple] = None,
-    workloads: Optional[tuple] = None,
-    num_samples: int = 3072,
-    sample_bytes: int = 16 * 1024,
-    horizon: float = 0.05,
-    warmup: float = 0.01,
-    seed: int = DEFAULT_SEED,
-    queue_depth: int = 32,
-    hugepage_bytes: int = 16 * 1024 * 1024,
-    metrics: bool = False,
-    trace: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-    max_bypass: int = 8,
-    testbed: Optional[Testbed] = None,
-) -> TenancyReport:
-    """One multi-tenant serving run on a single node.
-
-    Defaults to :func:`demo_tenants`.  The testbed's hugepage pool is
-    shrunk (16 MB ≫ one batch, ≪ the dataset) so the run is I/O-bound:
-    with the whole dataset cache-resident, hits bypass the scheduler and
-    fairness becomes unmeasurable.  ``warmup``/``horizon`` bound the
-    service-share measurement window; arrivals stop at ``horizon`` and
-    the run then drains every outstanding job and shuts down cleanly.
-    """
-    import dataclasses
-
-    from ..tenancy import TrafficEngine
-
-    if (specs is None) != (workloads is None):
-        raise ConfigError("pass both specs and workloads, or neither")
-    if specs is None:
-        specs, workloads = demo_tenants()
-    if not 0.0 <= warmup < horizon:
-        raise ConfigError("need 0 <= warmup < horizon")
-    env = Environment()
-    tb = testbed or Testbed.paper()
-    if hugepage_bytes:
-        tb = dataclasses.replace(tb, hugepage_bytes=hugepage_bytes)
-    cluster = Cluster(env, tb, num_nodes=1, devices_per_node=1)
-    ds = _dataset(num_samples, sample_bytes)
-    config = DLFSConfig(
-        batching="sample", queue_depth=queue_depth, tenants=tuple(specs),
-        tenancy_max_bypass=max_bypass, trace=trace, metrics=metrics,
-        fault_plan=fault_plan, recovery=recovery,
-    )
-    fs = DLFS.mount(cluster, ds, config)
-    client = fs.client(rank=0, num_ranks=1)
-    runtime = client.tenancy
-    engine = TrafficEngine(
-        env, runtime, ds, tuple(workloads), seed=seed, horizon=horizon
-    )
-    procs = engine.start()
-
-    def service_bytes() -> dict:
-        return dict(runtime.scheduler.bytes_served)
-
-    if warmup > 0:
-        env.run(until=warmup)
-    base = service_bytes()
-    env.run(until=horizon)
-    edge = service_bytes()
-    window_rows = tuple(runtime.accounting.rows())
-    env.run(until=env.all_of(procs))
-    env.run(until=env.process(engine.drain(), name="tenancy.drain"))
-
-    def teardown(env):
-        yield from client.shutdown()
-
-    env.run(until=env.process(teardown(env), name="tenancy.teardown"))
-    env.run()  # drain trailing timers
-
-    deltas = {
-        t: edge[t] - base.get(t, 0) for t in sorted(edge)
-        if edge[t] - base.get(t, 0) > 0
-    }
-    total = sum(deltas.values())
-    shares = {t: deltas[t] / total for t in deltas} if total else {}
-    sched = runtime.scheduler
-    return TenancyReport(
-        sample_throughput=engine.delivered / env.now if env.now > 0 else 0.0,
-        delivered=engine.delivered,
-        failed=engine.failed,
-        rejected_jobs=engine.rejected_jobs,
-        sim_time=env.now,
-        samples_read=engine.samples_read(),
-        per_tenant=tuple(runtime.accounting.rows()),
-        window_rows=window_rows,
-        service_shares=shares,
-        service_bytes=deltas,
-        preemptions=sched.preemptions,
-        forced_serves=sched.forced_serves,
-        obs=fs.obs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Replicated cluster serving driver (crash / rejoin / hedged reads)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """One replicated-cluster serving run (:func:`dlfs_cluster`)."""
-
-    #: Delivered samples per simulated second (over the full run).
-    sample_throughput: float
-    #: Samples delivered across all clients and tenants.
-    delivered: int
-    #: Samples lost to unrecoverable faults (zero in every healthy and
-    #: single-crash R>=2 configuration — the failover gate).
-    failed: int
-    #: Jobs completed across all traffic engines.
-    jobs: int
-    #: Final simulated time (arrival horizon + drain + teardown).
-    sim_time: float
-    #: Every completed job's sample indices in (client, tenant, job-key)
-    #: order — the determinism witness (completion-order independent).
-    samples_read: np.ndarray
-    #: Per-tenant accounting rows merged across clients (counts summed,
-    #: percentiles recomputed from the merged completion records).
-    per_tenant: tuple
-    #: Every job completion as ``(t_done, tenant, latency, delivered,
-    #: failed)``, merged over all clients and sorted — the raw material
-    #: for windowed (victim-window) percentiles in the crash benches.
-    records: tuple
-    #: Merged reactor recovery accounting (failovers, hedges_posted,
-    #: hedges_dropped, node_down/up, degraded_time, ...).
-    recovery: dict
-    #: Lifecycle counters (crashes, rejoins, handoffs, rewarms) — empty
-    #: dict when no crash schedule was installed.
-    lifecycle: dict
-    #: Balancer counters merged across clients: per-lane ``routed``
-    #: totals plus ``failovers`` and ``cache_routed``.
-    balancer: dict
-    #: The observability bundle (null objects unless metrics/trace on).
-    obs: object
-
-
 def cluster_tenants(num_samples: int = 8192, rate: float = 3000.0) -> tuple:
     """The reference cluster serving mix: ``(specs, workloads)``.
 
     One closed-loop training tenant (backlogged, throughput-oriented)
     plus one open-loop Poisson inference tenant with a tight SLO — the
-    mix every cluster bench, the ``cluster`` CLI, and the perfcheck /
-    sanitizer scenarios share.  Sample ranges are disjoint halves so
-    the two tenants exercise different shards.
+    mix of the ``cluster`` and ``xform`` presets, every cluster bench,
+    and the perfcheck / sanitizer fleets.  Sample ranges are disjoint
+    halves so the two tenants exercise different shards.
     """
-    from ..tenancy import TenantSpec, TenantWorkload
-
     half = num_samples // 2
     specs = (
         TenantSpec(name="train", weight=2.0, slo_latency=5e-3),
@@ -1024,6 +833,134 @@ def cluster_tenants(num_samples: int = 8192, rate: float = 3000.0) -> tuple:
         ),
     )
     return specs, workloads
+
+
+@dataclass(frozen=True)
+class FleetSpec:
+    """One serving deployment, built and driven by :func:`run_fleet`.
+
+    ``num_clients`` compute nodes each run a seeded traffic engine (seed
+    ``seed + 1000 * rank``).  ``num_storage == 0`` gives every client its
+    own local NVMe device; otherwise the devices sit on ``num_storage``
+    storage nodes behind NVMe-oF (the Fig 11 disaggregated topology),
+    each shard on ``replicas`` of them.  Every layer is pay-for-use: a
+    field left at its default builds nothing for that layer.
+    """
+
+    #: Tenant policies (:class:`~repro.tenancy.TenantSpec`) and their
+    #: traffic (:class:`~repro.tenancy.TenantWorkload`).
+    specs: tuple = ()
+    workloads: tuple = ()
+    #: True: the specs drive the client's fair-queue scheduler
+    #: (admission, SFQ lanes, cache/qpair partitions; one client, local
+    #: or flat topology).  False: they only drive per-tenant accounting.
+    fair_queue: bool = False
+    num_samples: int = 8192
+    sample_bytes: int = 64 * 1024
+    #: Arrival window; the run then drains every admitted job and shuts
+    #: the clients down cleanly.
+    horizon: float = 0.02
+    #: Start of the fair-queue service-share window ``[warmup, horizon]``.
+    warmup: float = 0.0
+    seed: int = DEFAULT_SEED
+    queue_depth: int = 32
+    #: Hardware description (default: the emulated multi-node testbed);
+    #: a nonzero ``hugepage_bytes`` resizes its hugepage pool.
+    testbed: Optional[Testbed] = None
+    hugepage_bytes: int = 0
+    metrics: bool = False
+    fault_plan: Optional[FaultPlan] = None
+    num_clients: int = 2
+    num_storage: int = 8
+    replicas: int = 2
+    balancer: bool = True
+    hedge_delay: float = 0.0
+    read_cache_chunks: int = 0
+    #: ``(lane, crash_time, rejoin_time)`` storage-node crashes;
+    #: ``rejoin_time=None`` is a permanent loss.
+    node_crashes: tuple = ()
+    #: The fetch/transform tier (:class:`~repro.xform.XformSpec`);
+    #: ``None`` or no stages builds no transform worker nodes.
+    xform: Optional[XformSpec] = None
+    #: ``(worker, crash_time, rejoin_time)`` transform-worker crashes.
+    xform_crashes: tuple = ()
+
+
+#: :class:`RunReport` fields of each optional layer, in the order
+#: :meth:`RunReport.summary` emits them.
+SECTIONS = {
+    "fair_queue": ("service_shares", "service_bytes", "preemptions",
+                   "forced_serves", "window_rows"),
+    "cluster": ("balancer", "lifecycle"),
+    "xform": ("tier", "links", "utilization", "routed"),
+}
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """One fleet serving run (:func:`run_fleet`).
+
+    The fields after ``layers`` are one section per optional layer
+    (:data:`SECTIONS`), left empty unless ``layers`` names that layer.
+    """
+
+    #: Delivered samples per simulated second (over the full run).
+    sample_throughput: float
+    #: Samples delivered / lost, jobs bounced by admission control /
+    #: completed, summed over every client.
+    delivered: int
+    failed: int
+    rejected_jobs: int
+    jobs: int
+    #: Final simulated time (arrival horizon + drain + teardown).
+    sim_time: float
+    #: Every completed job's sample indices in (client, tenant, job-key)
+    #: order — the determinism witness (completion-order independent).
+    samples_read: np.ndarray
+    #: Per-tenant accounting rows after the drain; accounting-only runs
+    #: merge clients (counts sum, percentiles from the merged records).
+    per_tenant: tuple
+    #: Every job completion ``(t_done, tenant, latency, delivered,
+    #: failed)``, merged and sorted; empty under the fair-queue scheduler.
+    records: tuple
+    #: Merged reactor recovery counters (retries, failovers, node_down, ...).
+    recovery: dict
+    #: The observability bundle (null objects unless metrics are on).
+    obs: object
+    #: The optional layers built: ``fair_queue``, ``cluster``, ``xform``.
+    layers: tuple = ()
+    #: Fair queue: rows at the arrival-horizon edge, while the system is
+    #: still saturated (whole-run shares equalize during the drain); the
+    #: per-tenant device-service byte fractions (the SFQ fairness metric)
+    #: and byte deltas over ``[warmup, horizon]``; scheduler counters.
+    window_rows: tuple = ()
+    service_shares: dict = field(default_factory=dict)
+    service_bytes: dict = field(default_factory=dict)
+    preemptions: int = 0
+    forced_serves: int = 0
+    #: Cluster: balancer counters merged over clients (per-lane
+    #: ``routed``, ``failovers``, ``cache_routed``); lifecycle counters
+    #: (crashes, rejoins, handoffs, rewarms; empty without crashes).
+    balancer: dict = field(default_factory=dict)
+    lifecycle: dict = field(default_factory=dict)
+    #: Xform: tier counters, TransferEngine per-link rows, per-tier CPU
+    #: utilization rows, per-lane routed task counts.
+    tier: dict = field(default_factory=dict)
+    links: tuple = ()
+    utilization: tuple = ()
+    routed: dict = field(default_factory=dict)
+
+    def summary(self) -> dict:
+        """JSON-able fields: the common ones plus each built section."""
+        out = {
+            name: getattr(self, name) for name in (
+                "delivered", "failed", "rejected_jobs", "jobs", "sim_time",
+                "sample_throughput", "recovery", "per_tenant",
+            )
+        }
+        for layer in self.layers:
+            out.update((name, getattr(self, name)) for name in SECTIONS[layer])
+        return out
 
 
 def _merge_tenant_rows(runtimes: list, records: tuple) -> tuple:
@@ -1059,330 +996,230 @@ def _merge_tenant_rows(runtimes: list, records: tuple) -> tuple:
     return tuple(merged[name] for name in sorted(merged))
 
 
-def dlfs_cluster(
-    num_storage: int = 8,
-    num_clients: int = 2,
-    replicas: int = 2,
-    num_samples: int = 8192,
-    sample_bytes: int = 64 * 1024,
-    horizon: float = 0.02,
-    seed: int = DEFAULT_SEED,
-    node_crashes: tuple = (),
-    hedge_delay: float = 0.0,
-    read_cache_chunks: int = 0,
-    balancer: bool = True,
-    queue_depth: int = 32,
-    specs: Optional[tuple] = None,
-    workloads: Optional[tuple] = None,
-    metrics: bool = False,
-    trace: bool = False,
-) -> ClusterReport:
-    """One replicated cluster serving run under live traffic.
+def run_fleet(spec: FleetSpec) -> RunReport:
+    """Build the fleet ``spec`` describes, serve its traffic, report.
 
-    ``num_clients`` compute nodes front ``num_storage`` single-device
-    storage nodes (the Fig 11 disaggregated topology), each shard
-    placed on ``replicas`` nodes via rendezvous hashing.  Every client
-    runs its own front-end balancer and traffic engine (per-client seed
-    offsets keep arrival scripts distinct but deterministic).
-
-    ``node_crashes`` entries are ``(lane, crash_time, rejoin_time)``
-    with ``rejoin_time=None`` for a permanent loss.  With ``replicas >=
-    2`` a single crash loses zero samples: queued work fails over to
-    surviving replicas and the drain completes; with ``replicas == 1``
-    and no rejoin the drain would wedge on parked fetches, so permanent
-    single-replica crashes are rejected by :class:`FaultPlan`
-    validation upstream.
+    Arrivals stop at ``spec.horizon``; the run then drains every admitted
+    job and shuts the clients down.  Node crashes fail queued work over
+    to surviving replicas; worker crashes re-dispatch in-flight
+    transform tasks.  Without transform stages no worker node is built
+    (extra NICs would move the fabric digest), so the run is
+    bit-identical to the same fleet without the tier.
     """
-    from ..tenancy import TrafficEngine
-
-    if (specs is None) != (workloads is None):
-        raise ConfigError("pass both specs and workloads, or neither")
-    if specs is None:
-        specs, workloads = cluster_tenants(num_samples)
+    xform = spec.xform if spec.xform is not None and spec.xform.enabled else None
+    workers = xform.workers if xform is not None else 0
+    if not 0.0 <= spec.warmup < spec.horizon:
+        raise ConfigError("need 0 <= warmup < horizon")
+    if spec.fair_queue and spec.num_clients != 1:
+        raise ConfigError("the fair-queue scheduler serves exactly one client")
+    if spec.xform_crashes and xform is None:
+        raise ConfigError("xform_crashes given but no transform stages")
+    if xform is not None and not spec.num_storage:
+        raise ConfigError("the transform tier needs storage nodes")
     env = Environment()
+    tb = spec.testbed or Testbed.paper_emulated()
+    if spec.hugepage_bytes:
+        tb = dataclasses.replace(tb, hugepage_bytes=spec.hugepage_bytes)
     cluster = Cluster(
-        env,
-        Testbed.paper_emulated(),
-        num_nodes=num_clients + num_storage,
-        devices_per_node=0,
+        env, tb,
+        num_nodes=spec.num_clients + spec.num_storage + workers,
+        devices_per_node=0 if spec.num_storage else 1,
     )
     placement = []
-    for d in range(num_storage):
-        storage = cluster.node(num_clients + d)
+    for d in range(spec.num_storage):
+        storage = cluster.node(spec.num_clients + d)
         storage.add_device()
         placement.append((storage.index, 0))
-    ds = _dataset(num_samples, sample_bytes)
-    plan = FaultPlan(node_crashes=tuple(node_crashes)) if node_crashes else None
+    plan = spec.fault_plan
+    if spec.node_crashes:
+        plan = dataclasses.replace(
+            plan or FaultPlan(), node_crashes=tuple(spec.node_crashes)
+        )
     config = DLFSConfig(
         batching="sample",
-        queue_depth=queue_depth,
+        queue_depth=spec.queue_depth,
+        tenants=tuple(spec.specs) if spec.fair_queue else (),
         cluster=ClusterSpec(
-            replicas=replicas,
-            balancer=balancer,
-            hedge_delay=hedge_delay,
-            read_cache_chunks=read_cache_chunks,
-        ),
+            replicas=spec.replicas,
+            balancer=spec.balancer,
+            hedge_delay=spec.hedge_delay,
+            read_cache_chunks=spec.read_cache_chunks,
+        ) if spec.num_storage else None,
         fault_plan=plan,
-        trace=trace,
-        metrics=metrics,
+        metrics=spec.metrics,
     )
-    fs = DLFS.mount(cluster, ds, config, placement=placement)
-    clients = [
-        fs.client(rank=r, num_ranks=num_clients, node=cluster.node(r))
-        for r in range(num_clients)
-    ]
-    runtimes = []
-    engines = []
-    procs = []
-    for r, client in enumerate(clients):
-        runtime = ClusterRuntime(env, client.reactor, specs)
-        engine = TrafficEngine(
-            env, runtime, ds, tuple(workloads),
-            seed=seed + 1000 * r, horizon=horizon,
-        )
-        runtimes.append(runtime)
-        engines.append(engine)
-        procs.extend(engine.start())
-    env.run(until=env.all_of(procs))
-    for r, engine in enumerate(engines):
-        env.run(until=env.process(engine.drain(), name=f"cluster.drain[{r}]"))
-
-    def teardown(env, client):
-        yield from client.shutdown()
-
-    for r, client in enumerate(clients):
-        env.run(
-            until=env.process(
-                teardown(env, client), name=f"cluster.teardown[{r}]"
-            )
-        )
-    env.run()  # drain trailing timers (rejoin schedules, watchdogs)
-
-    records = tuple(sorted(rec for rt in runtimes for rec in rt.records))
-    recovery: dict = {}
-    for client in clients:
-        for key, value in client.reactor.recovery_stats.as_dict().items():
-            recovery[key] = recovery.get(key, 0) + value
-    routed: dict = {}
-    failovers = 0
-    cache_routed = 0
-    for client in clients:
-        fe = client.balancer
-        if fe is None:
-            continue
-        for lane, count in fe.routed.items():
-            routed[lane] = routed.get(lane, 0) + count
-        failovers += fe.failovers
-        cache_routed += fe.cache_routed
-    witness_parts = [e.samples_read() for e in engines]
-    witness = (
-        np.concatenate(witness_parts)
-        if witness_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    delivered = sum(e.delivered for e in engines)
-    return ClusterReport(
-        sample_throughput=delivered / env.now if env.now > 0 else 0.0,
-        delivered=delivered,
-        failed=sum(e.failed for e in engines),
-        jobs=sum(e.jobs_completed for e in engines),
-        sim_time=env.now,
-        samples_read=witness,
-        per_tenant=_merge_tenant_rows(runtimes, records),
-        records=records,
-        recovery=recovery,
-        lifecycle=fs.lifecycle.counters() if fs.lifecycle is not None else {},
-        balancer={
-            "routed": routed,
-            "failovers": failovers,
-            "cache_routed": cache_routed,
-        },
-        obs=fs.obs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Disaggregated fetch/transform tier driver (xform)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class XformReport:
-    """One fetch/transform serving run (:func:`dlfs_xform`)."""
-
-    #: Delivered samples per simulated second (over the full run).
-    sample_throughput: float
-    #: Samples delivered across all clients and tenants.
-    delivered: int
-    #: Samples lost to unrecoverable faults.
-    failed: int
-    #: Jobs completed across all traffic engines.
-    jobs: int
-    #: Final simulated time (arrival horizon + drain + teardown).
-    sim_time: float
-    #: Every completed job's sample indices in (client, tenant, job-key)
-    #: order — the determinism witness (completion-order independent).
-    samples_read: np.ndarray
-    #: Per-tenant accounting rows merged across clients (includes the
-    #: transform-queue wait column; zero-filled when xform is off).
-    per_tenant: tuple
-    #: Every job completion, merged over all clients and sorted.
-    records: tuple
-    #: Transform-tier counters (tasks, direct_ships, redispatches,
-    #: crashes, rejoins, boundary, stages) — empty dict when xform off.
-    tier: dict
-    #: TransferEngine per-link attribution rows — empty when xform off.
-    links: tuple
-    #: Per-tier CPU utilization rows (storage pushdown cores + transform
-    #: workers) — empty when xform off.
-    utilization: tuple
-    #: Per-transform-lane routed task counts — empty when xform off.
-    routed: dict
-    #: The observability bundle (null objects unless metrics/trace on).
-    obs: object
-
-
-def dlfs_xform(
-    num_storage: int = 2,
-    num_clients: int = 2,
-    num_samples: int = 2048,
-    sample_bytes: int = 64 * 1024,
-    horizon: float = 0.01,
-    seed: int = DEFAULT_SEED,
-    spec=None,
-    xform_crashes: tuple = (),
-    replicas: int = 1,
-    balancer: bool = False,
-    queue_depth: int = 32,
-    specs: Optional[tuple] = None,
-    workloads: Optional[tuple] = None,
-    metrics: bool = False,
-    trace: bool = False,
-    testbed: Optional[Testbed] = None,
-) -> XformReport:
-    """One serving run through the disaggregated fetch/transform tier.
-
-    ``spec`` is a :class:`repro.xform.XformSpec`; ``None`` or a spec
-    with no stages is the pay-for-use contract: **no** transform worker
-    nodes are built (extra NICs would perturb the fabric digest) and
-    the run is bit-identical to :func:`dlfs_cluster` with the same
-    arguments — the ``xform_pay_for_use`` perfcheck workload holds the
-    two side by side.
-
-    With stages configured, ``spec.workers`` extra CPU-only nodes join
-    the cluster as transform lanes.  Each fetched job re-enters the
-    tier: the pushdown prefix of the stage pipeline burns storage-node
-    CPU, the boundary bytes ship storage→worker through the chunked
-    :class:`~repro.xform.TransferEngine`, the suffix runs on the
-    client's affinity lane, and the output ships worker→trainer before
-    the job completes — so transform queueing counts against tenant
-    SLOs.  ``testbed`` overrides the hardware description (the
-    crossover benchmark sweeps fabric bandwidth through it).
-    ``xform_crashes`` entries are ``(worker, crash_time,
-    rejoin_time)``; in-flight tasks on a crashed lane re-dispatch to
-    survivors (re-shipping their bytes), and the run must still deliver
-    every sample.
-    """
-    from ..tenancy import TrafficEngine
-    from ..xform import XformRuntime, XformTier
-
-    if (specs is None) != (workloads is None):
-        raise ConfigError("pass both specs and workloads, or neither")
-    if specs is None:
-        specs, workloads = cluster_tenants(num_samples)
-    enabled = spec is not None and spec.enabled
-    num_workers = spec.workers if enabled else 0
-    env = Environment()
-    cluster = Cluster(
-        env,
-        testbed if testbed is not None else Testbed.paper_emulated(),
-        num_nodes=num_clients + num_storage + num_workers,
-        devices_per_node=0,
-    )
-    placement = []
-    for d in range(num_storage):
-        storage = cluster.node(num_clients + d)
-        storage.add_device()
-        placement.append((storage.index, 0))
-    ds = _dataset(num_samples, sample_bytes)
-    config = DLFSConfig(
-        batching="sample",
-        queue_depth=queue_depth,
-        cluster=ClusterSpec(replicas=replicas, balancer=balancer),
-        trace=trace,
-        metrics=metrics,
-    )
-    fs = DLFS.mount(cluster, ds, config, placement=placement)
+    ds = _dataset(spec.num_samples, spec.sample_bytes)
+    fs = DLFS.mount(cluster, ds, config, placement=placement or None)
     tier = None
-    if enabled:
-        worker_nodes = [
-            cluster.node(num_clients + num_storage + w)
-            for w in range(num_workers)
-        ]
+    if xform is not None:
+        first = spec.num_clients + spec.num_storage
         tier = XformTier(
-            env, spec, fs, worker_nodes,
-            crashes=tuple(xform_crashes),
+            env, xform, fs, [cluster.node(first + w) for w in range(workers)],
+            crashes=tuple(spec.xform_crashes),
             registry=fs.obs.metrics if fs.obs.enabled else None,
         )
-    elif xform_crashes:
-        raise ConfigError("xform_crashes given but no transform stages")
     clients = [
-        fs.client(rank=r, num_ranks=num_clients, node=cluster.node(r))
-        for r in range(num_clients)
+        fs.client(rank=r, num_ranks=spec.num_clients, node=cluster.node(r))
+        for r in range(spec.num_clients)
     ]
     runtimes = []
     engines = []
     procs = []
     for r, client in enumerate(clients):
-        runtime = ClusterRuntime(env, client.reactor, specs)
+        runtime = (
+            client.tenancy if spec.fair_queue
+            else ClusterRuntime(env, client.reactor, spec.specs)
+        )
         runtimes.append(runtime)
         if tier is not None:
             runtime = XformRuntime(
                 env, runtime, tier, cluster.node(r).name, rank=r
             )
         engine = TrafficEngine(
-            env, runtime, ds, tuple(workloads),
-            seed=seed + 1000 * r, horizon=horizon,
+            env, runtime, ds, tuple(spec.workloads),
+            seed=spec.seed + 1000 * r, horizon=spec.horizon,
         )
         engines.append(engine)
         procs.extend(engine.start())
+
+    out: dict = {"layers": ()}  # RunReport fields beyond the common ones
+    if spec.fair_queue:
+        runtime = runtimes[0]
+        if spec.warmup > 0:
+            env.run(until=spec.warmup)
+        base = dict(runtime.scheduler.bytes_served)
+        env.run(until=spec.horizon)
+        edge = dict(runtime.scheduler.bytes_served)
+        deltas = {
+            t: edge[t] - base.get(t, 0) for t in sorted(edge)
+            if edge[t] - base.get(t, 0) > 0
+        }
+        total = sum(deltas.values())
+        out.update(
+            window_rows=tuple(runtime.accounting.rows()),
+            service_shares={t: deltas[t] / total for t in deltas} if total else {},
+            service_bytes=deltas,
+        )
     env.run(until=env.all_of(procs))
     for r, engine in enumerate(engines):
-        env.run(until=env.process(engine.drain(), name=f"xform.drain[{r}]"))
-
-    def teardown(env, client):
-        yield from client.shutdown()
-
+        env.run(until=env.process(engine.drain(), name=f"fleet.drain[{r}]"))
     for r, client in enumerate(clients):
         env.run(
-            until=env.process(
-                teardown(env, client), name=f"xform.teardown[{r}]"
-            )
+            until=env.process(client.shutdown(), name=f"fleet.teardown[{r}]")
         )
     env.run()  # drain trailing timers (rejoin schedules, watchdogs)
 
-    records = tuple(sorted(rec for rt in runtimes for rec in rt.records))
-    witness_parts = [e.samples_read() for e in engines]
-    witness = (
-        np.concatenate(witness_parts)
-        if witness_parts
-        else np.empty(0, dtype=np.int64)
-    )
+    recovery: dict = {}
+    for client in clients:
+        for key, value in client.reactor.recovery_stats.as_dict().items():
+            recovery[key] = recovery.get(key, 0) + value
+    if spec.fair_queue:
+        sched = runtimes[0].scheduler
+        out.update(
+            layers=("fair_queue",), records=(),
+            per_tenant=tuple(runtimes[0].accounting.rows()),
+            preemptions=sched.preemptions, forced_serves=sched.forced_serves,
+        )
+    else:
+        records = tuple(sorted(rec for rt in runtimes for rec in rt.records))
+        out.update(
+            records=records, per_tenant=_merge_tenant_rows(runtimes, records)
+        )
+    if fs.cluster_state is not None:
+        routed: dict = {}
+        for client in clients:
+            for lane, count in client.balancer.routed.items():
+                routed[lane] = routed.get(lane, 0) + count
+        out.update(
+            layers=out["layers"] + ("cluster",),
+            balancer={
+                "routed": routed,
+                "failovers": sum(c.balancer.failovers for c in clients),
+                "cache_routed": sum(c.balancer.cache_routed for c in clients),
+            },
+            lifecycle=(
+                fs.lifecycle.counters() if fs.lifecycle is not None else {}
+            ),
+        )
+    if tier is not None:
+        out.update(
+            layers=out["layers"] + ("xform",),
+            tier=tier.counters(),
+            links=tuple(tier.engine.link_rows()),
+            utilization=tuple(tier.utilization_rows()),
+            routed=tier.routed(),
+        )
     delivered = sum(e.delivered for e in engines)
-    return XformReport(
+    return RunReport(
         sample_throughput=delivered / env.now if env.now > 0 else 0.0,
         delivered=delivered,
         failed=sum(e.failed for e in engines),
+        rejected_jobs=sum(e.rejected_jobs for e in engines),
         jobs=sum(e.jobs_completed for e in engines),
         sim_time=env.now,
-        samples_read=witness,
-        per_tenant=_merge_tenant_rows(runtimes, records),
-        records=records,
-        tier=tier.counters() if tier is not None else {},
-        links=tuple(tier.engine.link_rows()) if tier is not None else (),
-        utilization=tuple(tier.utilization_rows()) if tier is not None else (),
-        routed=tier.routed() if tier is not None else {},
+        samples_read=np.concatenate([e.samples_read() for e in engines]),
+        recovery=recovery,
         obs=fs.obs,
+        **out,
     )
+
+
+#: Preset name -> (default tenant mix as a function of ``num_samples``,
+#: the FleetSpec fields the preset sets).  ``python -m repro fleet
+#: --preset NAME`` reads its defaults here too.
+PRESETS = {
+    # One node with a local device.  The hugepage pool is shrunk (16 MB
+    # ≫ one batch, ≪ the dataset) so the run is I/O-bound: with the
+    # whole dataset cache-resident, hits bypass the scheduler and
+    # fairness becomes unmeasurable.
+    "serve": (lambda _num_samples: demo_tenants(), dict(
+        fair_queue=True, num_storage=0, num_clients=1, num_samples=3072,
+        sample_bytes=16 * 1024, horizon=0.05, warmup=0.01,
+        testbed=Testbed.paper(), hugepage_bytes=16 * 1024 * 1024,
+    )),
+    # The FleetSpec defaults: 2 clients, 8 storage nodes, R=2, balancer.
+    "cluster": (cluster_tenants, {}),
+    # The flat (R=1, no balancer) datapath plus, on the CLI, two
+    # transform workers running parse + a 0.5-selectivity augment.
+    "xform": (cluster_tenants, dict(
+        num_storage=2, replicas=1, balancer=False, num_samples=2048,
+        horizon=0.01,
+        xform=XformSpec(stages=parse_stages("parse,augment:0.5"), workers=2),
+    )),
+}
+
+
+def preset(name: str, specs=None, workloads=None, **fields) -> FleetSpec:
+    """Preset ``name``'s FleetSpec, with ``fields`` overriding its defaults
+    and the preset's tenant mix unless ``specs``/``workloads`` are given."""
+    if (specs is None) != (workloads is None):
+        raise ConfigError("pass both specs and workloads, or neither")
+    mix, defaults = PRESETS[name]
+    spec = FleetSpec(**{**defaults, **fields})
+    if specs is None:
+        specs, workloads = mix(spec.num_samples)
+    return dataclasses.replace(
+        spec, specs=tuple(specs), workloads=tuple(workloads)
+    )
+
+
+def dlfs_tenancy(specs=None, workloads=None, **fields) -> RunReport:
+    """One multi-tenant serving run on a single node (``serve`` preset)."""
+    return run_fleet(preset("serve", specs, workloads, **fields))
+
+
+def dlfs_cluster(**fields) -> RunReport:
+    """One replicated cluster serving run under live traffic
+    (``cluster`` preset)."""
+    return run_fleet(preset("cluster", **fields))
+
+
+def dlfs_xform(spec: Optional[XformSpec] = None, **fields) -> RunReport:
+    """One serving run through the fetch/transform tier (``xform``
+    preset).  ``spec=None`` is the pay-for-use contract: bit-identical
+    to :func:`dlfs_cluster` with ``replicas=1, balancer=False`` — the
+    ``xform_pay_for_use`` perfcheck workload holds the two side by side."""
+    return run_fleet(preset("xform", xform=spec, **fields))
 
 
 # ---------------------------------------------------------------------------

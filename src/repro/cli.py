@@ -24,42 +24,33 @@ the per-layer latency attribution / percentile tables::
     python -m repro trace --samples 2000
     python -m repro trace --fault-plan media=0.02,reset_period=0.002 --out results/trace
 
-``serve`` runs the multi-tenant serving demo — the seeded traffic
-engine driving weighted tenants through admission control and the
-fair-queued datapath — and prints the per-tenant SLO/fairness tables::
+``fleet`` serves seeded multi-tenant traffic through one deployment
+preset and prints its throughput, the per-tenant SLO tables, and a
+section per layer it built.  ``serve`` is one node whose tenants go
+through admission control and the fair-queued datapath; ``cluster`` is
+the replicated storage tier (rendezvous placement, the cache-aware
+balancer, node crash/failover/rejoin); ``xform`` adds the
+fetch/transform tier (pushdown placement, chunked fabric transfers,
+per-tier utilization).  Every flag overrides the preset's default::
 
-    python -m repro serve
-    python -m repro serve --horizon 0.1 --seed 7 --out results/serve.json
+    python -m repro fleet --preset serve --horizon 0.1 --seed 7
+    python -m repro fleet --preset cluster --crash 1=0.004:0.012 --replicas 2
+    python -m repro fleet --preset xform --stages parse,decompress:2 --placement storage
+    python -m repro fleet --preset xform --worker-crash 0=0.002:0.005 --out results/xform.json
 
 ``lint`` and ``sanitize`` are the determinism gates (both used by CI)::
 
     python -m repro lint src/repro              # AST rules, exit 1 on findings
     python -m repro sanitize --runs 5           # tiebreak-perturbation sweep
 
-``perfcheck`` is the fast-path equivalence gate: it runs the fig06 and
-fig08 workloads under both the reference and the optimized kernel and
-asserts sim_time, the sample-order digest, and the metrics snapshot are
-bit-identical (exit 1 on divergence)::
+``perfcheck`` is the fast-path equivalence gate: it runs six gate
+workloads (the fig06/fig08 datapath, the three fleet presets, and the
+xform pay-for-use identity) under both the reference and the optimized
+kernel and asserts sim_time, the sample-order digest, and the metrics
+snapshot are bit-identical (exit 1 on divergence)::
 
     python -m repro perfcheck
     python -m repro perfcheck --quick --out results/perfcheck.json
-
-``cluster`` runs the replicated serving tier — rendezvous-hashed
-replica placement, the cache-aware front-end balancer, and the full
-node crash/failover/rejoin lifecycle — under live multi-tenant
-traffic, and prints per-lane routing plus recovery/lifecycle counters::
-
-    python -m repro cluster
-    python -m repro cluster --crash 1=0.004:0.012 --replicas 2
-    python -m repro cluster --quick --crash 1=0.004:0.008 --out results/cluster.json
-
-``xform`` runs the disaggregated fetch/transform tier: decode/transform
-stages with pushdown placement (storage node vs transform workers), the
-chunked fabric transfer engine, and per-tier utilization reporting::
-
-    python -m repro xform --stages parse,augment:0.5
-    python -m repro xform --stages parse,decompress:2 --placement storage
-    python -m repro xform --stages parse --crash 0=0.002:0.005 --out results/xform.json
 
 ``scenario`` is the golden-master regression harness: named, seeded
 traffic/fault scenarios (flash crowds, tenant churn, dataset hot-swap,
@@ -82,8 +73,10 @@ import sys
 import time
 from typing import Callable
 
+from .analysis.sanitizer import SWEEPS, run_sanitizer
 from .bench import figures as F
 from .bench.report import render_figure, render_headline
+from .bench.workloads import PRESETS
 
 __all__ = ["main", "FIGURES"]
 
@@ -104,6 +97,21 @@ FIGURES: dict[str, tuple[Callable, str]] = {
 #: Figures whose drivers accept a ``scale`` parameter.
 _UNSCALED = {"fig01"}
 
+#: ``fleet`` flags that set the FleetSpec field of the same name.
+_FLEET_FLAGS = (
+    "num_storage", "num_clients", "replicas", "num_samples", "sample_bytes",
+    "horizon", "warmup", "queue_depth", "hedge_delay", "read_cache_chunks",
+    "seed",
+)
+
+#: ``fleet --quick``: per-preset downscaling (CI smoke sizes).
+_FLEET_QUICK = {
+    "serve": dict(horizon=0.02),
+    "cluster": dict(num_storage=4, num_clients=1, num_samples=2048,
+                    horizon=0.01),
+    "xform": dict(num_samples=1024, horizon=0.005),
+}
+
 
 def _run_figure(name: str, scale: float):
     fn, _ = FIGURES[name]
@@ -113,29 +121,24 @@ def _run_figure(name: str, scale: float):
 
 
 def _parse_crash(spec: str) -> tuple:
-    """Parse a ``LANE=T1[:T2]`` crash spec into a node_crashes tuple."""
-    lane_s, sep, times = spec.partition("=")
-    if not sep:
-        raise ValueError(f"{spec!r}: expected LANE=T1[:T2]")
+    """Parse a ``LANE=T1[:T2]`` crash spec into ``(lane, t1, t2|None)``."""
+    lane, _, times = spec.partition("=")
+    t1, _, t2 = times.partition(":")
     try:
-        lane = int(lane_s)
+        return (int(lane), float(t1), float(t2) if t2 else None)
     except ValueError:
-        raise ValueError(f"{spec!r}: lane must be an integer") from None
-    t1_s, sep, t2_s = times.partition(":")
-    try:
-        t1 = float(t1_s)
-        t2 = float(t2_s) if sep else None
-    except ValueError:
-        raise ValueError(f"{spec!r}: times must be numbers") from None
-    return (lane, t1, t2)
+        raise ValueError(
+            f"{spec!r}: expected LANE=T1[:T2] (integer lane, times in "
+            "sim seconds)"
+        ) from None
 
 
 def _common_parent() -> argparse.ArgumentParser:
     """Shared flags for every workload subcommand.
 
-    ``chaos``/``serve``/``cluster``/``xform``/``scale``/``scenario`` all
-    inherit ``--seed``/``--quick``/``--json``/``--out`` from this parent
-    so the flags mean the same thing everywhere.  ``--seed`` defaults to
+    ``chaos``/``fleet``/``scale``/``scenario`` all inherit
+    ``--seed``/``--quick``/``--json``/``--out`` from this parent so the
+    flags mean the same thing everywhere.  ``--seed`` defaults to
     ``None`` and each command resolves its own default (42 for the
     traffic engines; ``chaos`` keeps the fault plan's seed), preserving
     the historical per-command semantics.
@@ -241,21 +244,6 @@ def main(argv: list[str] | None = None) -> int:
                          default=pathlib.Path("results/trace"),
                          help="output directory (default results/trace)")
 
-    p_serve = sub.add_parser(
-        "serve", parents=[common],
-        help="multi-tenant serving demo: traffic engine + admission + "
-             "weighted-fair scheduling, with per-tenant SLO tables",
-    )
-    p_serve.add_argument("--horizon", type=float, default=0.05,
-                         help="arrival window in sim seconds (default 0.05)")
-    p_serve.add_argument("--warmup", type=float, default=0.01,
-                         help="service-share window start (default 0.01)")
-    p_serve.add_argument("--queue-depth", type=int, default=32)
-    p_serve.add_argument(
-        "--fault-plan", default="zero",
-        help="fault plan as for 'chaos'; supports tenant.NAME=rate keys",
-    )
-
     p_lint = sub.add_parser(
         "lint", help="simlint: static determinism analysis (exit 1 on findings)"
     )
@@ -291,12 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     p_san.add_argument("--seed", type=int, default=2019,
                        help="base perturbation seed (default 2019)")
     p_san.add_argument(
-        "--scenario",
-        choices=("default", "cluster", "xform", "scale", "scenario", "all"),
-        default="all",
+        "--scenario", choices=(*SWEEPS, "all"), default="all",
         help="workload(s) to sweep: the flat datapath smoke, the "
-             "cluster crash-during-handoff scenario, the transform-tier "
-             "crash scenario, the hybrid-fidelity scale scenario, the "
+             "cluster crash-during-handoff fleet, the transform-tier "
+             "crash fleet, the hybrid-fidelity scale day, the "
              "golden-master scenario pack, or all (default all)",
     )
     p_san.add_argument("--out", type=pathlib.Path, default=None,
@@ -305,73 +291,65 @@ def main(argv: list[str] | None = None) -> int:
     p_perf = sub.add_parser(
         "perfcheck",
         help="prove fast-path kernel results are bit-identical to the "
-             "reference kernel on the fig06/fig08 workloads",
+             "reference kernel on the six gate workloads (fig06/fig08 "
+             "datapath, the serve/cluster/xform fleets, xform pay-for-use)",
     )
     p_perf.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI smoke)")
     p_perf.add_argument("--out", type=pathlib.Path, default=None,
                         help="write the JSON report here")
 
-    p_cluster = sub.add_parser(
-        "cluster", parents=[common],
-        help="replicated serving tier demo: rendezvous placement, "
-             "crash/rejoin failover, hedged reads under live traffic",
+    p_fleet = sub.add_parser(
+        "fleet", parents=[common],
+        help="serve seeded multi-tenant traffic through one deployment "
+             "preset: serve (fair-queued node), cluster (replicated "
+             "storage nodes, crash/rejoin), xform (fetch/transform tier)",
     )
-    p_cluster.add_argument("--storage", type=int, default=8,
-                           help="storage nodes in the fleet (default 8)")
-    p_cluster.add_argument("--clients", type=int, default=2,
-                           help="client nodes driving traffic (default 2)")
-    p_cluster.add_argument("--replicas", type=int, default=2,
-                           help="replication factor R (default 2)")
-    p_cluster.add_argument(
+    p_fleet.add_argument("--preset", choices=tuple(PRESETS), default="serve",
+                         help="deployment whose defaults apply (default serve)")
+    for flag, dest, kind, what in (
+        ("--storage", "num_storage", int, "storage nodes (0 = local devices)"),
+        ("--clients", "num_clients", int, "client nodes driving traffic"),
+        ("--replicas", "replicas", int, "replication factor R"),
+        ("--samples", "num_samples", int, "dataset samples"),
+        ("--size", "sample_bytes", int, "sample size in bytes"),
+        ("--horizon", "horizon", float, "arrival window in sim seconds"),
+        ("--warmup", "warmup", float,
+         "fair-queue service-share window start (default: the preset's, "
+         "at most horizon/5)"),
+        ("--queue-depth", "queue_depth", int, "qpair depth"),
+        ("--hedge", "hedge_delay", float,
+         "hedged-read delay in sim seconds (0 = off)"),
+        ("--read-cache", "read_cache_chunks", int, "per-node read-cache chunks"),
+        ("--workers", "workers", int, "transform worker nodes"),
+        ("--placement", "placement", str,
+         "pushdown policy for auto stages: cost, storage or worker"),
+        ("--packed", "packed_ratio", float,
+         "FanStore-style packed-format ratio (> 1 adds an unpack stage)"),
+    ):
+        p_fleet.add_argument(flag, dest=dest, type=kind, default=None,
+                             help=f"{what} (default: the preset's)")
+    p_fleet.add_argument(
+        "--fault-plan", default="zero",
+        help="fault plan as for 'chaos'; supports tenant.NAME=rate keys",
+    )
+    p_fleet.add_argument(
         "--crash", action="append", default=[], metavar="LANE=T1[:T2]",
-        help="seeded node crash: lane index, crash time, optional rejoin "
-             "time (sim seconds); repeatable",
+        help="seeded storage-node crash: lane index, crash time, optional "
+             "rejoin time (sim seconds); repeatable",
     )
-    p_cluster.add_argument("--hedge", type=float, default=0.0,
-                           help="hedged-read delay in sim seconds (0 = off)")
-    p_cluster.add_argument("--read-cache", type=int, default=0,
-                           help="per-node read-cache chunks (default 0)")
-    p_cluster.add_argument("--samples", type=int, default=8192,
-                           help="dataset samples (default 8192)")
-    p_cluster.add_argument("--horizon", type=float, default=0.02,
-                           help="arrival window in sim seconds (default 0.02)")
-
-    p_xform = sub.add_parser(
-        "xform", parents=[common],
-        help="disaggregated fetch/transform tier: pushdown placement, "
-             "chunked fabric transfers, per-tier utilization",
+    p_fleet.add_argument(
+        "--worker-crash", action="append", default=[],
+        metavar="WORKER=T1[:T2]",
+        help="seeded transform-worker crash, as for --crash; repeatable",
     )
-    p_xform.add_argument(
-        "--stages", default="parse,augment:0.5",
-        help="comma list of kind[:arg][@placement] stages — parse "
+    p_fleet.add_argument(
+        "--stages", default=None,
+        help="comma list of kind[:arg][@placement] transform stages — parse "
              "(arg = payload bytes), decompress (arg = ratio), augment "
-             "(arg = selectivity); @storage/@worker pin a stage "
-             "(default parse,augment:0.5); 'none' disables the tier",
+             "(arg = selectivity); @storage/@worker pin a stage; 'none' "
+             "disables the tier (default: the preset's)",
     )
-    p_xform.add_argument("--placement", default="cost",
-                         choices=("cost", "storage", "worker"),
-                         help="pushdown policy for auto stages (default cost)")
-    p_xform.add_argument("--packed", type=float, default=1.0,
-                         help="FanStore-style packed-format ratio (>= 1; "
-                              "adds an unpack stage, default 1 = off)")
-    p_xform.add_argument("--workers", type=int, default=2,
-                         help="transform worker nodes (default 2)")
-    p_xform.add_argument("--storage", type=int, default=2,
-                         help="storage nodes (default 2)")
-    p_xform.add_argument("--clients", type=int, default=2,
-                         help="client nodes driving traffic (default 2)")
-    p_xform.add_argument(
-        "--crash", action="append", default=[], metavar="WORKER=T1[:T2]",
-        help="seeded transform-worker crash: worker index, crash time, "
-             "optional rejoin time (sim seconds); repeatable",
-    )
-    p_xform.add_argument("--samples", type=int, default=2048,
-                         help="dataset samples (default 2048)")
-    p_xform.add_argument("--size", type=int, default=64 * 1024,
-                         help="sample size in bytes (default 65536)")
-    p_xform.add_argument("--horizon", type=float, default=0.01,
-                         help="arrival window in sim seconds (default 0.01)")
 
     p_scale = sub.add_parser(
         "scale", parents=[common],
@@ -548,61 +526,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[trace in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0
 
-    if args.command == "serve":
-        from .bench.workloads import dlfs_tenancy
-        from .errors import ConfigError
-        from .faults import parse_fault_plan
-        from .obs import render_tenants
-
-        try:
-            plan = parse_fault_plan(args.fault_plan)
-        except ConfigError as exc:
-            print(f"error: --fault-plan: {exc}", file=sys.stderr)
-            return 2
-        seed = 42 if args.seed is None else args.seed
-        horizon = 0.02 if args.quick else args.horizon
-        warmup = min(args.warmup, horizon / 5)
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        r = dlfs_tenancy(
-            horizon=horizon, warmup=warmup, seed=seed,
-            queue_depth=args.queue_depth,
-            fault_plan=None if plan.is_zero else plan,
-        )
-        if not args.json:
-            print(f"== serve: 3 tenants, horizon {horizon * 1e3:.0f} ms, "
-                  f"seed {seed} ==")
-            print(f"throughput        {r.sample_throughput:,.0f} samples/s")
-            print(f"delivered         {r.delivered}")
-            if r.failed:
-                print(f"failed            {r.failed}")
-            if r.rejected_jobs:
-                print(f"rejected jobs     {r.rejected_jobs}")
-            print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-            print(f"preemptions       {r.preemptions}  "
-                  f"(forced anti-starvation serves: {r.forced_serves})")
-            print()
-            print(render_tenants(
-                r.window_rows,
-                title="saturation window (arrival-horizon edge)",
-                service_shares=r.service_shares,
-            ))
-            print()
-            print(render_tenants(r.per_tenant, title="full run (after drain)"))
-        _write_json(args.out, {
-            "delivered": r.delivered,
-            "failed": r.failed,
-            "rejected_jobs": r.rejected_jobs,
-            "sim_time": r.sim_time,
-            "service_shares": r.service_shares,
-            "preemptions": r.preemptions,
-            "forced_serves": r.forced_serves,
-            "window_rows": list(r.window_rows),
-            "per_tenant": list(r.per_tenant),
-        }, args.json)
-        if not args.json:
-            print(f"[serve in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        return 0
-
     if args.command == "lint":
         from .analysis import RULES, lint_paths, render_findings
 
@@ -684,30 +607,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sanitize":
         import json
 
-        from .analysis import run_sanitizer
-        from .analysis.sanitizer import (
-            cluster_crash_workload,
-            default_workload,
-            scale_hybrid_workload,
-            scenario_pack_workload,
-            xform_crash_workload,
-        )
-
-        scenarios = {
-            "default": default_workload,
-            "cluster": cluster_crash_workload,
-            "xform": xform_crash_workload,
-            "scale": scale_hybrid_workload,
-            "scenario": scenario_pack_workload,
-        }
-        selected = (
-            list(scenarios) if args.scenario == "all" else [args.scenario]
-        )
+        selected = list(SWEEPS) if args.scenario == "all" else [args.scenario]
         t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         reports = {}
         for name in selected:
             reports[name] = run_sanitizer(
-                workload=scenarios[name],
+                workload=SWEEPS[name],
                 runs=args.runs, base_seed=args.seed,
                 progress=lambda msg, name=name: print(
                     f"  .. [{name}] {msg}", file=sys.stderr
@@ -740,146 +645,94 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[perfcheck in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0 if report.ok else 1
 
-    if args.command == "cluster":
-        from .bench.workloads import dlfs_cluster
+    if args.command == "fleet":
+        import dataclasses
+
+        from .bench.workloads import preset, run_fleet
         from .errors import ConfigError
-        from .obs import render_cluster
-
-        try:
-            crashes = tuple(_parse_crash(spec) for spec in args.crash)
-        except ValueError as exc:
-            print(f"error: --crash: {exc}", file=sys.stderr)
-            return 2
-        seed = 42 if args.seed is None else args.seed
-        storage = 4 if args.quick else args.storage
-        clients = 1 if args.quick else args.clients
-        samples = 2048 if args.quick else args.samples
-        horizon = 0.01 if args.quick else args.horizon
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        try:
-            r = dlfs_cluster(
-                num_storage=storage, num_clients=clients,
-                replicas=args.replicas, num_samples=samples,
-                horizon=horizon, seed=seed, node_crashes=crashes,
-                hedge_delay=args.hedge, read_cache_chunks=args.read_cache,
-            )
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not args.json:
-            print(f"== cluster: {storage} storage nodes, {clients} "
-                  f"client(s), R={args.replicas}, horizon "
-                  f"{horizon * 1e3:.0f} ms, seed {seed} ==")
-            print(f"throughput        {r.sample_throughput:,.0f} samples/s")
-            print(f"delivered         {r.delivered}")
-            if r.failed:
-                print(f"failed            {r.failed}")
-            print(f"jobs              {r.jobs}")
-            print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-            print()
-            print(render_cluster(
-                r.balancer.get("routed", {}), r.recovery, r.lifecycle,
-            ))
-            if r.per_tenant:
-                from .obs import render_tenants
-
-                print()
-                print(render_tenants(
-                    r.per_tenant, title="per-tenant (merged)"
-                ))
-        _write_json(args.out, {
-            "storage": storage,
-            "clients": clients,
-            "replicas": args.replicas,
-            "delivered": r.delivered,
-            "failed": r.failed,
-            "jobs": r.jobs,
-            "sim_time": r.sim_time,
-            "sample_throughput": r.sample_throughput,
-            "balancer": r.balancer,
-            "recovery": r.recovery,
-            "lifecycle": r.lifecycle,
-            "per_tenant": list(r.per_tenant),
-        }, args.json)
-        if not args.json:
-            print(f"[cluster in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        return 0
-
-    if args.command == "xform":
-        from .bench.workloads import dlfs_xform
-        from .errors import ConfigError
-        from .obs import render_tenants, render_xform
+        from .faults import parse_fault_plan
+        from .obs import render_cluster, render_tenants, render_xform
         from .xform import XformSpec, parse_stages
 
         try:
-            crashes = tuple(_parse_crash(spec) for spec in args.crash)
+            plan = parse_fault_plan(args.fault_plan)
+        except ConfigError as exc:
+            print(f"error: --fault-plan: {exc}", file=sys.stderr)
+            return 2
+        try:
+            crashes = tuple(_parse_crash(s) for s in args.crash)
+            worker_crashes = tuple(_parse_crash(s) for s in args.worker_crash)
         except ValueError as exc:
             print(f"error: --crash: {exc}", file=sys.stderr)
             return 2
-        seed = 42 if args.seed is None else args.seed
-        samples = 1024 if args.quick else args.samples
-        horizon = 0.005 if args.quick else args.horizon
+        fields = dict(_FLEET_QUICK[args.preset]) if args.quick else {}
+        fields.update(
+            (name, getattr(args, name)) for name in _FLEET_FLAGS
+            if getattr(args, name) is not None
+        )
         t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         try:
-            stages = (
-                () if args.stages.strip() in ("", "none")
-                else parse_stages(args.stages)
+            spec = preset(
+                args.preset, **fields,
+                fault_plan=None if plan.is_zero else plan,
+                node_crashes=crashes, xform_crashes=worker_crashes,
             )
-            spec = (
-                XformSpec(
-                    stages=stages, workers=args.workers,
-                    placement=args.placement, packed_ratio=args.packed,
+            xform = spec.xform
+            if args.stages is not None:
+                xform = XformSpec(
+                    stages=() if args.stages.strip() in ("", "none")
+                    else parse_stages(args.stages)
                 )
-                if stages else None
-            )
-            r = dlfs_xform(
-                num_storage=args.storage, num_clients=args.clients,
-                num_samples=samples, sample_bytes=args.size,
-                horizon=horizon, seed=seed, spec=spec,
-                xform_crashes=crashes,
-            )
+            if xform is not None:
+                xform = dataclasses.replace(xform, **{
+                    name: getattr(args, name)
+                    for name in ("workers", "placement", "packed_ratio")
+                    if getattr(args, name) is not None
+                })
+            spec = dataclasses.replace(spec, xform=xform, warmup=(
+                spec.warmup if args.warmup is not None
+                else min(spec.warmup, spec.horizon / 5)
+            ))
+            r = run_fleet(spec)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if not args.json:
-            print(f"== xform: {args.storage} storage + "
-                  f"{args.workers if spec else 0} transform nodes, "
-                  f"{args.clients} client(s), stages '{args.stages}', "
-                  f"placement {args.placement}, horizon "
-                  f"{horizon * 1e3:.0f} ms, seed {seed} ==")
+            workers = spec.xform.workers if "xform" in r.layers else 0
+            print(f"== fleet {args.preset}: {spec.num_clients} client(s), "
+                  f"{spec.num_storage} storage + {workers} transform nodes, "
+                  f"{len(spec.specs)} tenants, horizon "
+                  f"{spec.horizon * 1e3:.0f} ms, seed {spec.seed} ==")
             print(f"throughput        {r.sample_throughput:,.0f} samples/s")
             print(f"delivered         {r.delivered}")
             if r.failed:
                 print(f"failed            {r.failed}")
+            if r.rejected_jobs:
+                print(f"rejected jobs     {r.rejected_jobs}")
             print(f"jobs              {r.jobs}")
             print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-            print()
-            print(render_xform(r.tier, r.utilization, r.links, r.routed))
-            if r.per_tenant:
+            if "fair_queue" in r.layers:
+                print(f"preemptions       {r.preemptions}  "
+                      f"(forced anti-starvation serves: {r.forced_serves})")
                 print()
                 print(render_tenants(
-                    r.per_tenant, title="per-tenant (merged)"
+                    r.window_rows,
+                    title="saturation window (arrival-horizon edge)",
+                    service_shares=r.service_shares,
                 ))
-        _write_json(args.out, {
-            "storage": args.storage,
-            "workers": args.workers if spec else 0,
-            "clients": args.clients,
-            "stages": args.stages,
-            "placement": args.placement,
-            "packed": args.packed,
-            "delivered": r.delivered,
-            "failed": r.failed,
-            "jobs": r.jobs,
-            "sim_time": r.sim_time,
-            "sample_throughput": r.sample_throughput,
-            "tier": r.tier,
-            "links": list(r.links),
-            "utilization": list(r.utilization),
-            "routed": r.routed,
-            "per_tenant": list(r.per_tenant),
-        }, args.json)
+            if "cluster" in r.layers:
+                print()
+                print(render_cluster(
+                    r.balancer["routed"], r.recovery, r.lifecycle,
+                ))
+            if "xform" in r.layers:
+                print()
+                print(render_xform(r.tier, r.utilization, r.links, r.routed))
+            print()
+            print(render_tenants(r.per_tenant, title="full run (after drain)"))
+        _write_json(args.out, {"preset": args.preset, **r.summary()}, args.json)
         if not args.json:
-            print(f"[xform in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
+            print(f"[fleet in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0
 
     if args.command == "scale":

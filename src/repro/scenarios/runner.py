@@ -53,10 +53,8 @@ def run_scenario(
     eff_seed = seed if seed is not None else scn.seed
     if scn.engine == "tenancy":
         fp = _run_tenancy(scn, quick, eff_seed, perturb)
-    elif scn.engine == "cluster":
-        fp = _run_cluster(scn, quick, eff_seed, perturb)
-    elif scn.engine == "xform":
-        fp = _run_xform(scn, quick, eff_seed, perturb)
+    elif scn.engine in _RECORD_ENGINES:
+        fp = _run_records(scn, quick, eff_seed, perturb)
     elif scn.engine == "fluid":
         fp = _run_fluid(scn, quick, eff_seed, perturb)
     else:  # pragma: no cover - validate() rejects this
@@ -239,14 +237,13 @@ def _run_tenancy(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
 def _records_fingerprint(scn: Scenario, horizon: float, rep) -> dict:
     """Digests / percentiles / phases shared by cluster and xform."""
     lat = hashlib.sha1()
+    by_base: Dict[str, List[float]] = {}
+    by_phase: Dict[str, Dict[str, List[float]]] = {}
     for t_done, tenant, latency, ok, fail in rep.records:
         lat.update(
             f"{t_done.hex()}:{tenant}:{latency.hex()}:{ok}:{fail}\n"
             .encode("utf-8")
         )
-    by_base: Dict[str, List[float]] = {}
-    by_phase: Dict[str, Dict[str, List[float]]] = {}
-    for _t, tenant, latency, _ok, _fail in rep.records:
         base, phase = split_workload_name(tenant)
         by_base.setdefault(base, []).append(latency)
         if phase:
@@ -281,12 +278,32 @@ def _scalar_items(prefix: str, mapping: dict) -> dict:
     return out
 
 
-def _run_cluster(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
-    from ..bench.workloads import dlfs_cluster
+#: Record-based engine (also its fleet preset) -> the RunReport sections
+#: flattened into its counters; a dotted name reaches into a nested dict.
+_RECORD_ENGINES = {
+    "cluster": ("recovery", "lifecycle", "balancer", "balancer.routed"),
+    "xform": ("tier", "routed"),
+}
 
+
+def _run_records(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
+    from ..bench.workloads import preset, run_fleet
+    from ..xform import XformSpec
+    from ..xform.stages import parse_stages
+
+    xform = None
+    if scn.engine == "xform":
+        if not scn.stages:
+            raise ConfigError(
+                f"scenario {scn.name!r}: xform engine needs stages"
+            )
+        xform = XformSpec(stages=parse_stages(scn.stages), workers=scn.workers)
     horizon = scn.effective_horizon(quick)
     specs, workloads = compile_workloads(scn, quick, perturb)
-    rep = dlfs_cluster(
+    rep = run_fleet(preset(
+        scn.engine,
+        specs=specs,
+        workloads=workloads,
         num_storage=scn.storage,
         num_clients=scn.clients,
         replicas=scn.replicas,
@@ -295,54 +312,20 @@ def _run_cluster(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
         horizon=horizon,
         seed=seed,
         node_crashes=compile_crashes(scn, "node_crash", horizon),
-        specs=specs,
-        workloads=workloads,
-    )
-    counters = {
-        "delivered": rep.delivered,
-        "failed": rep.failed,
-        "jobs": rep.jobs,
-    }
-    counters.update(_scalar_items("recovery", rep.recovery))
-    counters.update(_scalar_items("lifecycle", rep.lifecycle))
-    counters.update(_scalar_items("balancer.routed", rep.balancer["routed"]))
-    counters["balancer.failovers"] = rep.balancer["failovers"]
-    counters["balancer.cache_routed"] = rep.balancer["cache_routed"]
-    fp = _records_fingerprint(scn, horizon, rep)
-    fp["sim_time"] = rep.sim_time
-    fp["counters"] = counters
-    return fp
-
-
-def _run_xform(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
-    from ..bench.workloads import dlfs_xform
-    from ..xform import XformSpec
-    from ..xform.stages import parse_stages
-
-    if not scn.stages:
-        raise ConfigError(f"scenario {scn.name!r}: xform engine needs stages")
-    horizon = scn.effective_horizon(quick)
-    specs, workloads = compile_workloads(scn, quick, perturb)
-    rep = dlfs_xform(
-        num_storage=scn.storage,
-        num_clients=scn.clients,
-        num_samples=scn.num_samples,
-        sample_bytes=scn.sample_bytes,
-        horizon=horizon,
-        seed=seed,
-        spec=XformSpec(stages=parse_stages(scn.stages), workers=scn.workers),
+        xform=xform,
         xform_crashes=compile_crashes(scn, "worker_crash", horizon),
-        replicas=scn.replicas,
-        specs=specs,
-        workloads=workloads,
-    )
+    ))
     counters = {
         "delivered": rep.delivered,
         "failed": rep.failed,
         "jobs": rep.jobs,
     }
-    counters.update(_scalar_items("tier", rep.tier))
-    counters.update(_scalar_items("routed", rep.routed))
+    for section in _RECORD_ENGINES[scn.engine]:
+        head, *path = section.split(".")
+        mapping = getattr(rep, head)
+        for key in path:
+            mapping = mapping[key]
+        counters.update(_scalar_items(section, mapping))
     fp = _records_fingerprint(scn, horizon, rep)
     fp["sim_time"] = rep.sim_time
     fp["counters"] = counters

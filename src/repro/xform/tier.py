@@ -664,10 +664,6 @@ class XformRuntime:
     def accounting(self):
         return self.inner.accounting
 
-    @property
-    def records(self):
-        return self.inner.records
-
     def submit(self, job) -> bool:
         if self._inflight < self.tier.spec.max_inflight_jobs:
             self._inflight += 1

@@ -136,3 +136,35 @@ class TestScenario:
             "--golden-root", str(tmp_path),
         ]) == 2
         assert "no golden master" in capsys.readouterr().err
+
+
+class TestFleet:
+    """The `fleet` subcommand: one preset per serving deployment."""
+
+    SECTIONS = {
+        "serve": ("service_shares", "window_rows"),
+        "cluster": ("balancer", "lifecycle"),
+        "xform": ("tier", "links"),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(SECTIONS))
+    def test_preset_prints_only_its_own_sections(self, preset, capsys):
+        import json
+
+        assert main(["fleet", "--preset", preset, "--quick", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["preset"] == preset
+        assert blob["delivered"] > 0 and blob["failed"] == 0
+        for name, keys in self.SECTIONS.items():
+            for key in keys:
+                assert (key in blob) == (name == preset), key
+
+    def test_malformed_crash_exits_2(self, capsys):
+        assert main(["fleet", "--preset", "cluster", "--quick",
+                     "--crash", "one=0.004"]) == 2
+        assert "error: --crash" in capsys.readouterr().err
+
+    def test_worker_crash_without_stages_exits_2(self, capsys):
+        assert main(["fleet", "--preset", "xform", "--quick",
+                     "--stages", "none", "--worker-crash", "0=0.001"]) == 2
+        assert "no transform stages" in capsys.readouterr().err

@@ -215,8 +215,8 @@ def test_cli_sanitize_report(tmp_path, capsys, monkeypatch):
     from repro import cli
     from repro.analysis import sanitizer as san
 
-    # Keep the CLI smoke fast: swap the default workload for the toy one.
-    monkeypatch.setattr(san, "default_workload", commuting_workload)
+    # Keep the CLI smoke fast: swap the default sweep for the toy one.
+    monkeypatch.setitem(san.SWEEPS, "default", commuting_workload)
     out = tmp_path / "report.json"
     rc = cli.main([
         "sanitize", "--runs", "2", "--scenario", "default", "--out", str(out)
