@@ -1,14 +1,17 @@
-"""perfcheck — prove the fast-path kernel changes nothing observable.
+"""perfcheck — prove the injector-free datapath changes nothing observable.
 
-PR "fast-path DES kernel" carries two implementations of the hot paths:
-the *reference* one (heap-only scheduling, one process per NVMe command
-and per qpair flight, per-chunk pool seeding) and the *optimized* one
-(immediate-event FIFO lane, closed-form device timing, callback
-flights, bulk pool preload).  The optimizations are only admissible if
-they are invisible to the simulation: ``python -m repro perfcheck``
-runs six gate workloads (:func:`default_workloads`: fig06, fig08 and
-the fleet presets) under both implementations in one process — flipping
-:func:`repro.sim.set_fastpath` between builds — and asserts the
+Two hot paths carry two implementations, and the fault injector alone
+picks between them: an NVMe device with no injector computes completion
+times in closed form (:meth:`NVMeDevice._fp_submit`) and a local qpair
+delivers from the device's completion callback
+(:meth:`IOQPair._on_device_complete`); with an injector installed — even
+one that can never inject — both run the *reference* form, one process
+per command and per flight, which is where faults are drawn.  The
+optimizations are only admissible if they are invisible to the
+simulation: ``python -m repro perfcheck`` runs six gate workloads
+(:func:`default_workloads`: fig06, fig08 and the fleet presets) twice —
+once as built, once under :func:`zero_rate_injectors`, which hands every
+NVMe device a zero-rate injector at construction — and asserts the
 *witnesses* are bit-identical:
 
 * final ``sim_time`` (exact float equality);
@@ -17,7 +20,7 @@ the fleet presets) under both implementations in one process — flipping
 * the full metrics-registry snapshot (sha1 over the canonical JSON of
   ``MetricsRegistry.dump()``), minus the one counter that *measures the
   kernel itself* — ``sim.events_processed`` counts processed events, and
-  processing fewer events is the entire point of the PR.
+  processing fewer events is the entire point of the analytic paths.
 
 This is the same witness the SimSanitizer uses for its tiebreak sweeps
 (:func:`repro.analysis.sanitizer._witness`), extended with the metrics
@@ -30,18 +33,55 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from ..faults import ZERO_PLAN, FaultInjector
+from ..hw import NVMeDevice
 from ..sim import engine as _engine
 from .sanitizer import _witness
 
-__all__ = ["PerfCheckReport", "run_perfcheck", "default_workloads"]
+__all__ = [
+    "PerfCheckReport",
+    "run_perfcheck",
+    "default_workloads",
+    "zero_rate_injectors",
+]
 
 #: Metrics-dump keys that describe the kernel, not the simulation.
 #: ``counters.sim.events_processed`` is the engine's own step counter;
-#: the optimized kernel processes fewer events by design.
+#: the analytic paths process fewer events by design.
 KERNEL_META_COUNTERS = ("sim.events_processed",)
+
+
+class _ZeroRateInjectors:
+    """Construction hook: every new NVMe device gets a zero-rate injector.
+
+    Installed through the engine's lifecycle-registration hook, which
+    devices call from their constructor — before any command is
+    submitted, so no device ever mixes the two timing schemes.  A
+    zero-rate injector draws no randomness and injects nothing; it only
+    routes the device and its local qpairs onto the reference paths.
+    """
+
+    def __init__(self) -> None:
+        self._injector = FaultInjector(ZERO_PLAN)
+
+    def register(self, obj: Any) -> None:
+        if isinstance(obj, NVMeDevice):
+            obj.install_fault_injector(self._injector)
+
+
+@contextmanager
+def zero_rate_injectors() -> Iterator[None]:
+    """Build every NVMe device inside the block on the reference paths."""
+    previous = _engine._LIFECYCLE_AUDIT
+    _engine.set_lifecycle_audit(_ZeroRateInjectors())
+    try:
+        yield
+    finally:
+        _engine.set_lifecycle_audit(previous)
 
 
 def _metrics_digest(result: Any) -> Optional[str]:
@@ -77,7 +117,7 @@ def _xform_pay_for_use(num_samples: int, horizon: float) -> Dict[str, Any]:
     datapath it claims to be, and diffs their full witnesses inside the
     workload; any mismatch lands in ``self_divergences``, which
     :func:`run_perfcheck` surfaces as a failure.  On top of that, the
-    pair runs under both kernels like every other gate.
+    pair runs on both paths like every other gate.
     """
     from ..bench.workloads import preset, run_fleet
 
@@ -111,6 +151,9 @@ def default_workloads(quick: bool = False) -> Dict[str, Callable[[], Any]]:
     copy loop), the transform tier's pushdown datapath, and its
     pay-for-use identity (no stages ⇒ bit-identical to the flat cluster
     datapath, checked inside the workload via ``self_divergences``).
+    ``cluster_crash_rejoin`` schedules node crashes, so its fault plan
+    puts both runs on the reference paths; it still proves the run is
+    reproducible.
     """
     from ..bench.workloads import dlfs_observed, preset, run_fleet
 
@@ -195,35 +238,32 @@ def run_perfcheck(
     quick: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> PerfCheckReport:
-    """Run each workload under both kernels and compare witnesses.
+    """Run each workload on both device paths and compare witnesses.
 
-    The fast-path flag is flipped *between* workload builds (components
-    snapshot it at construction), and always restored afterwards.
+    The reference run builds under :func:`zero_rate_injectors`; the
+    optimized run builds as production does, with no injector.
     """
     workloads = workloads or default_workloads(quick=quick)
     report = PerfCheckReport(workloads=list(workloads))
-    previous = _engine.fastpath_enabled()
-    try:
-        for name, workload in workloads.items():
-            pair: Dict[str, Dict[str, Any]] = {}
-            for label, enabled in (("reference", False), ("optimized", True)):
-                if progress:
-                    progress(f"{name}: {label} kernel")
-                _engine.set_fastpath(enabled)
-                pair[label] = _full_witness(workload())
-            # A workload can self-check an internal identity (e.g. the
-            # xform pay-for-use gate) and report the diffs out-of-band;
-            # they fail the run but are excluded from the ref/opt diff.
-            for label, witness in pair.items():
-                for d in witness.pop("self_divergences", ()):
-                    report.divergences.append(f"{name}[{label}]: {d}")
-            report.witnesses[name] = pair
-            ref, opt = pair["reference"], pair["optimized"]
-            for key in sorted(set(ref) | set(opt)):
-                if ref.get(key) != opt.get(key):
-                    report.divergences.append(
-                        f"{name}: {key} {ref.get(key)!r} != {opt.get(key)!r}"
-                    )
-    finally:
-        _engine.set_fastpath(previous)
+    for name, workload in workloads.items():
+        if progress:
+            progress(f"{name}: reference paths (zero-rate injectors)")
+        with zero_rate_injectors():
+            pair = {"reference": _full_witness(workload())}
+        if progress:
+            progress(f"{name}: optimized paths")
+        pair["optimized"] = _full_witness(workload())
+        # A workload can self-check an internal identity (e.g. the
+        # xform pay-for-use gate) and report the diffs out-of-band;
+        # they fail the run but are excluded from the ref/opt diff.
+        for label, witness in pair.items():
+            for d in witness.pop("self_divergences", ()):
+                report.divergences.append(f"{name}[{label}]: {d}")
+        report.witnesses[name] = pair
+        ref, opt = pair["reference"], pair["optimized"]
+        for key in sorted(set(ref) | set(opt)):
+            if ref.get(key) != opt.get(key):
+                report.divergences.append(
+                    f"{name}: {key} {ref.get(key)!r} != {opt.get(key)!r}"
+                )
     return report

@@ -45,9 +45,10 @@ per-tier utilization).  Every flag overrides the preset's default::
 
 ``perfcheck`` is the fast-path equivalence gate: it runs six gate
 workloads (the fig06/fig08 datapath, the three fleet presets, and the
-xform pay-for-use identity) under both the reference and the optimized
-kernel and asserts sim_time, the sample-order digest, and the metrics
-snapshot are bit-identical (exit 1 on divergence)::
+xform pay-for-use identity) with no fault injector and again with a
+zero-rate injector on every NVMe device, and asserts sim_time, the
+sample-order digest, and the metrics snapshot are bit-identical (exit 1
+on divergence)::
 
     python -m repro perfcheck
     python -m repro perfcheck --quick --out results/perfcheck.json
@@ -290,9 +291,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_perf = sub.add_parser(
         "perfcheck",
-        help="prove fast-path kernel results are bit-identical to the "
-             "reference kernel on the six gate workloads (fig06/fig08 "
-             "datapath, the serve/cluster/xform fleets, xform pay-for-use)",
+        help="prove the injector-free device paths bit-identical to "
+             "the zero-rate-injector reference paths on the six gate "
+             "workloads (fig06/fig08 datapath, the serve/cluster/xform "
+             "fleets, xform pay-for-use)",
     )
     p_perf.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI smoke)")

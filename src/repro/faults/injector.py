@@ -9,9 +9,11 @@ on the order in which components were wired up.  Same plan + same
 workload => bit-identical fault event trace.
 
 Components hold the injector behind an ``injector`` attribute that
-defaults to ``None``; with no injector installed (or a zero-rate site)
-they take their original fast path and consume no randomness, keeping
-fault machinery strictly pay-for-use.
+defaults to ``None``; with no injector installed they take their
+original fast path, and a zero-rate site consumes no randomness, keeping
+fault machinery strictly pay-for-use.  The attribute is also the only
+switch between an NVMe device's analytic and per-command service paths:
+any injector, even a zero-rate one, selects the per-command path.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..errors import AllocationError, ConfigError
-from ..sim import Environment, Event, Store, fastpath_enabled
+from ..sim import Environment, Event, Store
 
 __all__ = ["HugePageChunk", "HugePagePool", "ChunkLedger", "chunk_quotas"]
 
@@ -148,25 +148,18 @@ class HugePagePool:
         self.chunk_size = chunk_size
         self.num_chunks = total_bytes // chunk_size
         self._free = Store(env, name=f"{name}-free")
-        if fastpath_enabled():
-            # Materialize chunks on demand instead of building the full
-            # population up front: a 2 GB pool is 8192 objects at mount
-            # time, of which a workload typically touches under 1%.
-            # Allocation order is unchanged — the eager pool hands out
-            # fresh chunks 0..N-1 before ever reusing a freed one (the
-            # free list is FIFO and freed chunks land behind the fresh
-            # population), and _materialize front-pushes fresh chunks in
-            # exactly that index order until the population is complete.
-            #: Next never-materialized chunk index.
-            self._fresh = 0
-        else:
-            for i in range(self.num_chunks):
-                self._free.put(HugePageChunk(index=i, size=chunk_size, pool=self))
-            self._fresh = self.num_chunks
+        # Chunks are materialized on demand instead of up front: a 2 GB
+        # pool is 8192 objects at mount time, of which a workload
+        # typically touches under 1%.  Allocation order is that of an
+        # eagerly filled FIFO free list — fresh chunks 0..N-1 before any
+        # freed one — because _materialize front-pushes fresh chunks in
+        # index order until the population is complete.
+        #: Next never-materialized chunk index.
+        self._fresh = 0
         self._outstanding = 0
 
     def _materialize(self) -> None:
-        """Fast path: front-push the next fresh chunk onto the free list."""
+        """Front-push the next fresh chunk onto the free list."""
         self._free._items.appendleft(
             HugePageChunk(index=self._fresh, size=self.chunk_size, pool=self)
         )

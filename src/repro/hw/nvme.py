@@ -31,7 +31,7 @@ from collections import deque
 from ..errors import ConfigError, HardwareError, QueueFullError
 from ..obs import NULL_METRICS, NULL_TRACER
 from ..sim import Environment, Event, Resource, Tally, ThroughputMeter
-from ..sim.engine import fastpath_enabled
+from ..sim.engine import audit_register
 from .platform import GB, NVMeSpec
 
 __all__ = [
@@ -106,8 +106,10 @@ class NVMeDevice:
             raise ConfigError("device capacity must be positive")
         self.name = name or f"nvme{next(self._ids)}"
         self.capacity = capacity
-        #: Optional fault injector (see :mod:`repro.faults`); ``None``
-        #: keeps the healthy fast path with zero overhead.
+        #: Optional fault injector (see :mod:`repro.faults`).  It alone
+        #: picks the service path: ``None`` takes the analytic timing
+        #: below, an injector (even at zero rates) the per-command
+        #: process that can fail, stall, or hiccup.
         self.injector = None
         self._cmd_proc = Resource(env, capacity=1, name=f"{self.name}.cmdproc")
         self._data_pipe = Resource(env, capacity=1, name=f"{self.name}.data")
@@ -119,11 +121,10 @@ class NVMeDevice:
         #: Observability (null objects until install_observability).
         self.tracer = NULL_TRACER
         self._h_latency = NULL_METRICS.histogram("")
-        #: Analytic fast path (healthy commands only): completion times
-        #: are computed in closed form at submit and a single timer chain
-        #: delivers them, replacing the per-command service process.
-        #: ``perfcheck`` proves results bit-identical to the process path.
-        self._fastpath = fastpath_enabled()
+        #: Analytic path (no injector): completion times are computed in
+        #: closed form at submit and a single timer chain delivers them,
+        #: replacing the per-command service process.  ``perfcheck``
+        #: proves results bit-identical to the process path.
         #: Next instant each serialized stage is free (closed-form
         #: mirrors of the _cmd_proc/_data_pipe FIFO resources).
         self._proc_free = 0.0
@@ -133,6 +134,7 @@ class NVMeDevice:
         #: because both stages are FIFO pipes.
         self._fp_pending: deque[tuple[float, NVMeCommand]] = deque()
         self._fp_timer_active = False
+        audit_register(self)
 
     def install_observability(self, obs) -> None:
         """Attach an :class:`repro.obs.Observability` bundle."""
@@ -218,7 +220,7 @@ class NVMeDevice:
                 op=op, nbytes=nbytes,
             )
         self._outstanding += 1
-        if self._fastpath and self.injector is None:
+        if self.injector is None:
             self._fp_submit(cmd)
         else:
             self.env.process(self._service(cmd), name=f"{self.name}.cmd")

@@ -18,8 +18,6 @@ from .engine import (
     Event,
     Process,
     Timeout,
-    fastpath_enabled,
-    set_fastpath,
 )
 from .fluid import (
     ArrivalSchedule,
@@ -58,8 +56,6 @@ __all__ = [
     "ScaleSpec",
     "run_scale",
     "equivalence_check",
-    "set_fastpath",
-    "fastpath_enabled",
     "rng",
     "derive_seed",
     "substream_log",

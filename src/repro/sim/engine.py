@@ -24,7 +24,6 @@ Example
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError, InterruptedProcess
@@ -40,19 +39,18 @@ __all__ = [
     "set_tiebreak_factory",
     "set_lifecycle_audit",
     "audit_register",
-    "set_fastpath",
-    "fastpath_enabled",
 ]
 
 #: Sentinel for an event value that has not been set yet.
 PENDING = object()
 
 # --------------------------------------------------------------------------
-# SimSanitizer hooks (repro.analysis.sanitizer).
+# Harness hooks (repro.analysis.sanitizer, repro.analysis.perfcheck).
 #
 # Both default to None and cost the hot path a single falsy check.  They
 # are *harness* knobs: production code must never set them — the
-# sanitizer installs them around a run and restores None afterwards.
+# sanitizer and perfcheck install them around a run and restore None
+# afterwards.
 # --------------------------------------------------------------------------
 
 #: When set, every new Environment calls the factory once and uses the
@@ -63,10 +61,10 @@ PENDING = object()
 #: is how the sanitizer falsifies that claim.
 _TIEBREAK_FACTORY: Optional[Callable[[], Any]] = None
 
-#: When set, Resources/Stores/qpairs register themselves here at
-#: construction so the sanitizer can check lifecycle invariants
-#: (leak-on-stop, stale completions) after a run.  Must expose
-#: ``register(obj)``.
+#: When set, Resources/Stores/qpairs/NVMe devices register themselves
+#: here at construction so the sanitizer can check lifecycle invariants
+#: (leak-on-stop, stale completions) after a run, and perfcheck can put
+#: new devices on their reference paths.  Must expose ``register(obj)``.
 _LIFECYCLE_AUDIT: Optional[Any] = None
 
 
@@ -86,33 +84,6 @@ def audit_register(obj: Any) -> None:
     """Register a lifecycle-checked object with the active audit, if any."""
     if _LIFECYCLE_AUDIT is not None:
         _LIFECYCLE_AUDIT.register(obj)
-
-
-# --------------------------------------------------------------------------
-# Fast-path toggle.
-#
-# The kernel and the hardware models carry two equivalent implementations
-# of several hot paths: a *reference* one (heap-only scheduling, one
-# process per NVMe command / qpair flight) and an optimized one (the
-# immediate-event FIFO lane below, closed-form device timing, callback
-# flights).  ``python -m repro perfcheck`` proves the two produce
-# bit-identical results; this switch selects between them so the proof
-# can run both in one process.  Components snapshot the flag at
-# construction — flip it *between* building workloads, never mid-run.
-# --------------------------------------------------------------------------
-
-_FASTPATH = True
-
-
-def set_fastpath(enabled: bool) -> None:
-    """Enable/disable optimized kernel+model paths for new components."""
-    global _FASTPATH
-    _FASTPATH = bool(enabled)
-
-
-def fastpath_enabled() -> bool:
-    """True when new components should take the optimized paths."""
-    return _FASTPATH
 
 
 class Event:
@@ -165,11 +136,9 @@ class Event:
         self._value = value
         # Inlined zero-delay _post: succeed() dominates datapath posts.
         env = self.env
-        if env._use_fifo:
-            env._eid += 1
-            env._fifo.append((env._now, env._eid, self))
-        else:
-            env._post(self)
+        env._eid += 1
+        key = env._eid if env._tiebreak is None else env._ranked_key()
+        heapq.heappush(env._due, (key, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -222,18 +191,13 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        # Inlined _post: nonzero delays go straight to the heap, zero
-        # delays to the FIFO lane when active.
+        # Inlined _post.
         env._eid += 1
-        if delay == 0.0 and env._use_fifo:
-            env._fifo.append((env._now, env._eid, self))
-        elif env._tiebreak is None:
-            heapq.heappush(env._queue, (env._now + delay, 0.0, env._eid, self))
+        key = env._eid if env._tiebreak is None else env._ranked_key()
+        if delay == 0.0:
+            heapq.heappush(env._due, (key, self))
         else:
-            heapq.heappush(
-                env._queue,
-                (env._now + delay, float(env._tiebreak.random()), env._eid, self),
-            )
+            heapq.heappush(env._queue, (env._now + delay, key, self))
 
 
 class Initialize(Event):
@@ -471,26 +435,22 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Heap entries are (time, tiebreak rank, insertion id, event).
-        #: The rank is a constant 0.0 in normal runs (so ties fall back
-        #: to insertion order); under the SimSanitizer it is a seeded
-        #: random draw, shuffling same-timestamp event order.
-        self._queue: list[tuple[float, float, int, Event]] = []
+        #: Events fire in (time, tiebreak key) order.  The key is the
+        #: insertion id in normal runs, so ties fall back to insertion
+        #: order; under the SimSanitizer it is (seeded random rank,
+        #: insertion id), shuffling same-timestamp event order.  One
+        #: environment never mixes the two key types.  Events due at the
+        #: current instant — most posts: every succeed() — wait in
+        #: ``_due``, a small heap of (key, event); everything else in
+        #: ``_queue``, a heap of (time, key, event).  step() takes the
+        #: smaller head, so the split is invisible and the sanitizer
+        #: perturbs the same two heaps every run uses.
+        self._queue: list[tuple[float, Any, Event]] = []
+        self._due: list[tuple[Any, Event]] = []
         self._eid = 0
         self._tiebreak = (
             _TIEBREAK_FACTORY() if _TIEBREAK_FACTORY is not None else None
         )
-        #: Immediate-event FIFO lane: ``delay == 0`` posts bypass the heap.
-        #: Entries are (time, insertion id, event).  Because ``_now`` never
-        #: decreases and insertion ids strictly increase, appends arrive in
-        #: nondecreasing (time, id) order, so the deque *is* sorted by the
-        #: same key the heap uses (rank is a constant 0.0 whenever the lane
-        #: is active) — step() pops the global minimum of both lanes and the
-        #: total event order is identical to the heap-only kernel.  Disabled
-        #: under the sanitizer tiebreak factory: random ranks must shuffle
-        #: *all* same-timestamp events, so everything goes through the heap.
-        self._fifo: deque[tuple[float, int, Event]] = deque()
-        self._use_fifo = _FASTPATH and self._tiebreak is None
         self._active_process: Optional[Process] = None
         #: Observability hooks called after each processed event; ``None``
         #: (the default) keeps step() at a single falsy check.
@@ -532,36 +492,33 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
+    def _ranked_key(self) -> tuple[float, int]:
+        """Sanitizer tiebreak key for the event just numbered ``_eid``."""
+        return (float(self._tiebreak.random()), self._eid)
+
     def _post(self, event: Event, delay: float = 0.0) -> None:
         """Schedule ``event`` for processing ``delay`` seconds from now."""
-        self._eid += 1
-        if delay == 0.0 and self._use_fifo:
-            self._fifo.append((self._now, self._eid, event))
-            return
-        rank = 0.0 if self._tiebreak is None else float(self._tiebreak.random())
-        heapq.heappush(self._queue, (self._now + delay, rank, self._eid, event))
+        self._post_at(event, self._now + delay)
 
     def _post_at(self, event: Event, time: float) -> None:
         """Schedule ``event`` at the *absolute* time ``time``.
 
-        Kernel-internal: used by analytic model fast paths that compute
+        Kernel-internal: used by analytic model paths that compute
         fire times in closed form and must hit the exact float the
         reference event chain would have produced (``now + delay`` is not
         bit-identical to a precomputed absolute time under IEEE 754).
         """
         self._eid += 1
-        if time == self._now and self._use_fifo:
-            self._fifo.append((self._now, self._eid, event))
-            return
-        rank = 0.0 if self._tiebreak is None else float(self._tiebreak.random())
-        heapq.heappush(self._queue, (time, rank, self._eid, event))
+        key = self._eid if self._tiebreak is None else self._ranked_key()
+        if time == self._now:
+            heapq.heappush(self._due, (key, event))
+        else:
+            heapq.heappush(self._queue, (time, key, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._fifo:
-            if self._queue and self._queue[0][0] < self._fifo[0][0]:
-                return self._queue[0][0]
-            return self._fifo[0][0]
+        if self._due:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def add_step_listener(self, listener: Callable[[float, Event], None]) -> None:
@@ -576,28 +533,16 @@ class Environment:
         self._step_listeners.append(listener)
 
     def step(self) -> None:
-        """Process exactly one event.
-
-        Pops the global minimum of the FIFO lane and the heap, keyed by
-        (time, insertion id) — identical total order to a heap-only
-        kernel (ranks are all 0.0 whenever the FIFO lane is in use).
-        """
-        fifo = self._fifo
+        """Process exactly one event: the minimum by (time, key)."""
         queue = self._queue
-        if fifo:
-            if queue:
-                head = queue[0]
-                imm = fifo[0]
-                ht = head[0]
-                it = imm[0]
-                if ht < it or (ht == it and head[2] < imm[1]):
-                    self._now, _, _, event = heapq.heappop(queue)
-                else:
-                    self._now, _, event = fifo.popleft()
+        due = self._due
+        if due:
+            if queue and queue[0][0] == self._now and queue[0][1] < due[0][0]:
+                event = heapq.heappop(queue)[2]
             else:
-                self._now, _, event = fifo.popleft()
+                event = heapq.heappop(due)[1]
         elif queue:
-            self._now, _, _, event = heapq.heappop(queue)
+            self._now, _, event = heapq.heappop(queue)
         else:
             raise SimulationError("step() on an empty event queue")
         # Inlined Event._resolve — this is the hottest loop in the repo.
@@ -652,7 +597,7 @@ class Environment:
         """
         step = self.step
         if until is None:
-            while self._queue or self._fifo:
+            while self._due or self._queue:
                 step()
             return None
 
@@ -660,7 +605,7 @@ class Environment:
             stop = until
             # `stop.callbacks is None` is `stop.processed` without the
             # property descriptor — this loop brackets every driver run.
-            while stop.callbacks is not None and (self._queue or self._fifo):
+            while stop.callbacks is not None and (self._due or self._queue):
                 step()
             if not stop.triggered:
                 raise DeadlockError(

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Any, Deque, Generator, Iterable, Optional
 
 from ..errors import ResourceError
-from .engine import Environment, Event, audit_register, fastpath_enabled
+from .engine import Environment, Event, audit_register
 
 __all__ = ["Resource", "PriorityResource", "Request", "Store", "Container"]
 
@@ -236,8 +236,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[StoreGet] = deque()
         self._putters: Deque[StorePut] = deque()
-        #: Snapshot of the kernel mode at construction; see put_nowait.
-        self._fastpath = fastpath_enabled()
         audit_register(self)
 
     def __len__(self) -> int:
@@ -277,14 +275,11 @@ class Store:
         returns is already resolved state-wise and exists only so the
         caller may yield it.  When the caller throws it away (the SCQ
         datapath puts thousands per run), the event is pure queue load,
-        so the fast-path kernel skips creating it; timing and wakeup
-        order of every other event are unchanged.  Under the reference
-        kernel, or when the put would block (bounded store full), this
-        falls back to ``put`` so behaviour matches the seed exactly.
+        so this skips creating it; timing and wakeup order of every
+        other event are unchanged.  When the put would block (bounded
+        store full), this falls back to ``put``.
         """
-        if self._fastpath and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
+        if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
             self._serve_getters()
         else:

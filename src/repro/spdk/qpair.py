@@ -22,7 +22,7 @@ from ..errors import ConfigError, QPairResetError, QueueFullError
 from ..hw import NVMeDevice, STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK
 from ..obs import NULL_METRICS, NULL_TRACER
 from ..sim import Environment, Event, Store, Tally
-from ..sim.engine import audit_register, fastpath_enabled
+from ..sim.engine import audit_register
 from .request import SPDKRequest
 from .target import NVMeoFTarget
 
@@ -93,10 +93,6 @@ class IOQPair:
         #: SimSanitizer hook: checks every delivery against the current
         #: generation (None outside sanitized runs — zero cost).
         self.audit = None
-        #: Local flights ride the device completion callback instead of a
-        #: per-request process (same sim times — the callback fires inside
-        #: the same completion event the process path would resume on).
-        self._fastpath = fastpath_enabled()
         audit_register(self)
 
     def install_observability(self, obs) -> None:
@@ -150,12 +146,11 @@ class IOQPair:
         if tenant is not None:
             self.posted_by_tenant[tenant] = self.posted_by_tenant.get(tenant, 0) + 1
         if (
-            self._fastpath
-            and not self.is_remote
+            not self.is_remote
             and self.target.injector is None
             and self.injector is None
         ):
-            # Local healthy flight: submit now and deliver from the
+            # Local flight with no injector: submit now and deliver from the
             # device's completion callback.  The process path submits at
             # the same sim instant (its Initialize event fires before any
             # later-time event) and resumes inside the same completion
@@ -177,7 +172,7 @@ class IOQPair:
     def _on_device_complete(
         self, request: SPDKRequest, generation: int, completion: Event
     ) -> None:
-        """Completion callback for fast-path local flights."""
+        """Completion callback for local flights with no injector."""
         cmd = completion._value
         # Same slot-reclaim contract as _fly's finally block.
         if self._live.get(request) != generation:

@@ -1,44 +1,56 @@
-"""Fast-path kernel equivalence tests.
+"""Kernel and datapath fast-path equivalence tests.
 
-The fast-path PR's contract: every optimization — the immediate-event
-FIFO lane, the analytic NVMe completion path, the qpair callback flight,
-tombstoned interrupts, O(N) conditions — must be *invisible* in
-simulation results.  These tests pin that down at the kernel level
-(processing-order traces across randomized workloads) and at the model
-level (device/qpair timings compared event-for-event between modes).
+Every optimization — the analytic NVMe completion path, the qpair
+callback flight, tombstoned interrupts, O(N) conditions, fire-and-forget
+store puts — must be *invisible* in simulation results.  These tests
+pin that down at the kernel level (processing-order traces) and at the
+model level (device/qpair timings compared event-for-event between the
+injector-free paths and the reference paths a zero-rate fault injector
+selects).
 """
 
 import random
 
 import pytest
 
+from repro.analysis.perfcheck import zero_rate_injectors
 from repro.errors import InterruptedProcess, ResourceError, SimulationError
+from repro.faults import ZERO_PLAN, FaultInjector
 from repro.hw import STATUS_OK, NVMeDevice
 from repro.hw.memory import HugePagePool
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Resource,
-    Store,
-    fastpath_enabled,
-    set_fastpath,
-)
+from repro.sim import AllOf, AnyOf, Environment, Event, Resource, Store
+from repro.sim import engine as sim_engine
 from repro.sim.engine import Condition, set_tiebreak_factory
 
 
 @pytest.fixture(autouse=True)
-def _restore_fastpath():
-    """Every test may flip the kernel mode; always restore the default."""
-    before = fastpath_enabled()
+def _restore_hooks():
+    """Tests may install engine hooks; always clear them afterwards."""
     yield
-    set_fastpath(before)
     set_tiebreak_factory(None)
+    sim_engine.set_lifecycle_audit(None)
+
+
+class _ConstantRank:
+    """Tiebreak stream whose every rank ties: insertion order decides."""
+
+    def random(self):
+        return 0.0
+
+
+class _DescendingRanks:
+    """Tiebreak stream that reverses the insertion order of ties."""
+
+    def __init__(self):
+        self._rank = 1.0
+
+    def random(self):
+        self._rank /= 2
+        return self._rank
 
 
 # ---------------------------------------------------------------------------
-# Property-style: FIFO-lane order == pure-heap order on random workloads.
+# Property-style: the ranked heap keeps insertion order on rank ties.
 # ---------------------------------------------------------------------------
 
 def _trace_workload(seed: int) -> tuple[list, float]:
@@ -47,7 +59,8 @@ def _trace_workload(seed: int) -> tuple[list, float]:
     The action script is drawn *before* the run so the trace depends
     only on the kernel's event ordering.  Actions mix zero and nonzero
     timeouts, FIFO resource holds, store puts/gets, and composite
-    conditions — every structure the FIFO lane touches.
+    conditions — many events share an instant, so the trace pins the
+    same-instant order.
     """
     rng = random.Random(seed)
     scripts = []
@@ -97,52 +110,39 @@ def _trace_workload(seed: int) -> tuple[list, float]:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1337])
-def test_fifo_lane_order_matches_pure_heap(seed):
-    set_fastpath(False)
+def test_constant_rank_tiebreak_keeps_insertion_order(seed):
+    """A tiebreak stream that always ties reproduces production order:
+    the sanitizer's ranked posts differ from production only in rank."""
     ref_trace, ref_end = _trace_workload(seed)
-    set_fastpath(True)
-    opt_trace, opt_end = _trace_workload(seed)
-    assert opt_trace == ref_trace
-    assert opt_end == ref_end
+    set_tiebreak_factory(_ConstantRank)
+    ranked_trace, ranked_end = _trace_workload(seed)
+    assert ranked_trace == ref_trace
+    assert ranked_end == ref_end
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-def test_fifo_lane_disabled_under_tiebreak_factory(seed):
-    """With a sanitizer tiebreak installed the lane must stand down and
-    reproduce the randomized heap order bit-for-bit in both modes."""
-
-    class _Stream:
-        def __init__(self):
-            self._rng = random.Random(99)
-
-        def random(self):
-            return self._rng.random()
-
-    set_tiebreak_factory(_Stream)
-    try:
-        set_fastpath(False)
-        ref_trace, ref_end = _trace_workload(seed)
-        set_fastpath(True)
-        opt_trace, opt_end = _trace_workload(seed)
-    finally:
-        set_tiebreak_factory(None)
-    assert opt_trace == ref_trace
-    assert opt_end == ref_end
+def _same_instant_order() -> list:
+    """Fire order of four events due at t=1.0: two posted at the instant
+    (due heap) interleaved with two whose delay is absorbed by the float
+    addition (time heap, also at exactly t=1.0)."""
+    env = Environment(initial_time=1.0)
+    fired = []
+    for name in ("due-a", "absorbed-b", "due-c", "absorbed-d"):
+        event = env.timeout(1e-20) if name.startswith("absorbed") else env.event()
+        event.callbacks.append(lambda _e, name=name: fired.append(name))
+        if name.startswith("due"):
+            event.succeed()
+    env.run()
+    assert env.now == 1.0
+    return fired
 
 
-def test_fifo_lane_inactive_when_tiebreak_installed():
-    class _Stream:
-        def random(self):
-            return 0.5
+def test_same_instant_events_merge_across_heaps_in_insertion_order():
+    assert _same_instant_order() == ["due-a", "absorbed-b", "due-c", "absorbed-d"]
 
-    set_fastpath(True)
-    set_tiebreak_factory(_Stream)
-    try:
-        env = Environment()
-        assert not env._use_fifo
-    finally:
-        set_tiebreak_factory(None)
-    assert Environment()._use_fifo
+
+def test_sanitizer_ranks_order_both_heaps():
+    set_tiebreak_factory(_DescendingRanks)
+    assert _same_instant_order() == ["absorbed-d", "due-c", "absorbed-b", "due-a"]
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +187,13 @@ class TestInterruptTombstone:
         assert all(v == "payload" for kind, _, v in results if kind == "ok")
 
     def test_tombstones_identical_in_both_modes(self):
-        set_fastpath(False)
+        """Production and sanitizer-perturbed scheduling swallow the same
+        stale firings: only same-instant interrupt order may differ."""
         ref = self._run(20, interrupted=[0, 19])
-        set_fastpath(True)
-        assert self._run(20, interrupted=[0, 19]) == ref
+        set_tiebreak_factory(_DescendingRanks)
+        perturbed = self._run(20, interrupted=[0, 19])
+        assert perturbed != ref
+        assert sorted(perturbed, key=repr) == sorted(ref, key=repr)
 
     def test_stale_list_drains(self):
         env = Environment()
@@ -281,10 +284,15 @@ class TestConditionCollectOnce:
 # ---------------------------------------------------------------------------
 
 def _device_trace(fast: bool, pattern: list[tuple[float, int]]):
-    """Submit (gap, nbytes) commands; return completion records + stats."""
-    set_fastpath(fast)
+    """Submit (gap, nbytes) commands; return completion records + stats.
+
+    ``fast=False`` installs a zero-rate injector, which routes every
+    command through the per-command service process.
+    """
     env = Environment()
     dev = NVMeDevice(env)
+    if not fast:
+        dev.install_fault_injector(FaultInjector(ZERO_PLAN))
     records = []
 
     def on_done(completion):
@@ -334,9 +342,10 @@ def _qpair_burst(fast: bool, requests: int = 64, depth: int = 8):
     from repro.spdk import SPDKRequest
     from repro.spdk.qpair import IOQPair
 
-    set_fastpath(fast)
     env = Environment()
     device = NVMeDevice(env)
+    if not fast:
+        device.install_fault_injector(FaultInjector(ZERO_PLAN))
     pool = HugePagePool(env, total_bytes=depth * 256 * 1024, chunk_size=256 * 1024)
     qpair = IOQPair(env, "host", device, queue_depth=depth)
     nbytes = 128 * 1024
@@ -363,6 +372,38 @@ def test_qpair_callback_flight_matches_fly_process():
     ref = _qpair_burst(False)
     opt = _qpair_burst(True)
     assert opt == ref
+
+
+class TestInjectorChoosesPath:
+    """The fault injector is the only switch between the two paths."""
+
+    def test_device_without_injector_takes_analytic_path(self):
+        env = Environment()
+        dev = NVMeDevice(env)
+        dev.read(0, 4096)
+        assert len(dev._fp_pending) == 1
+        env.run()
+        assert dev.outstanding == 0
+
+    def test_zero_rate_injector_takes_process_path(self):
+        env = Environment()
+        dev = NVMeDevice(env)
+        dev.install_fault_injector(FaultInjector(ZERO_PLAN))
+        cmd = dev.read(0, 4096)
+        assert not dev._fp_pending
+        env.run()
+        assert cmd.status == STATUS_OK
+        assert dev.injector.trace == []  # nothing injected, nothing drawn
+
+    def test_zero_rate_injectors_hook_covers_new_devices_only(self):
+        outside = NVMeDevice(Environment())
+        with zero_rate_injectors():
+            inside = NVMeDevice(Environment())
+        after = NVMeDevice(Environment())
+        assert inside.injector is not None
+        assert inside.injector.plan.is_zero
+        assert outside.injector is None and after.injector is None
+        assert sim_engine._LIFECYCLE_AUDIT is None
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +445,6 @@ class TestStoreFastOps:
             store.preload([1, 2, 3])
 
     def test_put_nowait_wakes_getter(self):
-        set_fastpath(True)
         env = Environment()
         store = Store(env, name="s")
         got = []
@@ -419,7 +459,6 @@ class TestStoreFastOps:
         assert got == ["x"]
 
     def test_put_nowait_full_store_falls_back_to_blocking_put(self):
-        set_fastpath(True)
         env = Environment()
         store = Store(env, capacity=1, name="s")
         store.put_nowait("a")
@@ -437,8 +476,24 @@ class TestStoreFastOps:
         assert got == ["a", "b"]
 
     def test_put_nowait_reference_mode_identical(self):
-        set_fastpath(False)
-        env = Environment()
-        store = Store(env, name="s")
-        store.put_nowait("x")
-        assert store.items == ("x",)
+        """``put`` is the reference: same items, same getter wakeups."""
+        results = []
+        for nowait in (False, True):
+            env = Environment()
+            store = Store(env, name="s")
+            got = []
+
+            def getter():
+                item = yield store.get()
+                got.append((env.now, item))
+
+            env.process(getter())
+            env.run()
+            for item in ("x", "y"):
+                if nowait:
+                    store.put_nowait(item)
+                else:
+                    store.put(item)
+            env.run()
+            results.append((store.items, got))
+        assert results[0] == results[1] == (("y",), [(0.0, "x")])

@@ -10,7 +10,7 @@ Covers the tenancy subsystem's acceptance properties:
 * per-tenant qpair-depth caps and cache quotas with self-only reclaim;
 * noisy-neighbor isolation (victim p99 within 2x of solo);
 * traffic-engine determinism across runs, under the SimSanitizer's
-  same-timestamp arrival shuffles, and across the fast-path kernels.
+  same-timestamp arrival shuffles, and across the two device paths.
 """
 
 import hashlib
