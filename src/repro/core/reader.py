@@ -79,6 +79,66 @@ class _HedgeCheck:
         self.attempt = attempt
 
 
+class _TimerLane:
+    """One reactor's constant-delay per-request timers of one kind.
+
+    A posted request is armed as ``(fire_at, req, attempt)`` in a FIFO;
+    the delay is constant and time only moves forward, so the FIFO is
+    sorted by ``fire_at`` and at most one engine event — at the head's
+    fire time, posted with ``_post_at`` — serves the whole lane.  When it
+    fires, each due entry still live (``status is None`` and the attempt
+    not bumped by a re-post) puts a ``check(req, attempt)`` message in
+    the inbox.  An entry that is not live never becomes live again, so
+    settled entries are dropped from the head before re-arming — all but
+    the newest: ``env.run()`` drains trailing timers, and the newest
+    entry's fire time is the run's end instant (its ``sim_time``), as it
+    was when every request had its own timer process.
+    """
+
+    __slots__ = ("env", "delay", "inbox", "check", "entries", "armed")
+
+    def __init__(self, env: Environment, delay: float, inbox: Store,
+                 check: type) -> None:
+        self.env = env
+        self.delay = delay
+        self.inbox = inbox
+        self.check = check
+        self.entries: deque[tuple[float, SPDKRequest, int]] = deque()
+        self.armed = False
+
+    def arm(self, req: SPDKRequest) -> None:
+        fire_at = self.env._now + self.delay
+        self.entries.append((fire_at, req, req.attempts))
+        if not self.armed:
+            self._schedule(fire_at)
+
+    def _schedule(self, when: float) -> None:
+        timer = Event(self.env)
+        timer._value = None
+        timer.callbacks.append(self._fire)
+        self.env._post_at(timer, when)
+        self.armed = True
+
+    def _fire(self, _timer: Event) -> None:
+        entries = self.entries
+        now = self.env._now
+        while entries:
+            fire_at, req, attempt = entries[0]
+            live = req.status is None and req.attempts == attempt
+            if fire_at <= now:
+                entries.popleft()
+                if live:
+                    self.inbox.put_nowait(self.check(req, attempt))
+            elif live or len(entries) == 1:
+                break
+            else:
+                entries.popleft()
+        if entries:
+            self._schedule(entries[0][0])
+        else:
+            self.armed = False
+
+
 class _RetryRequest:
     """A backoff timer elapsed; the request is ready to repost."""
 
@@ -330,8 +390,18 @@ class Reactor:
         self.recovery_stats = RecoveryStats(env, name=f"{name}.recovery")
         self._pending_retries = 0
         self._jitter_rng: Optional[np.random.Generator] = None
+        #: Deadline watchdogs (recovery) and hedge timers (cluster).
+        self._watchdogs: Optional[_TimerLane] = None
+        self._hedges: Optional[_TimerLane] = None
+        if balancer is not None and balancer.hedge_delay > 0.0:
+            self._hedges = _TimerLane(
+                env, balancer.hedge_delay, self.inbox, _HedgeCheck
+            )
         if recovery is not None:
             recovery.validate()
+            self._watchdogs = _TimerLane(
+                env, recovery.deadline, self.inbox, _DeadlineCheck
+            )
             self._jitter_rng = sim_rng(
                 f"recovery.jitter.{name}",
                 [recovery.seed, zlib.crc32(name.encode())],
@@ -653,10 +723,10 @@ class Reactor:
                 if self._already_settled(req):
                     continue  # hedge twin whose part already landed
                 qp.post(req)
-                if self.recovery is not None:
-                    self._arm_watchdog(req)
-                if self.balancer is not None and self.balancer.hedge_delay > 0.0:
-                    self._arm_hedge(req)
+                if self._watchdogs is not None:
+                    self._watchdogs.arm(req)
+                if self._hedges is not None:
+                    self._hedges.arm(req)
                 # Each doorbell write is serialized work on this core,
                 # paid *between* posts: a submission burst therefore
                 # never lands at one instant, and downstream FIFO
@@ -730,8 +800,8 @@ class Reactor:
                     continue
                 qp.post(req)
                 sched.on_posted(entry.tenant, shard)
-                if self.recovery is not None:
-                    self._arm_watchdog(req)
+                if self._watchdogs is not None:
+                    self._watchdogs.arm(req)
                 self._layers.add("post", self.net.rdma_post_overhead)
                 if self.net.rdma_post_overhead > 0.0:
                     yield self.thread.delay(self.net.rdma_post_overhead)
@@ -944,32 +1014,6 @@ class Reactor:
         if self._already_settled(req):
             return  # the hedge twin settled this part during the backoff
         self._requeue_part(req)
-
-    def _arm_watchdog(self, req: SPDKRequest) -> None:
-        """Deadline timer for a posted request (cost-free on the core)."""
-        self.env.process(
-            self._watchdog(req, req.attempts), name=f"{self.name}.watchdog"
-        )
-
-    def _watchdog(
-        self, req: SPDKRequest, attempt: int
-    ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.recovery.deadline)
-        if req.status is None and req.attempts == attempt:
-            self.inbox.put_nowait(_DeadlineCheck(req, attempt))
-
-    def _arm_hedge(self, req: SPDKRequest) -> None:
-        """Hedge timer for a posted request (cost-free on the core)."""
-        self.env.process(
-            self._hedge_timer(req, req.attempts), name=f"{self.name}.hedge"
-        )
-
-    def _hedge_timer(
-        self, req: SPDKRequest, attempt: int
-    ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.balancer.hedge_delay)
-        if req.status is None and req.attempts == attempt:
-            self.inbox.put_nowait(_HedgeCheck(req, attempt))
 
     def _on_hedge(self, msg: _HedgeCheck) -> None:
         """Deadline-driven hedged read: post a twin on another replica.

@@ -97,7 +97,8 @@ class AdmissionRejected(ReproError):
 
     Raised (recorded per sample, like :class:`SampleReadError`) when the
     tenant's token bucket is exhausted *and* its deferred-admission queue
-    is full.  The job still completes — the rejection is visible in
+    is full, or when the job has more samples than the bucket's
+    ``burst`` and so could never conform.  The job still completes — the rejection is visible in
     ``job.errors`` — so open-loop traffic generators never wedge on a
     throttled tenant.
     """

@@ -68,13 +68,13 @@ class TenantRuntime:
         self.scheduler.attach(reactor)
         cache = reactor.cache
         self.partition.attach(cache, cache.pool.num_chunks)
-        self.scheduler.fetch_gate = self._gate
+        self.scheduler.gate = self._gate
         self.admission = AdmissionController(
             self.env, self.specs, reactor.submit, accounting=self.accounting
         )
 
-    def _gate(self, tenant: str, fetch) -> bool:
-        need = self.reactor.cache.chunks_needed(fetch.nbytes)
+    def _gate(self, tenant: str, nbytes: int) -> bool:
+        need = self.reactor.cache.chunks_needed(nbytes)
         return self.partition.can_admit(tenant, need)
 
     def submit(self, job) -> bool:

@@ -7,9 +7,11 @@ no events while a tenant is under its rate.
 
 A job that does not fit is parked in a per-tenant FIFO and admitted by a
 drainer process at the precise instant enough tokens accrue.  When the
-FIFO is full the job is *rejected*, not dropped silently: every sample
-gets an :class:`~repro.errors.AdmissionRejected` in ``job.errors`` and
-the job's done event fires, so open-loop generators never wedge.
+FIFO is full — or the job has more samples than ``burst``, so the bucket
+can never hold enough tokens for it — the job is *rejected*, not dropped
+silently: every sample gets an :class:`~repro.errors.AdmissionRejected`
+in ``job.errors`` and the job's done event fires, so open-loop
+generators never wedge.
 """
 
 from __future__ import annotations
@@ -90,12 +92,17 @@ class AdmissionController:
             return True
         queue = self._queues[tenant]
         n = len(job.samples)
+        if n > bucket.burst:
+            # Parked, it would block the FIFO head forever and wedge
+            # every later job of the tenant.
+            self._reject(job, tenant, f"job of {n} samples exceeds burst")
+            return False
         if not queue and bucket.try_take(n, self.env.now):
             self.admitted += 1
             self._submit(job)
             return True
         if len(queue) >= self._limits[tenant]:
-            self._reject(job, tenant)
+            self._reject(job, tenant, "admission queue full")
             return False
         self.deferred += 1
         queue.append(job)
@@ -119,12 +126,12 @@ class AdmissionController:
             self._submit(job)
         self._draining[tenant] = False
 
-    def _reject(self, job, tenant: str) -> None:
+    def _reject(self, job, tenant: str, reason: str) -> None:
         self.rejected += 1
         for s in job.samples:
             job.errors.append(
                 AdmissionRejected(
-                    f"tenant {tenant!r} admission queue full",
+                    f"tenant {tenant!r} {reason}",
                     tenant=tenant,
                     key=("s", int(s)),
                 )

@@ -26,10 +26,19 @@ All tie-breaks are on ``(priority, start, tenant name, seq)`` where
 ``seq`` is a global enqueue counter, so the service order never depends
 on dict insertion order across tenants — the property the SimSanitizer
 tiebreak sweep checks.
+
+Each lane keeps one heap per ``(tenant, nbytes)`` class, ordered by
+``(start, seq)``.  Eligibility (the tenant's in-flight cap) and the
+quota gate read only the tenant and the size, so a class passes or
+fails as a whole, and within a class both the tie-break order and the
+SFQ leader order reduce to ``(start, seq)``: the minimum over eligible
+class heads is the minimum over eligible entries, and a pick costs one
+look per class instead of one per queued entry.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -106,17 +115,63 @@ class _TenantState:
 class _Entry:
     """One queued fetch or part with its SFQ tags."""
 
-    __slots__ = ("item", "tenant", "priority", "start", "seq", "bypassed")
+    __slots__ = ("item", "tenant", "nbytes", "priority", "start", "seq",
+                 "bypassed")
 
     def __init__(
-        self, item: object, tenant: str, priority: int, start: float, seq: int
+        self, item: object, tenant: str, nbytes: int, priority: int,
+        start: float, seq: int,
     ) -> None:
         self.item = item
         self.tenant = tenant
+        self.nbytes = nbytes
         self.priority = priority
         self.start = start
         self.seq = seq
         self.bypassed = 0
+
+
+class _Class:
+    """The queued entries of one ``(tenant, nbytes)`` class."""
+
+    __slots__ = ("state", "nbytes", "heap")
+
+    def __init__(self, state: _TenantState, nbytes: int) -> None:
+        self.state = state
+        self.nbytes = nbytes
+        #: ``(start, seq, entry)``; ``seq`` is unique, so entries are
+        #: never compared.
+        self.heap: list[tuple[float, int, _Entry]] = []
+
+
+class _Queue:
+    """One shard's fetch or part queue, as per-class heaps."""
+
+    __slots__ = ("classes", "size")
+
+    def __init__(self) -> None:
+        self.classes: dict[tuple[str, int], _Class] = {}
+        self.size = 0
+
+    def push(self, state: _TenantState, entry: _Entry) -> None:
+        key = (entry.tenant, entry.nbytes)
+        cls = self.classes.get(key)
+        if cls is None:
+            cls = self.classes[key] = _Class(state, entry.nbytes)
+        heapq.heappush(cls.heap, (entry.start, entry.seq, entry))
+        self.size += 1
+
+    def remove(self, entry: _Entry) -> None:
+        key = (entry.tenant, entry.nbytes)
+        heap = self.classes[key].heap
+        if heap[0][2] is entry:
+            heapq.heappop(heap)
+        else:
+            heap.remove((entry.start, entry.seq, entry))
+            heapq.heapify(heap)
+        if not heap:
+            del self.classes[key]
+        self.size -= 1
 
 
 class _Lane:
@@ -130,39 +185,34 @@ class _Lane:
     longer matters and determinism does).
     """
 
-    __slots__ = ("_sched", "_shard", "_kind")
+    __slots__ = ("_queue", "_shard", "_enqueue")
 
-    def __init__(self, sched: "FairScheduler", shard: int, kind: str) -> None:
-        self._sched = sched
+    def __init__(
+        self, queue: _Queue, shard: int, enqueue: Callable[[int, object], None]
+    ) -> None:
+        self._queue = queue
         self._shard = shard
-        self._kind = kind
-
-    def _entries(self) -> list[_Entry]:
-        if self._kind == "fetch":
-            return self._sched._fetchq[self._shard]
-        return self._sched._partq[self._shard]
+        self._enqueue = enqueue
 
     def append(self, item: object) -> None:
-        if self._kind == "fetch":
-            self._sched.enqueue_fetch(self._shard, item)
-        else:
-            self._sched.enqueue_part_charged(self._shard, item)
+        self._enqueue(self._shard, item)
 
     def popleft(self) -> object:
-        entries = self._entries()
-        if not entries:
+        queue = self._queue
+        if not queue.size:
             raise IndexError("pop from an empty scheduler lane")
-        best = 0
-        for i in range(1, len(entries)):
-            if entries[i].seq < entries[best].seq:
-                best = i
-        return entries.pop(best).item
+        entry = min(
+            (item for cls in queue.classes.values() for item in cls.heap),
+            key=lambda item: item[1],
+        )[2]
+        queue.remove(entry)
+        return entry.item
 
     def __len__(self) -> int:
-        return len(self._entries())
+        return self._queue.size
 
     def __bool__(self) -> bool:
-        return bool(self._entries())
+        return self._queue.size > 0
 
 
 class FairScheduler:
@@ -186,11 +236,13 @@ class FairScheduler:
             self.states[spec.name] = _TenantState(spec, queue_depth)
         #: Per-shard virtual time.
         self._vtime: dict[int, float] = {}
-        self._fetchq: dict[int, list[_Entry]] = {}
-        self._partq: dict[int, list[_Entry]] = {}
+        self._fetchq: dict[int, _Queue] = {}
+        self._partq: dict[int, _Queue] = {}
         self._seq = 0
-        #: Optional quota gate: callable(tenant, fetch) -> bool.
-        self.fetch_gate: Optional[Callable[[str, object], bool]] = None
+        #: Optional quota gate on fetch promotion: callable(tenant,
+        #: nbytes) -> bool.  It may read only these two arguments (and
+        #: tenant state), so it passes or fails a whole class.
+        self.gate: Optional[Callable[[str, int], bool]] = None
         # Counters surfaced through tenancy accounting.
         self.preemptions = 0
         self.forced_serves = 0
@@ -206,10 +258,10 @@ class FairScheduler:
         """Replace the reactor's deques with scheduler lanes."""
         for shard in reactor.qpairs:
             self._vtime[shard] = 0.0
-            self._fetchq[shard] = []
-            self._partq[shard] = []
-            reactor._rpq[shard] = _Lane(self, shard, "fetch")
-            reactor._postq[shard] = _Lane(self, shard, "part")
+            fetchq = self._fetchq[shard] = _Queue()
+            partq = self._partq[shard] = _Queue()
+            reactor._rpq[shard] = _Lane(fetchq, shard, self.enqueue_fetch)
+            reactor._postq[shard] = _Lane(partq, shard, self.enqueue_part_charged)
 
     def _state(self, tenant: Optional[str]) -> _TenantState:
         name = tenant if tenant is not None else UNTAGGED
@@ -226,23 +278,27 @@ class FairScheduler:
         return start
 
     # -- enqueue --------------------------------------------------------------
+    def _push(
+        self, queues: dict[int, _Queue], shard: int, state: _TenantState,
+        item: object, start: float,
+    ) -> None:
+        self._seq += 1
+        queue = queues.get(shard)
+        if queue is None:
+            queue = queues[shard] = _Queue()
+        queue.push(state, _Entry(item, state.spec.name, item.nbytes,
+                                 state.spec.priority, start, self._seq))
+
     def enqueue_fetch(self, shard: int, fetch: object) -> None:
         """Charge a whole fetch and queue it for promotion."""
         state = self._state(getattr(fetch, "tenant", None))
         start = self._tag(state, shard, fetch.nbytes)
-        self._seq += 1
-        self._fetchq.setdefault(shard, []).append(
-            _Entry(fetch, state.spec.name, state.spec.priority, start, self._seq)
-        )
+        self._push(self._fetchq, shard, state, fetch, start)
 
     def enqueue_part_inherit(self, shard: int, req: object, start: float) -> None:
         """Queue a part of a just-promoted fetch under the fetch's tag."""
-        fetch = req.tag
-        state = self._state(getattr(fetch, "tenant", None))
-        self._seq += 1
-        self._partq.setdefault(shard, []).append(
-            _Entry(req, state.spec.name, state.spec.priority, start, self._seq)
-        )
+        state = self._state(getattr(req.tag, "tenant", None))
+        self._push(self._partq, shard, state, req, start)
 
     def enqueue_part_charged(self, shard: int, req: object) -> None:
         """Queue a retried/reset part, charging it at part granularity.
@@ -250,25 +306,34 @@ class FairScheduler:
         This is the fault-isolation rule: a tenant whose faults force
         retries buys that extra device time out of its own SFQ share.
         """
-        fetch = req.tag
-        state = self._state(getattr(fetch, "tenant", None))
+        state = self._state(getattr(req.tag, "tenant", None))
         start = self._tag(state, shard, req.nbytes)
-        self._seq += 1
-        self._partq.setdefault(shard, []).append(
-            _Entry(req, state.spec.name, state.spec.priority, start, self._seq)
-        )
+        self._push(self._partq, shard, state, req, start)
 
     # -- selection ------------------------------------------------------------
-    def _select(self, entries: list[_Entry]) -> Optional[_Entry]:
+    def _select(
+        self, shard: int, queue: Optional[_Queue],
+        gate: Optional[Callable[[str, int], bool]],
+    ) -> Optional[_Entry]:
         """Pick the next entry among eligible ones (peek; no removal).
 
         ``best`` is the (priority, start, tenant, seq) minimum; ``leader``
-        the pure SFQ (start, tenant, seq) minimum.  Passing over the
-        leader bumps its bypass counter; at ``max_bypass`` it wins anyway.
+        the pure SFQ (start, tenant, seq) minimum, both over the heads of
+        the classes whose tenant is under its in-flight cap and which
+        pass ``gate``.  Passing over the leader bumps its bypass counter;
+        at ``max_bypass`` it wins anyway.
         """
+        if queue is None or not queue.size:
+            return None
         best: Optional[_Entry] = None
         leader: Optional[_Entry] = None
-        for e in entries:
+        for cls in queue.classes.values():
+            state = cls.state
+            if state.inflight.get(shard, 0) >= state.cap:
+                continue
+            if gate is not None and not gate(state.spec.name, cls.nbytes):
+                continue
+            e = cls.heap[0][2]
             if best is None or (
                 (e.priority, e.start, e.tenant, e.seq)
                 < (best.priority, best.start, best.tenant, best.seq)
@@ -288,41 +353,22 @@ class FairScheduler:
                 return leader
         return best
 
-    def _eligible(self, shard: int, entries: list[_Entry]) -> list[_Entry]:
-        out = []
-        for e in entries:
-            state = self.states[e.tenant]
-            if state.inflight.get(shard, 0) < state.cap:
-                out.append(e)
-        return out
-
     def select_part(self, shard: int) -> Optional[_Entry]:
-        entries = self._partq.get(shard)
-        if not entries:
-            return None
-        return self._select(self._eligible(shard, entries))
+        return self._select(shard, self._partq.get(shard), None)
 
     def select_fetch(self, shard: int) -> Optional[_Entry]:
-        entries = self._fetchq.get(shard)
-        if not entries:
-            return None
-        eligible = self._eligible(shard, entries)
-        if self.fetch_gate is not None:
-            eligible = [
-                e for e in eligible if self.fetch_gate(e.tenant, e.item)
-            ]
-        return self._select(eligible)
+        return self._select(shard, self._fetchq.get(shard), self.gate)
 
     def take(self, shard: int, entry: _Entry, kind: str) -> object:
         """Commit a peeked selection: remove it and advance virtual time."""
-        entries = self._fetchq[shard] if kind == "fetch" else self._partq[shard]
-        entries.remove(entry)
+        queue = self._fetchq[shard] if kind == "fetch" else self._partq[shard]
+        queue.remove(entry)
         v = self._vtime.setdefault(shard, 0.0)
         if entry.start > v:
             self._vtime[shard] = entry.start
         if kind == "part":
             self.bytes_served[entry.tenant] = (
-                self.bytes_served.get(entry.tenant, 0) + entry.item.nbytes
+                self.bytes_served.get(entry.tenant, 0) + entry.nbytes
             )
         return entry.item
 
@@ -351,7 +397,9 @@ class FairScheduler:
         shards = [shard] if shard is not None else list(self._fetchq)
         total = 0
         for s in shards:
-            total += len(self._fetchq.get(s, ())) + len(self._partq.get(s, ()))
+            for queues in (self._fetchq, self._partq):
+                queue = queues.get(s)
+                total += queue.size if queue is not None else 0
         return total
 
     def __repr__(self) -> str:

@@ -1,9 +1,13 @@
 """Fault-injection subsystem: determinism, recovery, and drain semantics."""
 
+from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ClusterSpec
 from repro.core import DLFS, DLFSConfig
 from repro.core.reader import ReadJob
 from repro.data import Dataset
@@ -26,6 +30,7 @@ from repro.faults import (
 )
 from repro.hw import (
     KB,
+    NetworkSpec,
     NVMeDevice,
     STATUS_ABORTED_RESET,
     STATUS_MEDIA_ERROR,
@@ -382,13 +387,15 @@ class TestErrorHierarchy:
 # ---------------------------------------------------------------------------
 
 def _mount(env, n=128, size=4 * KB, mode="sample", plan=None, recovery=None,
-           num_nodes=1):
-    testbed = Testbed.paper() if num_nodes == 1 else Testbed.paper_emulated()
+           num_nodes=1, testbed=None, cluster_spec=None):
+    if testbed is None:
+        testbed = Testbed.paper() if num_nodes == 1 else Testbed.paper_emulated()
     cluster = Cluster(env, testbed, num_nodes=num_nodes, devices_per_node=1)
     ds = Dataset.fixed("faults", n, size, seed=3)
     fs = DLFS.mount(
         cluster, ds,
-        DLFSConfig(batching=mode, fault_plan=plan, recovery=recovery),
+        DLFSConfig(batching=mode, fault_plan=plan, recovery=recovery,
+                   cluster=cluster_spec),
     )
     return fs
 
@@ -507,6 +514,166 @@ class TestReactorRecovery:
         for _, dev_idx in fs.placement:
             pass
         assert fs.cluster.fabric.injector is None
+
+
+# ---------------------------------------------------------------------------
+# Timer lanes: the reactor's deadline watchdogs and hedge timers
+# ---------------------------------------------------------------------------
+
+class _LaneTap:
+    """Stands in for a timer lane's inbox.  Each check must be due —
+    exactly ``delay`` after its request's post — and live when it is put;
+    it is logged and, unless ``forward`` is False, passed on to the
+    reactor."""
+
+    def __init__(self, lane, forward=True):
+        self.lane = lane
+        self.inbox = lane.inbox
+        self.forward = forward
+        self.log = []
+        lane.inbox = self
+
+    def put_nowait(self, msg):
+        req, now = msg.req, self.lane.env.now
+        assert req.status is None and req.attempts == msg.attempt
+        assert now == req.submit_time + self.lane.delay
+        self.log.append((now, req, msg.attempt))
+        if self.forward:
+            self.inbox.put_nowait(msg)
+
+
+def _most_pending(env, lane):
+    """The most of ``lane``'s events pending in the engine after any
+    step (a one-item list, updated as the run goes)."""
+    most = [0]
+
+    def listener(_now, _event):
+        pending = sum(
+            lane._fire in item[-1].callbacks for item in env._queue + env._due
+        )
+        most[0] = max(most[0], pending)
+
+    env.add_step_listener(listener)
+    return most
+
+
+class TestTimerLanes:
+    def _scripted_lane(self, env):
+        """A recovery-enabled reactor's watchdog lane, tapped without
+        forwarding, plus a ``post`` that does to a stand-in request what
+        ``IOQPair.post`` does and then arms it as the reactor does."""
+        fs = _mount(env, recovery=RecoveryPolicy(deadline=1e-3))
+        lane = fs.client().reactor._watchdogs
+        tap = _LaneTap(lane, forward=False)
+
+        def post(req):
+            req.status = None
+            req.attempts += 1
+            req.submit_time = env.now
+            lane.arm(req)
+
+        return lane, tap, post
+
+    @staticmethod
+    def _request():
+        return SimpleNamespace(status=None, attempts=0, submit_time=0.0)
+
+    def test_watchdog_checks_land_at_post_plus_deadline(self):
+        # No doorbell cost: a burst of posts arms several watchdogs at
+        # one instant, and their checks land together.
+        env = Environment()
+        testbed = replace(
+            Testbed.paper(),
+            network=replace(NetworkSpec(), rdma_post_overhead=0.0),
+        )
+        fs = _mount(
+            env, testbed=testbed,
+            plan=FaultPlan(seed=5, timeout_rate=0.2, timeout_stall=100e-3),
+            recovery=RecoveryPolicy(deadline=2e-3, max_retries=8),
+        )
+        client = fs.client()
+        lane = client.reactor._watchdogs
+        tap = _LaneTap(lane)
+        most = _most_pending(env, lane)
+
+        def app(env):
+            yield from client.read_batch(list(range(32)))
+
+        env.run(until=env.process(app(env)))
+        env.run()
+        assert client.samples_delivered == 32
+        assert client.recovery_stats["deadline_timeouts"] > 0
+        assert tap.log
+        assert max(Counter(t for t, _, _ in tap.log).values()) >= 2
+        assert most[0] == 1
+
+    def test_hedge_checks_land_at_post_plus_hedge_delay(self):
+        env = Environment()
+        fs = _mount(
+            env, num_nodes=2,
+            cluster_spec=ClusterSpec(replicas=2, hedge_delay=20e-6),
+        )
+        client = fs.client(rank=0, num_ranks=1, node=fs.cluster.node(0))
+        lane = client.reactor._hedges
+        tap = _LaneTap(lane)
+        most = _most_pending(env, lane)
+
+        def app(env):
+            yield from client.read_batch(list(range(128)))
+
+        env.run(until=env.process(app(env)))
+        env.run()
+        assert client.samples_delivered == 128
+        assert tap.log
+        assert client.recovery_stats["hedges_posted"] > 0
+        assert most[0] == 1
+
+    def test_settled_and_reposted_requests_get_no_check(self):
+        env = Environment()
+        lane, tap, post = self._scripted_lane(env)
+        most = _most_pending(env, lane)
+        a, b, c, d = (self._request() for _ in range(4))
+
+        def script(env):
+            post(a)
+            post(b)
+            post(c)  # three armed at one instant
+            yield env.timeout(0.2e-3)
+            b.status = "ok"  # settles before its deadline
+            yield env.timeout(0.3e-3)
+            post(d)
+            yield env.timeout(0.2e-3)
+            c.status = "aborted_reset"
+            post(c)  # re-posted: its first attempt's entry is stale
+
+        env.process(script(env))
+        env.run()
+        assert [(req, attempt) for _, req, attempt in tap.log] == [
+            (a, 1), (d, 1), (c, 2),
+        ]
+        assert env.now == c.submit_time + lane.delay
+        assert most[0] == 1
+
+    def test_run_ends_at_newest_fire_time_when_all_settled(self):
+        env = Environment()
+        lane, tap, post = self._scripted_lane(env)
+        most = _most_pending(env, lane)
+        a, b = self._request(), self._request()
+
+        def script(env):
+            post(a)
+            yield env.timeout(0.1e-3)
+            post(b)
+            yield env.timeout(0.1e-3)
+            a.status = b.status = "ok"
+
+        env.process(script(env))
+        env.run()
+        assert tap.log == []
+        # The trailing timer still fires: env.run() ends where the
+        # newest watchdog would have, as it did with one process each.
+        assert env.now == b.submit_time + lane.delay
+        assert most[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,21 +18,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.perfcheck import run_perfcheck
 from repro.analysis.sanitizer import run_sanitizer
 from repro.bench.workloads import demo_tenants, dlfs_tenancy, fair_tenants
 from repro.cluster import Cluster
 from repro.core import DLFS, DLFSConfig
+from repro.core.reader import ReadJob
 from repro.data import Dataset
-from repro.errors import AllocationError, ConfigError
+from repro.errors import AdmissionRejected, AllocationError, ConfigError
 from repro.faults import FaultPlan
 from repro.hw import Testbed
 from repro.hw.memory import ChunkLedger
 from repro.sim import Environment
 from repro.tenancy import (
+    AdmissionController,
     CachePartition,
     FairScheduler,
+    TenantAccounting,
     TenantSpec,
     TenantWorkload,
     TokenBucket,
@@ -100,6 +104,30 @@ class TestTokenBucket:
         # Rejected jobs are not in the witness; completed ones all are.
         assert len(r.samples_read) == r.delivered
         assert r.failed == 0
+
+    def test_job_larger_than_burst_is_rejected_not_parked(self):
+        # The bucket never holds more than ``burst`` tokens, so an
+        # 8-sample job can never conform to burst=4.  Parked, it would
+        # re-arm its drainer forever and wedge the tenant's later jobs.
+        env = Environment()
+        spec = TenantSpec(name="t", rate=100.0, burst=4.0)
+        accounting = TenantAccounting(env, (spec,))
+        submitted = []
+        admission = AdmissionController(
+            env, (spec,), submitted.append, accounting=accounting
+        )
+        big = ReadJob(samples=np.arange(8), done=env.event(), tenant="t")
+        small = ReadJob(samples=np.arange(4), done=env.event(), tenant="t")
+        assert not admission.submit_job(big)
+        assert admission.submit_job(small)
+        env.run(until=5.0)
+        assert submitted == [small]
+        assert big.done.processed and big.remaining == 0
+        assert len(big.errors) == 8
+        assert all(isinstance(e, AdmissionRejected) for e in big.errors)
+        assert admission.rejected == 1
+        assert accounting.row("t")["rejected"] == 1
+        assert env.peek() == float("inf")  # no drainer left re-arming
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +199,7 @@ class TestFairScheduler:
                               queue_depth=8)
         sched.enqueue_fetch(0, _fetch("a", 1000, key="ka"))
         sched.enqueue_fetch(0, _fetch("b", 1000, key="kb"))
-        sched.fetch_gate = lambda tenant, fetch: tenant != "a"
+        sched.gate = lambda tenant, nbytes: tenant != "a"
         entry = sched.select_fetch(0)
         assert entry.tenant == "b"
 
@@ -186,6 +214,162 @@ class TestFairScheduler:
             TenantSpec(name="x", cache_share=1.5).validate()
         with pytest.raises(ConfigError):
             FairScheduler((TenantSpec(name="x"), TenantSpec(name="x")), 8)
+
+
+class _ScanScheduler(FairScheduler):
+    """The linear scan the per-class heaps replaced, kept as the
+    reference: every pick filters, gates and compares every queued
+    entry."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lists = {"fetch": {}, "part": {}}
+
+    def _append(self, kind, shard, item, state, start):
+        self._seq += 1
+        self._lists[kind].setdefault(shard, []).append(SimpleNamespace(
+            item=item, tenant=state.spec.name, priority=state.spec.priority,
+            start=start, seq=self._seq, bypassed=0,
+        ))
+
+    def enqueue_fetch(self, shard, fetch):
+        state = self._state(fetch.tenant)
+        start = self._tag(state, shard, fetch.nbytes)
+        self._append("fetch", shard, fetch, state, start)
+
+    def enqueue_part_inherit(self, shard, req, start):
+        self._append("part", shard, req, self._state(req.tag.tenant), start)
+
+    def enqueue_part_charged(self, shard, req):
+        state = self._state(req.tag.tenant)
+        start = self._tag(state, shard, req.nbytes)
+        self._append("part", shard, req, state, start)
+
+    def _pick(self, shard, kind, gate):
+        eligible = []
+        for e in self._lists[kind].get(shard, []):
+            state = self.states[e.tenant]
+            if state.inflight.get(shard, 0) >= state.cap:
+                continue
+            if gate is None or gate(e.tenant, e.item.nbytes):
+                eligible.append(e)
+        if not eligible:
+            return None
+        best = min(eligible, key=lambda e: (e.priority, e.start, e.tenant, e.seq))
+        leader = min(eligible, key=lambda e: (e.start, e.tenant, e.seq))
+        if leader is not best:
+            self.preemptions += 1
+            leader.bypassed += 1
+            if leader.bypassed >= self.max_bypass:
+                self.forced_serves += 1
+                return leader
+        return best
+
+    def select_part(self, shard):
+        return self._pick(shard, "part", None)
+
+    def select_fetch(self, shard):
+        return self._pick(shard, "fetch", self.gate)
+
+    def take(self, shard, entry, kind):
+        self._lists[kind][shard].remove(entry)
+        if entry.start > self._vtime.setdefault(shard, 0.0):
+            self._vtime[shard] = entry.start
+        if kind == "part":
+            self.bytes_served[entry.tenant] = (
+                self.bytes_served.get(entry.tenant, 0) + entry.item.nbytes
+            )
+        return entry.item
+
+    def popleft(self, shard, kind):
+        entries = self._lists[kind].get(shard, [])
+        first = min(range(len(entries)), key=lambda i: entries[i].seq)
+        return entries.pop(first).item
+
+    def count(self, shard, kind):
+        return len(self._lists[kind].get(shard, []))
+
+
+_SHARDS = (0, 1)
+_NAMES = ("a", "b", "c", None)  # None rides the untagged lane
+_SIZES = (4096, 16384, 65536)
+_KINDS = ("fetch", "part")
+_shard = st.sampled_from(_SHARDS)
+_name = st.sampled_from(_NAMES)
+_size = st.sampled_from(_SIZES)
+_limits = st.tuples(*(st.sampled_from((0,) + _SIZES) for _ in _NAMES))
+_select = st.tuples(st.just("select"), _shard, st.sampled_from(_KINDS),
+                    st.booleans())
+_SCHED_OPS = st.one_of(
+    st.tuples(st.just("fetch"), _shard, _name, _size),
+    st.tuples(st.just("charged"), _shard, _name, _size),
+    st.tuples(st.just("inherit"), _shard, _name, _size, st.integers(0, 3)),
+    st.tuples(st.just("posted"), _shard, _name),
+    st.tuples(st.just("complete"), _shard, _name),
+    st.tuples(st.just("gate"), _limits),
+    _select,
+    _select,  # picks are what is compared: draw them twice as often
+    st.tuples(st.just("popleft"), _shard, st.sampled_from(_KINDS)),
+)
+
+
+class TestClassHeapsMatchLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(_limits, st.lists(_SCHED_OPS, min_size=40, max_size=200))
+    def test_same_picks_and_counters_as_the_linear_scan(self, limits, ops):
+        specs = (
+            TenantSpec(name="a", weight=1.0, priority=1, qpair_share=1.0),
+            TenantSpec(name="b", weight=2.0, priority=2, qpair_share=0.5),
+            TenantSpec(name="c", weight=0.5, priority=0, qpair_share=0.25),
+        )
+        heaps = FairScheduler(specs, queue_depth=4, max_bypass=2)
+        scan = _ScanScheduler(specs, queue_depth=4, max_bypass=2)
+        reactor = SimpleNamespace(qpairs=dict.fromkeys(_SHARDS), _rpq={},
+                                  _postq={})
+        heaps.attach(reactor)
+        lanes = {"fetch": reactor._rpq, "part": reactor._postq}
+        # A size-dependent quota gate; "gate" steps move its limits.
+        limit = dict(zip(("a", "b", "c", "_untagged"), limits))
+        heaps.gate = scan.gate = lambda tenant, nbytes: nbytes <= limit[tenant]
+        for op in ops:
+            kind = op[0]
+            if kind == "fetch":
+                fetch = _fetch(op[2], op[3])
+                heaps.enqueue_fetch(op[1], fetch)
+                scan.enqueue_fetch(op[1], fetch)
+            elif kind == "charged":
+                part = _part(op[2], op[3])
+                heaps.enqueue_part_charged(op[1], part)
+                scan.enqueue_part_charged(op[1], part)
+            elif kind == "inherit":
+                part, start = _part(op[2], op[3]), op[4] * 4096.0
+                heaps.enqueue_part_inherit(op[1], part, start)
+                scan.enqueue_part_inherit(op[1], part, start)
+            elif kind in ("posted", "complete"):
+                getattr(heaps, f"on_{kind}")(op[2], op[1])
+                getattr(scan, f"on_{kind}")(op[2], op[1])
+            elif kind == "gate":
+                limit.update(zip(("a", "b", "c", "_untagged"), op[1]))
+            elif kind == "select":
+                _, shard, lane, commit = op
+                got = getattr(heaps, f"select_{lane}")(shard)
+                want = getattr(scan, f"select_{lane}")(shard)
+                assert getattr(got, "seq", None) == getattr(want, "seq", None)
+                if commit and got is not None:
+                    assert heaps.take(shard, got, lane) is scan.take(
+                        shard, want, lane
+                    )
+            elif scan.count(op[1], op[2]):
+                assert lanes[op[2]][op[1]].popleft() is scan.popleft(
+                    op[1], op[2]
+                )
+            assert heaps.preemptions == scan.preemptions
+            assert heaps.forced_serves == scan.forced_serves
+            assert heaps.bytes_served == scan.bytes_served
+            for shard in _SHARDS:
+                assert heaps._vtime.get(shard, 0.0) == scan._vtime.get(shard, 0.0)
+                for lane in _KINDS:
+                    assert len(lanes[lane][shard]) == scan.count(shard, lane)
 
 
 # ---------------------------------------------------------------------------
