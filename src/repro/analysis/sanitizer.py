@@ -70,7 +70,7 @@ class LifecycleAudit:
         self.tracked: List[Any] = []
         self.violations: List[str] = []
 
-    # Called by the engine for every Resource/Store/Container/IOQPair
+    # Called by the engine for every Resource/Store/IOQPair
     # constructed while this audit is installed.
     def register(self, obj: Any) -> None:
         self.tracked.append(obj)

@@ -8,8 +8,6 @@ headline block.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .figures import FigureResult
 
 __all__ = [
@@ -84,10 +82,6 @@ def render_headline(result: FigureResult) -> str:
             f"measured={format_quantity(measured)}"
         )
     return "\n".join(lines)
-
-
-def render_many(results: Iterable[FigureResult]) -> str:
-    return "\n\n".join(render_figure(r) for r in results)
 
 
 def render_metrics_summary(dump: dict) -> str:

@@ -181,7 +181,14 @@ def _emit(result, out_dir: pathlib.Path | None, headline_only: bool) -> None:
         )
 
 
-def main(argv: list[str] | None = None) -> int:
+def _timed(fn: Callable, *args, **kwargs) -> tuple:
+    """``(fn(*args, **kwargs), wall seconds it took)``."""
+    t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
+    result = fn(*args, **kwargs)
+    return result, time.time() - t0  # simlint: disable=SL101 -- CLI progress timing, not sim state
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduce the DLFS (CLUSTER 2019) evaluation figures.",
@@ -401,18 +408,27 @@ def main(argv: list[str] | None = None) -> int:
                        help="directory holding scenarios/golden/ "
                             "(default: the repo root)")
 
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Its wall time goes to stderr, so stdout
+    carries only the command's seeded output."""
+    args = _parser().parse_args(argv)
+    rc, wall = _timed(_run, args)
+    print(f"[{args.command} in {wall:.1f}s]", file=sys.stderr)
+    return rc
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "list":
         for name, (_, desc) in sorted(FIGURES.items()):
             print(f"{name:<8} {desc}")
         return 0
 
     if args.command == "figure":
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         result = _run_figure(args.name, args.scale)
         _emit(result, args.out, headline_only=False)
-        print(f"\n[{args.name} in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0
 
     if args.command == "chaos":
@@ -431,7 +447,6 @@ def main(argv: list[str] | None = None) -> int:
             plan = dataclasses.replace(plan, seed=args.seed)
         samples = 512 if args.quick else args.samples
         epochs = 1 if args.quick else args.epochs
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         r = dlfs_chaos(
             plan,
             num_nodes=args.nodes,
@@ -467,8 +482,6 @@ def main(argv: list[str] | None = None) -> int:
             "fault_counts": dict(r.fault_counts),
             "recovery": dict(r.recovery),
         }, args.json)
-        if not args.json:
-            print(f"\n[chaos in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0 if r.accounted else 1
 
     if args.command == "trace":
@@ -487,7 +500,6 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"error: --fault-plan: {exc}", file=sys.stderr)
             return 2
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         r = dlfs_observed(
             samples=args.samples,
             sample_bytes=args.size,
@@ -525,7 +537,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nwrote {trace_path} (load in https://ui.perfetto.dev)")
         print(f"wrote {metrics_path}")
         print(f"wrote {args.out / 'breakdown.txt'}")
-        print(f"[trace in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0
 
     if args.command == "lint":
@@ -610,7 +621,6 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         selected = list(SWEEPS) if args.scenario == "all" else [args.scenario]
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         reports = {}
         for name in selected:
             reports[name] = run_sanitizer(
@@ -628,13 +638,11 @@ def main(argv: list[str] | None = None) -> int:
         for name, report in reports.items():
             print(f"== scenario: {name} ==")
             print(report.render())
-        print(f"[sanitize in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0 if all(r.ok for r in reports.values()) else 1
 
     if args.command == "perfcheck":
         from .analysis import run_perfcheck
 
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         report = run_perfcheck(
             quick=args.quick,
             progress=lambda msg: print(f"  .. {msg}", file=sys.stderr),
@@ -644,7 +652,6 @@ def main(argv: list[str] | None = None) -> int:
             args.out.write_text(report.to_json() + "\n")
             print(f"wrote {args.out}")
         print(report.render())
-        print(f"[perfcheck in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0 if report.ok else 1
 
     if args.command == "fleet":
@@ -672,7 +679,6 @@ def main(argv: list[str] | None = None) -> int:
             (name, getattr(args, name)) for name in _FLEET_FLAGS
             if getattr(args, name) is not None
         )
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
         try:
             spec = preset(
                 args.preset, **fields,
@@ -733,8 +739,6 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(render_tenants(r.per_tenant, title="full run (after drain)"))
         _write_json(args.out, {"preset": args.preset, **r.summary()}, args.json)
-        if not args.json:
-            print(f"[fleet in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0
 
     if args.command == "scale":
@@ -763,9 +767,7 @@ def main(argv: list[str] | None = None) -> int:
         say(f"== scale: {spec.users:,} users, {spec.cohorts} cohorts, "
             f"{spec.lanes} lanes, {spec.day:,.0f} s day, "
             f"seed {spec.seed} ==")
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        hybrid = run_scale(spec, mode="hybrid")
-        hybrid_wall = time.time() - t0  # simlint: disable=SL101 -- CLI progress timing, not sim state
+        hybrid, hybrid_wall = _timed(run_scale, spec, mode="hybrid")
         total_requests = hybrid.bulk_requests + len(hybrid.tagged)
         say(f"hybrid wall       {hybrid_wall:.2f} s")
         say(f"events scheduled  {hybrid.events_scheduled:,}")
@@ -787,9 +789,8 @@ def main(argv: list[str] | None = None) -> int:
             min(args.slice_users, spec.users),
             min(args.slice_day, spec.day),
         )
-        t1 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        ev = run_scale(slice_spec, mode="event")
-        slice_wall = max(time.time() - t1, 1e-9)  # simlint: disable=SL101 -- CLI progress timing, not sim state
+        ev, slice_wall = _timed(run_scale, slice_spec, mode="event")
+        slice_wall = max(slice_wall, 1e-9)
         ev_requests = ev.bulk_requests + len(ev.tagged)
         events_per_req = ev.events_scheduled / max(ev_requests, 1)
         events_per_s = ev.events_scheduled / slice_wall
@@ -802,7 +803,6 @@ def main(argv: list[str] | None = None) -> int:
         say(f"speedup vs all-event         {speedup:,.0f}x")
         check = None
         if args.check:
-            t2 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
             check = equivalence_check(slice_spec)
             verdict = "PASS" if check["ok"] else "FAIL"
             say(f"equivalence gate  {verdict} "
@@ -811,7 +811,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"eps {check['epsilon']:g})")
             for f in check["failures"]:
                 say(f"  FAIL: {f}")
-            say(f"[equivalence in {time.time() - t2:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         ok = (check is None or check["ok"]) and speedup >= 20.0
         _write_json(args.out, {
             "ok": ok,
@@ -830,7 +829,6 @@ def main(argv: list[str] | None = None) -> int:
             "speedup": speedup,
             "equivalence": check,
         }, args.json)
-        say(f"[scale in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0 if ok else 1
 
     if args.command == "scenario":
@@ -878,8 +876,6 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(args.out, rows, args.json)
             return 0
 
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-
         if args.action == "run":
             blob = {}
             for scn in scns:
@@ -893,8 +889,6 @@ def main(argv: list[str] | None = None) -> int:
                           f"digest {fingerprint_digest(fp)[:16]}  "
                           f"sim_time {fp['sim_time']:.6g} s")
             _write_json(args.out, blob, args.json)
-            if not args.json:
-                print(f"[scenario run in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
             return 0
 
         if args.action == "record":
@@ -911,8 +905,6 @@ def main(argv: list[str] | None = None) -> int:
             except ConfigError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            if not args.json:
-                print(f"[scenario record in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
             return 0
 
         # check: rerun and diff against the committed goldens.
@@ -953,18 +945,14 @@ def main(argv: list[str] | None = None) -> int:
         if not args.json:
             verdict = "FAIL" if failures else "PASS"
             print(f"scenario check: {verdict} "
-                  f"({len(scns)} scenario(s), {failures} drifted run(s)) "
-                  f"[{time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
+                  f"({len(scns)} scenario(s), {failures} drifted run(s))")
         return 1 if failures else 0
 
     if args.command in ("all", "claims"):
         headline_only = args.command == "claims"
         out = getattr(args, "out", None)
         for name in sorted(FIGURES):
-            t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-            result = _run_figure(name, args.scale)
-            _emit(result, out, headline_only=headline_only)
-            print(f"[{name} in {time.time() - t0:.1f}s]", file=sys.stderr)  # simlint: disable=SL101 -- CLI progress timing, not sim state
+            _emit(_run_figure(name, args.scale), out, headline_only=headline_only)
         return 0
 
     return 2  # pragma: no cover

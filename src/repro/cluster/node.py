@@ -68,16 +68,6 @@ class Node:
         self.devices.append(device)
         return device
 
-    def chunk_quota(self, share: float) -> int:
-        """Hugepage-chunk quota for a fractional cache share (>= 1 chunk).
-
-        Used by the tenancy partition to turn a per-tenant ``cache_share``
-        into an absolute chunk count against this node's pool.  For a set
-        of tenants use :meth:`chunk_quotas`, which additionally rejects
-        share sets whose summed quotas oversubscribe the pool.
-        """
-        return chunk_quotas(self.hugepages.num_chunks, {"_": share})["_"]
-
     def chunk_quotas(self, shares: dict[str, float]) -> dict[str, int]:
         """Per-tenant chunk quotas; raises ConfigError on oversubscription."""
         return chunk_quotas(self.hugepages.num_chunks, shares)

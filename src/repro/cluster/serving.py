@@ -90,13 +90,11 @@ class ClusterSpec:
     #: learning about it (membership/heartbeat propagation).
     detect_delay: float = 1e-3
     #: Per-node serving-cache capacity in hugepage chunks (0 = none).
+    #: A node's read cache replays its journal after a rejoin (re-warm).
     read_cache_chunks: int = 0
-    #: Copy a dead node's shards to a ring standby while it is down.
-    handoff: bool = True
-    #: Handoff copy granularity, bytes.
+    #: Handoff copy granularity, bytes: with ``replicas > 1`` a dead
+    #: node's shards are copied to a ring standby while it is down.
     handoff_chunk_bytes: int = 1 << 20
-    #: Replay the node read cache's journal after a rejoin.
-    rewarm: bool = True
 
     def validate(self) -> None:
         if self.replicas < 1:
@@ -549,7 +547,7 @@ class ClusterLifecycle:
         self.state.mark_dead(lane)
         for reactor in self.reactors:
             reactor.inbox.put_nowait(NodeDown(lane))
-        if self.spec.handoff and self.spec.replicas > 1:
+        if self.spec.replicas > 1:
             for shard in self.state.shard_map.shards_on(lane):
                 self.env.process(
                     self._handoff(shard, lane),
@@ -568,7 +566,7 @@ class ClusterLifecycle:
         if self.tracer.enabled:
             self.tracer.instant("node_rejoin", track="cluster", lane=lane)
         rc = self.state.read_caches.get(lane)
-        if rc is not None and self.spec.rewarm and rc.journal:
+        if rc is not None and rc.journal:
             self.env.process(
                 self._rewarm(lane, rc), name=f"cluster.rewarm[{lane}]"
             )

@@ -117,10 +117,6 @@ class DLFSConfig:
     #: :class:`~repro.tenancy.TenantSpec` policies.  Empty keeps the
     #: single-job datapath bit-identical — pay-for-use, like faults/obs.
     tenants: tuple = ()
-    #: Priority-bypass bound of the fair scheduler: how many times the
-    #: SFQ leader may be passed over for a higher class before it is
-    #: served regardless.
-    tenancy_max_bypass: int = 8
     #: Replicated cluster serving tier (:mod:`repro.cluster`): R-way
     #: shard placement, front-end balancing, crash/rejoin failover.
     #: ``None`` — or a flat spec (``replicas=1``, balancer off) — keeps
@@ -140,8 +136,6 @@ class DLFSConfig:
             self.fault_plan.validate()
         if self.recovery is not None:
             self.recovery.validate()
-        if self.tenancy_max_bypass < 1:
-            raise ConfigError("tenancy_max_bypass must be >= 1")
         seen = []
         for spec in self.tenants:
             spec.validate()
@@ -516,7 +510,6 @@ class DLFSClient:
                 config.tenants,
                 queue_depth=config.queue_depth,
                 registry=fs.obs.metrics if fs.obs.enabled else None,
-                max_bypass=config.tenancy_max_bypass,
             )
             # Tenant-keyed fault plans draw at completion delivery.
             if fs.injector is not None and fs.injector.has_tenant_faults:

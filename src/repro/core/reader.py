@@ -44,7 +44,7 @@ from ..hw import STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK
 from ..hw.cpu import BoundThread, Core
 from ..hw.platform import CPUSpec, NetworkSpec
 from ..obs import NULL_METRICS, NULL_TRACER
-from ..sim import Environment, Event, RecoveryStats, Store, Tally, ThroughputMeter
+from ..sim import Environment, Event, RecoveryStats, Store, ThroughputMeter
 from ..sim import rng as sim_rng
 from ..spdk import IOQPair, SPDKRequest, aligned_span
 from .batching import REQ_CHUNK, ChunkPlan
@@ -57,6 +57,8 @@ __all__ = ["Reactor", "ReadJob", "LookupJob", "CopyPool", "SHUTDOWN"]
 SHUTDOWN = object()
 #: Inbox sentinel: re-run the pump (memory freed by a copy worker).
 KICK = object()
+#: Delay before a reset qpair reconnects and requeued I/O reposts.
+RECONNECT_DELAY = 1e-3
 
 
 class _DeadlineCheck:
@@ -166,6 +168,62 @@ class _QPairUp:
         self.shard = shard
 
 
+class _FifoQueues:
+    """The reactor's per-shard request posting queues, first come first
+    served: ready fetches wait for a cache slot, parts for a qpair slot.
+
+    :class:`repro.tenancy.FairScheduler` answers the same calls in SFQ
+    order; ``start`` (a part's inherited fair-queueing tag) and the
+    in-flight hooks only matter there.
+    """
+
+    __slots__ = ("_fetches", "_parts")
+
+    def __init__(self, shards) -> None:
+        self._fetches: dict[int, deque] = {shard: deque() for shard in shards}
+        self._parts: dict[int, deque] = {shard: deque() for shard in shards}
+
+    def push_fetch(self, shard: int, fetch: "_PendingFetch") -> None:
+        self._fetches[shard].append(fetch)
+
+    def push_part(self, shard: int, req: SPDKRequest,
+                  start: Optional[float] = None) -> None:
+        self._parts[shard].append(req)
+
+    def queued(self, shard: int) -> int:
+        return len(self._fetches[shard]) + len(self._parts[shard])
+
+    def take_part(self, shard: int) -> Optional[SPDKRequest]:
+        parts = self._parts[shard]
+        return parts.popleft() if parts else None
+
+    def promote(self, shard: int, cache: SampleCache) -> Optional[tuple]:
+        """Give the oldest fetch a cache slot: ``(fetch, slot, None)``,
+        or None when none is queued or memory is short."""
+        fetches = self._fetches[shard]
+        if not fetches:
+            return None
+        fetch = fetches[0]
+        slot = cache.try_insert(fetch.key, fetch.nbytes)
+        if slot is None:
+            return None
+        fetches.popleft()
+        return fetch, slot, None
+
+    def drain(self, shard: int, kind: str) -> list:
+        """Empty one queue (``kind`` is "fetch" or "part"), oldest first."""
+        queue = (self._fetches if kind == "fetch" else self._parts)[shard]
+        items = list(queue)
+        queue.clear()
+        return items
+
+    def on_posted(self, tenant: Optional[str], shard: int) -> None:
+        pass
+
+    def on_complete(self, tenant: Optional[str], shard: int) -> None:
+        pass
+
+
 @dataclass(eq=False)
 class ReadJob:
     """A frontend read request: deliver these samples, then fire ``done``."""
@@ -188,7 +246,7 @@ class ReadJob:
     #: Observability: the batch span covering this job (None = untraced).
     span: Optional[object] = None
     #: Multi-tenant serving: owning tenant name (None = untagged, which
-    #: schedules at weight 1 when a FairScheduler is attached).
+    #: the FairScheduler schedules at weight 1).
     tenant: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -339,16 +397,13 @@ class Reactor:
         self.inbox: Store = (
             inbox if inbox is not None else Store(env, name=f"{name}.scq")
         )
-        self._rpq: dict[int, deque[_PendingFetch]] = {
-            shard: deque() for shard in qpairs
-        }
-        self._postq: dict[int, deque[SPDKRequest]] = {
-            shard: deque() for shard in qpairs
-        }
         #: Multi-tenant serving (pay-for-use: None keeps the single-job
-        #: datapath bit-identical).  When set, the runtime's scheduler
-        #: replaces the rpq/postq deques with weighted-fair lanes.
+        #: datapath bit-identical).  When set, the runtime's fair
+        #: scheduler is the request posting queues (RPQ) instead of FIFOs.
         self.tenancy = tenancy
+        self._queues = (
+            _FifoQueues(qpairs) if tenancy is None else tenancy.scheduler
+        )
         if tenancy is not None:
             tenancy.attach(self)
         #: Cluster serving tier (pay-for-use: None keeps the single-node
@@ -363,8 +418,6 @@ class Reactor:
             )
         self._pending: dict[object, _PendingFetch] = {}
         self.read_meter = ThroughputMeter(env, name=f"{name}.delivered")
-        self.job_latency = Tally(f"{name}.job_latency")
-        self.lookup_time = Tally(f"{name}.lookup_time")
         self.samples_delivered = 0
         self._inline_copy_cost = 0.0
         self._inline_done_list: list[Callable[[], None]] = []
@@ -509,7 +562,6 @@ class Reactor:
 
     # -- job intake (prep stage) -----------------------------------------------------
     def _on_lookup(self, job: LookupJob) -> Generator[Event, Any, None]:
-        t0 = self.env.now
         try:
             if job.index is not None:
                 result = self.directory.lookup_index(job.index)
@@ -528,7 +580,6 @@ class Reactor:
         self._layers.add("prep", cost)
         if cost > 0.0:
             yield self.thread.delay(cost)
-        self.lookup_time.observe(self.env.now - t0)
         job.done.succeed(result)
 
     def _on_job(self, job: ReadJob) -> Generator[Event, Any, None]:
@@ -589,7 +640,7 @@ class Reactor:
                 self._pending[key] = fetch
                 if self.balancer is not None:
                     fetch.lane = self.balancer.route(fetch)
-                self._rpq[fetch.lane].append(fetch)
+                self._queues.push_fetch(fetch.lane, fetch)
             fetch.waiters.append((job, result.length))
         self._layers.add("prep", cost)
         if cost > 0.0:
@@ -652,7 +703,7 @@ class Reactor:
         self._pending[key] = fetch
         if self.balancer is not None:
             fetch.lane = self.balancer.route(fetch)
-        self._rpq[fetch.lane].append(fetch)
+        self._queues.push_fetch(fetch.lane, fetch)
         return fetch
 
     # -- post stage -------------------------------------------------------------------
@@ -663,28 +714,29 @@ class Reactor:
         shard has queued work *and* a free qpair slot.  When that holds
         for no shard, the call is a no-op generator — skip the frame.
         """
+        queues = self._queues
         for shard, qp in self.qpairs.items():
-            if qp.free_slots > 0 and (self._postq[shard] or self._rpq[shard]):
+            if qp.free_slots > 0 and queues.queued(shard):
                 return True
         return False
 
     def _pump(self) -> Generator[Event, Any, None]:
-        if self.tenancy is not None:
-            yield from self._pump_fair()
-            return
+        """Post stage: fill each qpair from its request posting queues.
+
+        The queues decide the order (FIFO, or the fair scheduler's SFQ
+        with priority classes, in-flight caps and the cache-quota gate);
+        the reactor promotes fetches into parts and posts them.
+        """
+        queues = self._queues
         cost = 0.0
         for shard, qp in self.qpairs.items():
-            postq = self._postq[shard]
-            rpq = self._rpq[shard]
             while qp.free_slots > 0:
-                if not postq:
-                    if not rpq:
-                        break
-                    fetch = rpq[0]
-                    slot = self.cache.try_insert(fetch.key, fetch.nbytes)
-                    if slot is None:
-                        break  # memory pressure; retried on next message
-                    rpq.popleft()
+                req = queues.take_part(shard)
+                if req is None:
+                    promoted = queues.promote(shard, self.cache)
+                    if promoted is None:
+                        break  # none ready, or memory pressure: retried on next message
+                    fetch, slot, start = promoted
                     chunk_size = self.cache.pool.chunk_size
                     # Cluster mode: the part's device offset is the
                     # layout offset shifted to where this lane maps the
@@ -699,7 +751,8 @@ class Reactor:
                     ci = 0
                     while remaining > 0:
                         part = min(chunk_size, remaining)
-                        postq.append(
+                        queues.push_part(
+                            shard,
                             SPDKRequest(
                                 offset=offset + delta,
                                 nbytes=part,
@@ -707,14 +760,15 @@ class Reactor:
                                 tag=fetch,
                                 parent_span=fetch.span,
                                 rel=offset,
-                            )
+                            ),
+                            start,
                         )
                         fetch.parts_remaining += 1
                         offset += part
                         remaining -= part
                         ci += 1
                     cost += self.cpu.request_setup * fetch.parts_remaining
-                req = postq.popleft()
+                    continue
                 if req.tag.failed is not None:
                     # A sibling part already doomed this span; don't
                     # waste a queue slot on it.
@@ -723,6 +777,7 @@ class Reactor:
                 if self._already_settled(req):
                     continue  # hedge twin whose part already landed
                 qp.post(req)
+                queues.on_posted(req.tag.tenant, shard)
                 if self._watchdogs is not None:
                     self._watchdogs.arm(req)
                 if self._hedges is not None:
@@ -741,74 +796,6 @@ class Reactor:
             self._layers.add("post", cost)
             yield self.thread.delay(cost)
 
-    def _pump_fair(self) -> Generator[Event, Any, None]:
-        """Multi-tenant post stage: SFQ arbitration over queued work.
-
-        Same mechanics as ``_pump`` — promote ready fetches into parts,
-        post parts up to the qpair depth, pay the doorbell between posts
-        (the SimSanitizer arrival-order invariant) — but *which* queued
-        item goes next is decided by the fair scheduler: weighted start
-        tags, priority classes with bounded bypass, per-tenant in-flight
-        caps, and the cache-partition quota gate on promotions.
-        """
-        sched = self.tenancy.scheduler
-        partition = self.tenancy.partition
-        cost = 0.0
-        for shard, qp in self.qpairs.items():
-            while qp.free_slots > 0:
-                entry = sched.select_part(shard)
-                if entry is None:
-                    fentry = sched.select_fetch(shard)
-                    if fentry is None:
-                        break
-                    fetch = fentry.item
-                    need = self.cache.chunks_needed(fetch.nbytes)
-                    partition.reserve(fetch.tenant, fetch.key, need)
-                    slot = self.cache.try_insert(fetch.key, fetch.nbytes)
-                    if slot is None:
-                        # Global memory pressure (not a quota denial);
-                        # retried on the next message, like _pump.
-                        partition.cancel(fetch.key)
-                        break
-                    sched.take(shard, fentry, "fetch")
-                    chunk_size = self.cache.pool.chunk_size
-                    offset = fetch.offset
-                    remaining = fetch.nbytes
-                    ci = 0
-                    while remaining > 0:
-                        part = min(chunk_size, remaining)
-                        sched.enqueue_part_inherit(
-                            shard,
-                            SPDKRequest(
-                                offset=offset,
-                                nbytes=part,
-                                chunks=[slot.chunks[ci]],
-                                tag=fetch,
-                                parent_span=fetch.span,
-                            ),
-                            fentry.start,
-                        )
-                        fetch.parts_remaining += 1
-                        offset += part
-                        remaining -= part
-                        ci += 1
-                    cost += self.cpu.request_setup * fetch.parts_remaining
-                    continue  # reselect: the new parts now compete
-                req = sched.take(shard, entry, "part")
-                if req.tag.failed is not None:
-                    self._req_failed(req, req.tag.failed)
-                    continue
-                qp.post(req)
-                sched.on_posted(entry.tenant, shard)
-                if self._watchdogs is not None:
-                    self._watchdogs.arm(req)
-                self._layers.add("post", self.net.rdma_post_overhead)
-                if self.net.rdma_post_overhead > 0.0:
-                    yield self.thread.delay(self.net.rdma_post_overhead)
-        if cost > 0.0:
-            self._layers.add("post", cost)
-            yield self.thread.delay(cost)
-
     # -- poll + copy stages -----------------------------------------------------------
     def _on_completion(self, req: SPDKRequest) -> Generator[Event, Any, None]:
         poll_cost = self.cpu.poll_iteration
@@ -820,10 +807,9 @@ class Reactor:
         if poll_cost > 0.0:
             yield self.thread.delay(poll_cost)
         fetch: _PendingFetch = req.tag
-        if self.tenancy is not None:
-            # Every sink delivery closes exactly one post (retries and
-            # reset-aborted parts are re-posted, and re-counted, later).
-            self.tenancy.scheduler.on_complete(fetch.tenant, fetch.shard)
+        # Every sink delivery closes exactly one post (retries and
+        # reset-aborted parts are re-posted, and re-counted, later).
+        self._queues.on_complete(fetch.tenant, fetch.shard)
         if self.recovery is not None and req.status != STATUS_OK:
             self._recover(req)
             return
@@ -894,7 +880,7 @@ class Reactor:
                 if fetch.span is not None:
                     fetch.span.event("failover", lane=fetch.lane)
             req.offset = req.rel + self.balancer.delta(fetch.shard, fetch.lane)
-        self._postq[fetch.lane].append(req)
+        self._queues.push_part(fetch.lane, req)
 
     def _recover(self, req: SPDKRequest) -> None:
         """Route one failed part: requeue, retry with backoff, or give up."""
@@ -978,7 +964,6 @@ class Reactor:
             self.recovery_stats.incr("failed_samples")
             job.remaining -= 1
             if job.remaining == 0:
-                self.job_latency.observe(self.env.now - job.submit_time)
                 self._h_job.observe(self.env.now - job.submit_time)
                 if job.span is not None:
                     job.span.finish(errors=len(job.errors))
@@ -1042,7 +1027,7 @@ class Reactor:
             parent_span=fetch.span,
             rel=req.rel,
         )
-        self._postq[alt].append(twin)
+        self._queues.push_part(alt, twin)
         self.recovery_stats.incr("hedges_posted")
         if fetch.span is not None:
             fetch.span.event("hedged", lane=alt)
@@ -1083,8 +1068,7 @@ class Reactor:
         )
 
     def _reconnect_later(self, shard: int) -> Generator[Event, Any, None]:
-        delay = self.recovery.reconnect_delay if self.recovery is not None else 0.0
-        yield self.env.timeout(delay)
+        yield self.env.timeout(RECONNECT_DELAY)
         self.inbox.put_nowait(_QPairUp(shard))
 
     def _on_qpair_up(self, shard: int) -> None:
@@ -1114,21 +1098,15 @@ class Reactor:
         self.recovery_stats.incr("node_down")
         if self.tracer.enabled:
             self.tracer.instant("node_down", track=self.name, lane=lane)
-        rpq = self._rpq[lane]
-        parked = list(rpq)
-        rpq.clear()
-        for fetch in parked:
+        for fetch in self._queues.drain(lane, "fetch"):
             if self.balancer.reroute(fetch):
                 self.recovery_stats.incr("failovers")
                 if fetch.span is not None:
                     fetch.span.event("failover", lane=fetch.lane)
-                self._rpq[fetch.lane].append(fetch)
+                self._queues.push_fetch(fetch.lane, fetch)
             else:
-                rpq.append(fetch)  # every replica dead: park here
-        postq = self._postq[lane]
-        parts = list(postq)
-        postq.clear()
-        for req in parts:
+                self._queues.push_fetch(lane, fetch)  # every replica dead: park here
+        for req in self._queues.drain(lane, "part"):
             if self._already_settled(req):
                 continue  # orphaned hedge twin; drop it
             self._requeue_part(req)
@@ -1172,16 +1150,16 @@ class Reactor:
                 key=fetch.key,
             )
 
-        for rpq in self._rpq.values():
-            while rpq:
-                fetch = rpq.popleft()
+        def fail_queued_parts() -> None:
+            for shard in self.qpairs:
+                for req in self._queues.drain(shard, "part"):
+                    self._req_failed(req, req.tag.failed or stop_error(req.tag))
+
+        for shard in self.qpairs:
+            for fetch in self._queues.drain(shard, "fetch"):
                 fetch.failed = stop_error(fetch)
                 self._finalize_failed(fetch)
-        for postq in self._postq.values():
-            while postq:
-                req = postq.popleft()
-                fetch = req.tag
-                self._req_failed(req, fetch.failed or stop_error(fetch))
+        fail_queued_parts()
         while (
             any(qp.inflight for qp in self.qpairs.values())
             or self._pending_retries > 0
@@ -1196,13 +1174,7 @@ class Reactor:
                  NodeDown, NodeUp),
             ):
                 yield from self._dispatch(msg)
-                for postq in self._postq.values():
-                    while postq:
-                        req = postq.popleft()
-                        fetch = req.tag
-                        self._req_failed(
-                            req, fetch.failed or stop_error(fetch)
-                        )
+                fail_queued_parts()
             elif isinstance(msg, ReadJob):
                 # Late job during teardown: fail every sample, but let
                 # the caller's await complete.
@@ -1254,7 +1226,6 @@ class Reactor:
                 span.finish()
             job.remaining -= 1
             if job.remaining == 0:
-                self.job_latency.observe(self.env.now - job.submit_time)
                 self._h_job.observe(self.env.now - job.submit_time)
                 if job.span is not None:
                     job.span.finish(errors=len(job.errors))

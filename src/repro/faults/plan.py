@@ -191,14 +191,12 @@ class RecoveryPolicy:
     backoff_cap: float = 8e-3
     #: Jitter fraction added to each backoff (seeded, deterministic).
     jitter: float = 0.25
-    #: Delay before a reset qpair reconnects and requeued I/O reposts.
-    reconnect_delay: float = 1e-3
     #: Jitter stream seed (combined with the reactor name).
     seed: int = 0
 
     def validate(self) -> None:
-        if self.deadline <= 0 or self.reconnect_delay < 0:
-            raise ConfigError("deadline must be > 0, reconnect_delay >= 0")
+        if self.deadline <= 0:
+            raise ConfigError("deadline must be > 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:

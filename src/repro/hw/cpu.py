@@ -94,10 +94,6 @@ class BoundThread:
         self.name = name or f"thread@{core.name}"
         self._held: Optional[Request] = None
 
-    @property
-    def holds_core(self) -> bool:
-        return self._held is not None
-
     # -- pinned discipline (busy polling) -----------------------------------
     def acquire(self) -> Generator[Event, Any, None]:
         """Take the core and keep it until :meth:`release` is called."""

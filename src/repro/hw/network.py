@@ -18,7 +18,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ..errors import ConfigError
 from ..obs import NULL_METRICS, NULL_TRACER
-from ..sim import Environment, Event, Resource, Tally, ThroughputMeter
+from ..sim import Environment, Event, Resource, ThroughputMeter
 from .platform import NetworkSpec
 
 __all__ = ["NIC", "Fabric"]
@@ -48,7 +48,6 @@ class Fabric:
         self.spec = spec or NetworkSpec()
         self.spec.validate()
         self._nics: dict[str, NIC] = {}
-        self.transfer_latency = Tally("fabric.transfer_latency")
         #: Optional fault injector (see :mod:`repro.faults`); ``None``
         #: keeps the healthy fast path with zero overhead.
         self.injector = None
@@ -129,9 +128,7 @@ class Fabric:
         yield self.env.timeout(self.spec.propagation_latency)
         src_nic.tx_meter.record(nbytes=nbytes)
         dst_nic.rx_meter.record(nbytes=nbytes)
-        latency = self.env.now - t0
-        self.transfer_latency.observe(latency)
-        self._h_latency.observe(latency)
+        self._h_latency.observe(self.env.now - t0)
         if span is not None:
             span.finish()
 

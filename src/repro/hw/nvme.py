@@ -30,7 +30,7 @@ from collections import deque
 
 from ..errors import ConfigError, HardwareError, QueueFullError
 from ..obs import NULL_METRICS, NULL_TRACER
-from ..sim import Environment, Event, Resource, Tally, ThroughputMeter
+from ..sim import Environment, Event, Resource, ThroughputMeter
 from ..sim.engine import audit_register
 from .platform import GB, NVMeSpec
 
@@ -117,7 +117,6 @@ class NVMeDevice:
         self._active_queues = 0
         self.read_meter = ThroughputMeter(env, name=f"{self.name}.read")
         self.write_meter = ThroughputMeter(env, name=f"{self.name}.write")
-        self.latency = Tally(f"{self.name}.latency")
         #: Observability (null objects until install_observability).
         self.tracer = NULL_TRACER
         self._h_latency = NULL_METRICS.histogram("")
@@ -346,7 +345,6 @@ class NVMeDevice:
         cmd.status = status
         cmd.complete_time = self.env.now
         self._outstanding -= 1
-        self.latency.observe(cmd.latency)
         self._h_latency.observe(cmd.latency)
         if cmd.span is not None:
             cmd.span.finish(status=status)

@@ -12,7 +12,7 @@ All times are **seconds**, all sizes **bytes**, all rates **bytes/second**.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 
@@ -226,9 +226,3 @@ class Testbed:
     def paper_emulated(cls) -> "Testbed":
         """Multi-node configuration: every node gets an emulated device."""
         return cls(nvme=NVMeSpec.emulated_ramdisk())
-
-    def with_nvme(self, nvme: NVMeSpec) -> "Testbed":
-        return replace(self, nvme=nvme)
-
-    def with_cores(self, cores: int) -> "Testbed":
-        return replace(self, cpu=replace(self.cpu, cores=cores))

@@ -31,7 +31,7 @@ from ..errors import ConfigError, FileNotFound, InvalidHandle
 from ..hw import NVMeDevice
 from ..hw.cpu import BoundThread
 from ..hw.platform import GB, KB, OSSpec
-from ..sim import Environment, Event, Tally
+from ..sim import Environment, Event
 from .pagecache import PAGE_SIZE, PageCache
 from .lru import LRUCache
 
@@ -94,8 +94,6 @@ class Ext4FileSystem:
         self._next_inode = 16
         self._meta_base = device.capacity - META_REGION_BYTES
         self._meta_blocks = META_REGION_BYTES // PAGE_SIZE
-        self.open_latency = Tally(f"{device.name}.open_latency")
-        self.read_latency = Tally(f"{device.name}.read_latency")
 
     # -- namespace ----------------------------------------------------------
     def register_file(self, path: str, device_offset: int, length: int) -> Ext4File:
@@ -147,7 +145,6 @@ class Ext4FileSystem:
     # -- POSIX surface ------------------------------------------------------------
     def open(self, thread: BoundThread, path: str) -> Generator[Event, Any, Ext4FD]:
         """``open(2)``: path walk + inode fetch.  Returns an FD."""
-        t0 = self.env.now
         yield from thread.run(self.os.syscall_overhead)
         file = self._files.get(path)
         if file is None:
@@ -166,7 +163,6 @@ class Ext4FileSystem:
         if self.inodes.get(file.inode) is None:
             yield from self._read_meta_block(thread, f"I:{file.inode}")
             self.inodes.put(file.inode, file)
-        self.open_latency.observe(self.env.now - t0)
         return Ext4FD(file=file)
 
     def read(
@@ -177,7 +173,6 @@ class Ext4FileSystem:
             raise InvalidHandle(f"fd {fd.fd} is closed")
         if offset < 0 or nbytes <= 0:
             raise ConfigError("offset must be >= 0 and nbytes positive")
-        t0 = self.env.now
         file = fd.file
         nbytes = min(nbytes, file.length - offset)
         if nbytes <= 0:
@@ -192,7 +187,6 @@ class Ext4FileSystem:
             done += seg
         # Kernel -> user copy of the payload.
         yield from thread.run(nbytes / self.os.copy_to_user_bandwidth)
-        self.read_latency.observe(self.env.now - t0)
         return nbytes
 
     def _read_segment(

@@ -10,8 +10,8 @@ unmetered one.
   last-value signals.
 * :class:`Histogram` — fixed log-spaced buckets with estimated
   p50/p90/p99/p999; O(1) per observation, O(buckets) per query, bounded
-  memory regardless of run length (unlike :class:`repro.sim.Tally`,
-  which keeps every observation).
+  memory regardless of run length.  The registry's histograms are the
+  only latency record.
 * :class:`LayerTimes` — per-layer busy-time attribution for one
   execution lane (the paper's Fig 7 CPU analysis): stages sum to the
   lane's busy time, and the exporter adds the idle remainder so the

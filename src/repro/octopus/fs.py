@@ -22,7 +22,7 @@ import numpy as np
 from ..cluster import Cluster
 from ..data import Dataset, DatasetLayout
 from ..errors import NotMounted
-from ..sim import Event, Tally, ThroughputMeter
+from ..sim import Event, ThroughputMeter
 from ..spdk.request import aligned_span
 from .metadata import DistributedMetadata, FileMeta, OctopusSpec
 
@@ -43,7 +43,6 @@ class OctopusFS:
         self.dataset: Optional[Dataset] = None
         self.layout: Optional[DatasetLayout] = None
         self.read_meter = ThroughputMeter(cluster.env, name="octopus.reads")
-        self.read_latency = Tally("octopus.read_latency")
 
     # -- mount ----------------------------------------------------------------
     def mount(self, dataset: Dataset, interleaved: bool = False) -> DatasetLayout:
@@ -86,11 +85,9 @@ class OctopusFS:
         self, client_rank: int, sample_index: int
     ) -> Generator[Event, Any, int]:
         """Synchronous full-sample read from ``client_rank``."""
-        t0 = self.env.now
         meta = yield from self.lookup(client_rank, sample_index)
         yield from self._read_data(client_rank, meta)
         self.read_meter.record(nbytes=meta.length)
-        self.read_latency.observe(self.env.now - t0)
         return meta.length
 
     def _read_data(

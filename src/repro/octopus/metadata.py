@@ -18,7 +18,7 @@ from typing import Any, Generator, Optional
 from ..cluster import Cluster
 from ..errors import ConfigError, FileNotFound
 from ..hw.platform import USEC
-from ..sim import Event, Resource, Tally
+from ..sim import Event, Resource
 
 __all__ = ["OctopusSpec", "FileMeta", "DistributedMetadata"]
 
@@ -84,7 +84,6 @@ class DistributedMetadata:
             Resource(cluster.env, capacity=1, name=f"octopus.md{n}")
             for n in range(self.num_servers)
         ]
-        self.lookup_latency = Tally("octopus.lookup_latency")
         self.remote_lookups = 0
         self.local_lookups = 0
 
@@ -110,7 +109,6 @@ class DistributedMetadata:
         Pays the client dispatch, the RPC to the owner (plus the extra
         protocol round trips), and the serialized server-side service.
         """
-        t0 = self.env.now
         spec = self.spec
         owner = self.owner_of(path)
         meta = self._tables[owner].get(path)
@@ -121,7 +119,6 @@ class DistributedMetadata:
             # Ablation: replicated metadata -> a local hash probe.
             self.local_lookups += 1
             yield self.env.timeout(1e-6)
-            self.lookup_latency.observe(self.env.now - t0)
             return meta
         fabric = self.cluster.fabric
         client = self.cluster.node(client_rank).name
@@ -147,7 +144,6 @@ class DistributedMetadata:
             spec.lookup_msg_bytes,
             server_work=served,
         )
-        self.lookup_latency.observe(self.env.now - t0)
         return meta
 
     def __repr__(self) -> str:

@@ -5,10 +5,8 @@ Public surface:
 * :class:`Environment` — event queue and simulated clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
   :class:`AnyOf` — the waitable primitives processes yield.
-* :class:`Resource`, :class:`PriorityResource`, :class:`Store`,
-  :class:`Container` — contention primitives.
-* :class:`Tally`, :class:`TimeWeighted`, :class:`Counter`,
-  :class:`ThroughputMeter` — measurement accumulators.
+* :class:`Resource`, :class:`Store` — contention primitives.
+* :class:`Counter`, :class:`ThroughputMeter` — measurement accumulators.
 """
 
 from .engine import (
@@ -28,9 +26,9 @@ from .fluid import (
     equivalence_check,
     run_scale,
 )
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .rng import derive_seed, reset_substream_log, rng, substream_log
-from .stats import Counter, RecoveryStats, Tally, ThroughputMeter, TimeWeighted
+from .stats import Counter, RecoveryStats, ThroughputMeter
 
 __all__ = [
     "Environment",
@@ -40,12 +38,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
-    "PriorityResource",
     "Request",
     "Store",
-    "Container",
-    "Tally",
-    "TimeWeighted",
     "Counter",
     "ThroughputMeter",
     "RecoveryStats",

@@ -138,7 +138,7 @@ class Event:
         env = self.env
         env._eid += 1
         key = env._eid if env._tiebreak is None else env._ranked_key()
-        heapq.heappush(env._due, (key, self))
+        heapq.heappush(env._queue, (env._now, key, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -194,10 +194,7 @@ class Timeout(Event):
         # Inlined _post.
         env._eid += 1
         key = env._eid if env._tiebreak is None else env._ranked_key()
-        if delay == 0.0:
-            heapq.heappush(env._due, (key, self))
-        else:
-            heapq.heappush(env._queue, (env._now + delay, key, self))
+        heapq.heappush(env._queue, (env._now + delay, key, self))
 
 
 class Initialize(Event):
@@ -285,7 +282,6 @@ class Process(Event):
             if not stale:
                 self._stale = None
             return
-        self.env._active_process = self
         # (ok, payload): payload is a value when ok, an exception otherwise.
         ok, payload = event._ok, event._value
         if not ok:
@@ -330,7 +326,6 @@ class Process(Event):
             ok, payload = next_event._ok, next_event._value
             if not ok:
                 next_event._defused = True
-        self.env._active_process = None
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "dead"
@@ -435,23 +430,17 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Events fire in (time, tiebreak key) order.  The key is the
-        #: insertion id in normal runs, so ties fall back to insertion
-        #: order; under the SimSanitizer it is (seeded random rank,
-        #: insertion id), shuffling same-timestamp event order.  One
-        #: environment never mixes the two key types.  Events due at the
-        #: current instant — most posts: every succeed() — wait in
-        #: ``_due``, a small heap of (key, event); everything else in
-        #: ``_queue``, a heap of (time, key, event).  step() takes the
-        #: smaller head, so the split is invisible and the sanitizer
-        #: perturbs the same two heaps every run uses.
+        #: One heap of (time, tiebreak key, event); events fire in
+        #: (time, key) order.  The key is the insertion id in normal
+        #: runs, so ties fall back to insertion order; under the
+        #: SimSanitizer it is (seeded random rank, insertion id),
+        #: shuffling same-timestamp event order in the same heap every
+        #: run uses.  One environment never mixes the two key types.
         self._queue: list[tuple[float, Any, Event]] = []
-        self._due: list[tuple[Any, Event]] = []
         self._eid = 0
         self._tiebreak = (
             _TIEBREAK_FACTORY() if _TIEBREAK_FACTORY is not None else None
         )
-        self._active_process: Optional[Process] = None
         #: Observability hooks called after each processed event; ``None``
         #: (the default) keeps step() at a single falsy check.
         self._step_listeners: Optional[list[Callable[[float, Event], None]]] = None
@@ -464,11 +453,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event construction -------------------------------------------------
     def event(self) -> Event:
@@ -510,15 +494,10 @@ class Environment:
         """
         self._eid += 1
         key = self._eid if self._tiebreak is None else self._ranked_key()
-        if time == self._now:
-            heapq.heappush(self._due, (key, event))
-        else:
-            heapq.heappush(self._queue, (time, key, event))
+        heapq.heappush(self._queue, (time, key, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._due:
-            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def add_step_listener(self, listener: Callable[[float, Event], None]) -> None:
@@ -534,17 +513,10 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event: the minimum by (time, key)."""
-        queue = self._queue
-        due = self._due
-        if due:
-            if queue and queue[0][0] == self._now and queue[0][1] < due[0][0]:
-                event = heapq.heappop(queue)[2]
-            else:
-                event = heapq.heappop(due)[1]
-        elif queue:
-            self._now, _, event = heapq.heappop(queue)
-        else:
-            raise SimulationError("step() on an empty event queue")
+        try:
+            self._now, _, event = heapq.heappop(self._queue)
+        except IndexError:
+            raise SimulationError("step() on an empty event queue") from None
         # Inlined Event._resolve — this is the hottest loop in the repo.
         callbacks = event.callbacks
         event.callbacks = None
@@ -597,7 +569,7 @@ class Environment:
         """
         step = self.step
         if until is None:
-            while self._due or self._queue:
+            while self._queue:
                 step()
             return None
 
@@ -605,7 +577,7 @@ class Environment:
             stop = until
             # `stop.callbacks is None` is `stop.processed` without the
             # property descriptor — this loop brackets every driver run.
-            while stop.callbacks is not None and (self._due or self._queue):
+            while stop.callbacks is not None and self._queue:
                 step()
             if not stop.triggered:
                 raise DeadlockError(

@@ -71,6 +71,10 @@ __all__ = [
 #: the latency summation differs (arithmetic series vs per-event adds).
 EQUIVALENCE_EPSILON = 1e-9
 
+#: Forced event-fidelity window after each fault/churn boundary of a
+#: :class:`ScaleSpec` day, as a fraction of the day.
+EVENT_WINDOW = 0.002
+
 
 # ---------------------------------------------------------------------------
 # Rate envelopes
@@ -607,9 +611,9 @@ def tagged_digests(records: Sequence[TaggedRecord]) -> Tuple[str, str]:
 class ScaleSpec:
     """A fleet-scale diurnal day: cohorts of users over fluid lanes.
 
-    Times in ``bumps``/``churn``/``faults``/``event_window`` are
-    *fractions of the day*, so a downscaled slice (``sliced``) keeps the
-    same shape.
+    Times in ``bumps``/``churn``/``faults`` (and :data:`EVENT_WINDOW`)
+    are *fractions of the day*, so a downscaled slice (``sliced``) keeps
+    the same shape.  The diurnal profile has 24 segments.
     """
 
     users: int = 1_000_000
@@ -622,7 +626,6 @@ class ScaleSpec:
     #: K: tagged (fully event-accurate) flows per cohort.
     tagged_per_cohort: int = 4
     seed: int = 42
-    diurnal_segments: int = 24
     amplitude: float = 0.5
     #: Flash crowds: (start_frac, dur_frac, rate multiplier).
     bumps: Tuple[Tuple[float, float, float], ...] = (
@@ -633,14 +636,8 @@ class ScaleSpec:
     churn: Tuple[Tuple[int, float, float], ...] = ((7, 0.30, 0.90),)
     #: Lane outages: (lane index, down_frac, up_frac).
     faults: Tuple[Tuple[int, float, float], ...] = ((0, 0.55, 0.56),)
-    #: Forced event-fidelity window after each fault/churn boundary,
-    #: as a fraction of the day.
-    event_window: float = 0.002
     #: SLO bound on tagged request latency, seconds.
     slo: float = 0.01
-    #: Optional transform stage appended to every lane, bytes/second
-    #: (0 = storage + fabric only).
-    xform_rate: float = 0.0
 
     def validate(self) -> None:
         if self.users < self.cohorts or self.cohorts < 1:
@@ -742,22 +739,12 @@ def _cohort_envelopes(spec: ScaleSpec) -> List[Tuple[str, RateEnvelope, int]]:
             base_rate=flows * spec.rate_per_user,
             size=spec.sample_bytes,
             day=spec.day,
-            segments=spec.diurnal_segments,
             amplitude=spec.amplitude,
             bumps=spec.bumps,
             active=active,
         )
         out.append((f"cohort{c}", envelope, flows))
     return out
-
-
-def _lane_stages(spec: ScaleSpec) -> Tuple[Tuple[str, float], ...]:
-    """Service stages for one lane, from the hardware/transfer models."""
-    from ..cluster.node import fluid_lane_stages
-    stages = list(fluid_lane_stages())
-    if spec.xform_rate > 0.0:
-        stages.append(("xform", float(spec.xform_rate)))
-    return tuple(stages)
 
 
 def _bulk_emitter(env, lane: FluidLane, sched: ArrivalSchedule,
@@ -793,7 +780,7 @@ def _boundaries(spec: ScaleSpec, cohorts=None) -> List[float]:
         cohorts = _cohort_envelopes(spec)
     for _, envelope, _ in cohorts:
         edges.extend(envelope.boundaries())
-    window = spec.event_window * spec.day
+    window = EVENT_WINDOW * spec.day
     forcing = []
     for _, down, up in spec.faults:
         forcing.extend([down * spec.day, up * spec.day])
@@ -840,9 +827,11 @@ def run_scale(
                 )
             if flows < 1:
                 raise ConfigError(f"cohort {name!r}: flows {flows} < 1")
+    from ..cluster.node import fluid_lane_stages
     from .engine import Environment
     env = Environment()
-    stages = _lane_stages(spec)
+    # Service stages for one lane, from the hardware/transfer models.
+    stages = fluid_lane_stages()
     lanes = [
         FluidLane(env, f"lane{i}", stages, registry=registry)
         for i in range(spec.lanes)
@@ -892,7 +881,7 @@ def run_scale(
                     name=f"bulk.{lane.name}",
                 )
 
-    window = spec.event_window * spec.day
+    window = EVENT_WINDOW * spec.day
     fault_down = {down * spec.day: (idx, up * spec.day)
                   for idx, down, up in spec.faults}
     fault_up = {up * spec.day: idx for idx, down, up in spec.faults}

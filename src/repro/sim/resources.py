@@ -1,12 +1,10 @@
 """Shared-resource primitives for the DES kernel.
 
-Three primitives cover every contention point in the simulated testbed:
+Two primitives cover every contention point in the simulated testbed:
 
 :class:`Resource`
     FIFO semaphore with fixed capacity — CPU cores, NIC directions,
     NVMe channel slots.
-:class:`PriorityResource`
-    Same, but waiters are served lowest-priority-value first.
 :class:`Store`
     Unbounded-or-bounded FIFO queue of items — request queues,
     submission/completion queues.
@@ -14,14 +12,13 @@ Three primitives cover every contention point in the simulated testbed:
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Deque, Generator, Iterable, Optional
 
 from ..errors import ResourceError
 from .engine import Environment, Event, audit_register
 
-__all__ = ["Resource", "PriorityResource", "Request", "Store", "Container"]
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -31,12 +28,11 @@ class Request(Event):
     :meth:`Resource.release`.
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
@@ -87,13 +83,13 @@ class Resource:
         return self._busy_integral / (elapsed * self.capacity)
 
     # -- protocol --------------------------------------------------------------
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
-        req = Request(self, priority)
+        req = Request(self)
         if len(self._users) < self.capacity and not self._waiters:
             self._grant(req)
         else:
-            self._enqueue(req)
+            self._waiters.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -110,18 +106,8 @@ class Resource:
         """Withdraw a request that has not been granted yet."""
         if request in self._users:
             raise ResourceError("cannot cancel a granted request; release it")
-        self._remove_waiter(request)
-
-    # -- queue policy (overridden by PriorityResource) ---------------------------
-    def _enqueue(self, req: Request) -> None:
-        self._waiters.append(req)
-
-    def _next_waiter(self) -> Optional[Request]:
-        return self._waiters.popleft() if self._waiters else None
-
-    def _remove_waiter(self, req: Request) -> None:
         try:
-            self._waiters.remove(req)
+            self._waiters.remove(request)
         except ValueError:
             raise ResourceError("request is not waiting") from None
 
@@ -137,11 +123,8 @@ class Resource:
         req.succeed(req)
 
     def _dispatch(self) -> None:
-        while len(self._users) < self.capacity:
-            nxt = self._next_waiter()
-            if nxt is None:
-                break
-            self._grant(nxt)
+        while len(self._users) < self.capacity and self._waiters:
+            self._grant(self._waiters.popleft())
 
     # -- convenience ------------------------------------------------------------
     def hold(self, duration: float) -> Generator[Event, Any, None]:
@@ -166,40 +149,6 @@ class Resource:
             f"<{type(self).__name__} {self.name!r} {self.count}/{self.capacity} "
             f"({self.queue_length} waiting)>"
         )
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are served lowest ``priority`` value first.
-
-    Ties are FIFO (stable via an insertion counter).
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = "") -> None:
-        super().__init__(env, capacity, name)
-        self._heap: list[tuple[float, int, Request]] = []
-        self._counter = 0
-
-    def _enqueue(self, req: Request) -> None:
-        self._counter += 1
-        heapq.heappush(self._heap, (req.priority, self._counter, req))
-
-    def _next_waiter(self) -> Optional[Request]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    def _remove_waiter(self, req: Request) -> None:
-        for i, (_, _, r) in enumerate(self._heap):
-            if r is req:
-                self._heap[i] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                return
-        raise ResourceError("request is not waiting")
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
 
 
 class StorePut(Event):
@@ -323,66 +272,3 @@ class Store:
     def __repr__(self) -> str:
         cap = "inf" if self.capacity is None else self.capacity
         return f"<Store {self.name!r} {len(self._items)}/{cap}>"
-
-
-class Container:
-    """A continuous-quantity pool (e.g. bytes of hugepage memory).
-
-    ``get`` blocks until the requested amount is available; ``put``
-    returns quantity.  Waiters are served FIFO; a large request at the
-    head blocks smaller ones behind it (no starvation).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float,
-        initial: float = 0.0,
-        name: str = "",
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0.0 <= initial <= capacity:
-            raise ValueError("initial level outside [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self._level = initial
-        self._getters: Deque[tuple[float, Event]] = deque()
-        audit_register(self)
-
-    @property
-    def level(self) -> float:
-        """Currently available quantity."""
-        return self._level
-
-    def get(self, amount: float) -> Event:
-        """Take ``amount`` from the pool (blocking if unavailable)."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if amount > self.capacity:
-            raise ResourceError(
-                f"requested {amount} exceeds container capacity {self.capacity}"
-            )
-        event = Event(self.env)
-        if not self._getters and self._level >= amount:
-            self._level -= amount
-            event.succeed(amount)
-        else:
-            self._getters.append((amount, event))
-        return event
-
-    def put(self, amount: float) -> None:
-        """Return ``amount`` to the pool (never blocks)."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if self._level + amount > self.capacity + 1e-9:
-            raise ResourceError("container overflow")
-        self._level = min(self.capacity, self._level + amount)
-        while self._getters and self._getters[0][0] <= self._level:
-            need, event = self._getters.popleft()
-            self._level -= need
-            event.succeed(need)
-
-    def __repr__(self) -> str:
-        return f"<Container {self.name!r} {self._level}/{self.capacity}>"

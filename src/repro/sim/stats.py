@@ -1,142 +1,13 @@
 """Measurement helpers for simulation experiments.
 
-The benchmark harness reports throughput, latency, and utilization from
-these accumulators rather than scraping component internals.
+The benchmark harness reports throughput from these accumulators rather
+than scraping component internals.  Latencies are recorded only in the
+metrics registry's histograms (:mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional
-
-import numpy as np
-
-__all__ = ["Tally", "TimeWeighted", "Counter", "ThroughputMeter", "RecoveryStats"]
-
-
-class Tally:
-    """Streaming summary of observed values (Welford mean/variance).
-
-    Keeps every observation so percentiles are exact; the workloads in
-    this repo observe at most a few hundred thousand values per run.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._values: list[float] = []
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self._values.append(value)
-        n = len(self._values)
-        delta = value - self._mean
-        self._mean += delta / n
-        self._m2 += delta * (value - self._mean)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.observe(v)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def mean(self) -> float:
-        if not self._values:
-            raise ValueError(f"tally {self.name!r} is empty")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        n = len(self._values)
-        if n < 2:
-            return 0.0
-        return self._m2 / (n - 1)
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        return min(self._values) if self._values else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self._values) if self._values else 0.0
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self._values)) if self._values else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Exact percentile, ``q`` in [0, 100]; 0.0 for an empty tally."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q!r} outside [0, 100]")
-        if not self._values:
-            return 0.0
-        return float(np.percentile(self._values, q))
-
-    def summary(self) -> dict[str, float]:
-        """Dense summary dict suitable for reporting."""
-        if not self._values:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "max": self.maximum,
-        }
-
-    def __repr__(self) -> str:
-        if not self._values:
-            return f"<Tally {self.name!r} empty>"
-        return f"<Tally {self.name!r} n={self.count} mean={self.mean:.3g}>"
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Used for queue lengths and utilization levels: call :meth:`set`
-    whenever the level changes and :meth:`average` at the end.
-    """
-
-    def __init__(self, env, initial: float = 0.0, name: str = "") -> None:
-        self.env = env
-        self.name = name
-        self._level = float(initial)
-        self._integral = 0.0
-        self._start = env.now
-        self._last = env.now
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def set(self, level: float) -> None:
-        """Record a level change at the current simulated time."""
-        now = self.env.now
-        self._integral += self._level * (now - self._last)
-        self._last = now
-        self._level = float(level)
-
-    def add(self, delta: float) -> None:
-        self.set(self._level + delta)
-
-    def average(self, until: Optional[float] = None) -> float:
-        """Time-weighted mean from construction until ``until`` (default now)."""
-        end = self.env.now if until is None else until
-        integral = self._integral + self._level * (end - self._last)
-        span = end - self._start
-        if span <= 0.0:
-            return self._level
-        return integral / span
+__all__ = ["Counter", "ThroughputMeter", "RecoveryStats"]
 
 
 class Counter:

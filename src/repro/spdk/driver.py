@@ -70,39 +70,5 @@ class SPDKDriver:
         self.qpairs.append(qpair)
         return qpair
 
-    def stats(self) -> dict[str, Union[int, float]]:
-        """Aggregate I/O counters across this driver's qpairs.
-
-        Used by the perf harness (``benchmarks/bench_engine.py``) and by
-        anything that wants one roll-up instead of per-qpair counters.
-        Latency mean is completion-weighted across qpairs.
-        """
-        posted = completed = resets = stale = inflight = 0
-        latency_sum = 0.0
-        for qp in self.qpairs:
-            posted += qp.posted
-            completed += qp.completed
-            resets += qp.resets
-            stale += qp.stale_drops
-            inflight += qp.inflight
-            if qp.latency.count:
-                latency_sum += qp.latency.mean * qp.latency.count
-        by_tenant: dict[str, int] = {}
-        for qp in self.qpairs:
-            for tenant, n in qp.posted_by_tenant.items():
-                by_tenant[tenant] = by_tenant.get(tenant, 0) + n
-        out: dict[str, Union[int, float, dict]] = {
-            "qpairs": len(self.qpairs),
-            "posted": posted,
-            "completed": completed,
-            "inflight": inflight,
-            "resets": resets,
-            "stale_drops": stale,
-            "mean_latency": latency_sum / completed if completed else 0.0,
-        }
-        if by_tenant:
-            out["posted_by_tenant"] = {t: by_tenant[t] for t in sorted(by_tenant)}
-        return out
-
     def __repr__(self) -> str:
         return f"<SPDKDriver on {self.node.name!r} qpairs={len(self.qpairs)}>"

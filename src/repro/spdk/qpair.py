@@ -21,7 +21,7 @@ from typing import Any, Generator, Optional, Union
 from ..errors import ConfigError, QPairResetError, QueueFullError
 from ..hw import NVMeDevice, STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK
 from ..obs import NULL_METRICS, NULL_TRACER
-from ..sim import Environment, Event, Store, Tally
+from ..sim import Environment, Event, Store
 from ..sim.engine import audit_register
 from .request import SPDKRequest
 from .target import NVMeoFTarget
@@ -64,10 +64,6 @@ class IOQPair:
         self._inflight = 0
         self.posted = 0
         self.completed = 0
-        self.resets = 0
-        #: Multi-tenant serving: posts per tenant (untagged posts are
-        #: not tracked) — rolled up by SPDKDriver.stats().
-        self.posted_by_tenant: dict[str, int] = {}
         #: Tenant-keyed fault injection (:attr:`FaultPlan.tenant_faults`):
         #: installed by DLFSClient when the plan targets tenants; draws
         #: one extra media-error roll per delivered completion.
@@ -75,7 +71,6 @@ class IOQPair:
         #: Device completions dropped because a reset made them stale
         #: (generation mismatch) — audited by the SimSanitizer.
         self.stale_drops = 0
-        self.latency = Tally(f"{self.name}.latency")
         #: Disconnect/reset lifecycle: a reset disconnects the qpair,
         #: aborts everything in flight back to the sink, and bumps the
         #: generation so stale device completions are dropped.
@@ -142,9 +137,6 @@ class IOQPair:
                 attempt=request.attempts,
             )
         self._live[request] = self._generation
-        tenant = getattr(request.tag, "tenant", None)
-        if tenant is not None:
-            self.posted_by_tenant[tenant] = self.posted_by_tenant.get(tenant, 0) + 1
         if (
             not self.is_remote
             and self.target.injector is None
@@ -238,7 +230,6 @@ class IOQPair:
                 chunk.valid_bytes = filled
                 remaining -= filled
         self.completed += 1
-        self.latency.observe(request.latency)
         self._h_latency.observe(request.latency)
         if request.span is not None:
             request.span.finish(status=status)
@@ -260,7 +251,6 @@ class IOQPair:
         self._live.clear()
         self._generation += 1
         self.connected = False
-        self.resets += 1
         now = self.env.now
         if self.tracer.enabled:
             self.tracer.instant(
@@ -288,7 +278,7 @@ class IOQPair:
         """Target node died: abort in-flight I/O, refuse reconnects.
 
         Unlike a plain :meth:`reset` (which the recovery driver undoes
-        after ``reconnect_delay``), a torn-down qpair stays disconnected
+        after a fixed reconnect delay), a torn-down qpair stays disconnected
         until :meth:`rejoin` — the balancer must route around it.
         Idempotent; returns the requests aborted by this call.
         """

@@ -52,20 +52,22 @@ class TenantRuntime:
         specs: tuple,
         queue_depth: int,
         registry=None,
-        max_bypass: int = 8,
     ) -> None:
         self.env = env
         self.specs = tuple(specs)
-        self.scheduler = FairScheduler(self.specs, queue_depth, max_bypass)
         self.partition = CachePartition(self.specs)
+        self.scheduler = FairScheduler(
+            self.specs, queue_depth, partition=self.partition
+        )
         self.accounting = TenantAccounting(env, self.specs, registry=registry)
         self.admission: Optional[AdmissionController] = None
         self.reactor = None
 
     def attach(self, reactor) -> None:
-        """Called by the reactor's constructor: splice into its queues."""
+        """Called by the reactor's constructor, whose request posting
+        queues are this runtime's scheduler: bind the cache partition,
+        the scheduler's quota gate and admission to the reactor."""
         self.reactor = reactor
-        self.scheduler.attach(reactor)
         cache = reactor.cache
         self.partition.attach(cache, cache.pool.num_chunks)
         self.scheduler.gate = self._gate

@@ -119,8 +119,5 @@ class CachePartition:
         if owner is not None:
             self.ledger.uncharge(owner[0], owner[1])
 
-    def usage(self) -> dict[str, dict[str, int]]:
-        return self.ledger.as_dict()
-
     def __repr__(self) -> str:
         return f"<CachePartition shares={len(self._shares)} charged={len(self._owner)}>"

@@ -1,8 +1,10 @@
 """Weighted-fair I/O scheduling for multi-tenant serving.
 
-The :class:`FairScheduler` arbitrates the reactor's two per-shard queues
-— ready fetches (``_rpq``) and disassembled NVMe parts (``_postq``) —
-by tenant weight using start-time fair queueing (SFQ):
+The :class:`FairScheduler` is the reactor's request posting queues
+under multi-tenant serving.  It holds two queues per shard — ready
+fetches and disassembled NVMe parts — and answers the reactor's post
+stage (``take_part``, ``promote``) by tenant weight using start-time
+fair queueing (SFQ):
 
 * each shard keeps a virtual time ``v``;
 * a fetch enqueued by tenant *t* gets start tag ``S = max(v, finish[t])``
@@ -174,55 +176,20 @@ class _Queue:
         self.size -= 1
 
 
-class _Lane:
-    """Deque-compatible facade over one scheduler queue.
-
-    The reactor's retry/reset/drain paths only use ``append``,
-    ``popleft``, truthiness and ``len`` on its ``_rpq``/``_postq``
-    deques; this facade keeps those paths working verbatim while
-    routing enqueues through SFQ charging.  ``popleft`` pops in strict
-    enqueue order (used only by ``_drain_on_stop``, where fairness no
-    longer matters and determinism does).
-    """
-
-    __slots__ = ("_queue", "_shard", "_enqueue")
-
-    def __init__(
-        self, queue: _Queue, shard: int, enqueue: Callable[[int, object], None]
-    ) -> None:
-        self._queue = queue
-        self._shard = shard
-        self._enqueue = enqueue
-
-    def append(self, item: object) -> None:
-        self._enqueue(self._shard, item)
-
-    def popleft(self) -> object:
-        queue = self._queue
-        if not queue.size:
-            raise IndexError("pop from an empty scheduler lane")
-        entry = min(
-            (item for cls in queue.classes.values() for item in cls.heap),
-            key=lambda item: item[1],
-        )[2]
-        queue.remove(entry)
-        return entry.item
-
-    def __len__(self) -> int:
-        return self._queue.size
-
-    def __bool__(self) -> bool:
-        return self._queue.size > 0
-
-
 class FairScheduler:
-    """SFQ + priority arbitration over the reactor's per-shard queues."""
+    """SFQ + priority arbitration over the reactor's per-shard queues.
+
+    It answers the calls of the reactor's FIFO queues
+    (``repro.core.reader``); ``partition``, when given, is charged for
+    each fetch it promotes into the sample cache.
+    """
 
     def __init__(
         self,
         specs: tuple,
         queue_depth: int,
         max_bypass: int = 8,
+        partition: Optional[object] = None,
     ) -> None:
         if max_bypass < 1:
             raise ConfigError("max_bypass must be >= 1")
@@ -243,6 +210,7 @@ class FairScheduler:
         #: nbytes) -> bool.  It may read only these two arguments (and
         #: tenant state), so it passes or fails a whole class.
         self.gate: Optional[Callable[[str, int], bool]] = None
+        self.partition = partition
         # Counters surfaced through tenancy accounting.
         self.preemptions = 0
         self.forced_serves = 0
@@ -252,16 +220,6 @@ class FairScheduler:
         #: already-pending fetches (dedup), but every device byte passes
         #: through exactly one part take.
         self.bytes_served: dict[str, int] = {}
-
-    # -- wiring ---------------------------------------------------------------
-    def attach(self, reactor: object) -> None:
-        """Replace the reactor's deques with scheduler lanes."""
-        for shard in reactor.qpairs:
-            self._vtime[shard] = 0.0
-            fetchq = self._fetchq[shard] = _Queue()
-            partq = self._partq[shard] = _Queue()
-            reactor._rpq[shard] = _Lane(fetchq, shard, self.enqueue_fetch)
-            reactor._postq[shard] = _Lane(partq, shard, self.enqueue_part_charged)
 
     def _state(self, tenant: Optional[str]) -> _TenantState:
         name = tenant if tenant is not None else UNTAGGED
@@ -289,25 +247,25 @@ class FairScheduler:
         queue.push(state, _Entry(item, state.spec.name, item.nbytes,
                                  state.spec.priority, start, self._seq))
 
-    def enqueue_fetch(self, shard: int, fetch: object) -> None:
+    def push_fetch(self, shard: int, fetch: object) -> None:
         """Charge a whole fetch and queue it for promotion."""
         state = self._state(getattr(fetch, "tenant", None))
         start = self._tag(state, shard, fetch.nbytes)
         self._push(self._fetchq, shard, state, fetch, start)
 
-    def enqueue_part_inherit(self, shard: int, req: object, start: float) -> None:
-        """Queue a part of a just-promoted fetch under the fetch's tag."""
-        state = self._state(getattr(req.tag, "tenant", None))
-        self._push(self._partq, shard, state, req, start)
-
-    def enqueue_part_charged(self, shard: int, req: object) -> None:
-        """Queue a retried/reset part, charging it at part granularity.
+    def push_part(
+        self, shard: int, req: object, start: Optional[float] = None
+    ) -> None:
+        """Queue a part under its promoted fetch's ``start`` tag, or,
+        with no tag (a retried, reset or hedged part), charge it at part
+        granularity.
 
         This is the fault-isolation rule: a tenant whose faults force
         retries buys that extra device time out of its own SFQ share.
         """
         state = self._state(getattr(req.tag, "tenant", None))
-        start = self._tag(state, shard, req.nbytes)
+        if start is None:
+            start = self._tag(state, shard, req.nbytes)
         self._push(self._partq, shard, state, req, start)
 
     # -- selection ------------------------------------------------------------
@@ -372,6 +330,54 @@ class FairScheduler:
             )
         return entry.item
 
+    # -- the reactor's post stage ---------------------------------------------
+    def take_part(self, shard: int) -> Optional[object]:
+        """Remove and return the next part to post, or None."""
+        entry = self.select_part(shard)
+        return None if entry is None else self.take(shard, entry, "part")
+
+    def promote(self, shard: int, cache: object) -> Optional[tuple]:
+        """Give the next fetch a cache slot: ``(fetch, slot, start)``.
+
+        None when no fetch is eligible, or when the cache is out of
+        memory (not a quota denial: the partition's reservation is
+        undone and the fetch stays queued).
+        """
+        entry = self.select_fetch(shard)
+        if entry is None:
+            return None
+        fetch = entry.item
+        partition = self.partition
+        if partition is not None:
+            partition.reserve(
+                fetch.tenant, fetch.key, cache.chunks_needed(fetch.nbytes)
+            )
+        slot = cache.try_insert(fetch.key, fetch.nbytes)
+        if slot is None:
+            if partition is not None:
+                partition.cancel(fetch.key)
+            return None
+        self.take(shard, entry, "fetch")
+        return fetch, slot, entry.start
+
+    def drain(self, shard: int, kind: str) -> list:
+        """Empty one queue (``kind`` is "fetch" or "part"), oldest first.
+
+        Enqueue order, not SFQ order: the reactor drains to fail work at
+        stop or to move it off a dead lane, where fairness no longer
+        matters and determinism does.
+        """
+        queue = (self._fetchq if kind == "fetch" else self._partq).pop(
+            shard, None
+        )
+        if queue is None:
+            return []
+        entries = sorted(
+            (item for cls in queue.classes.values() for item in cls.heap),
+            key=lambda item: item[1],
+        )
+        return [entry.item for _start, _seq, entry in entries]
+
     def service_shares(self) -> dict[str, float]:
         """Fraction of device-service bytes each tenant has received."""
         total = sum(self.bytes_served.values())
@@ -394,13 +400,18 @@ class FairScheduler:
 
     # -- introspection --------------------------------------------------------
     def queued(self, shard: Optional[int] = None) -> int:
-        shards = [shard] if shard is not None else list(self._fetchq)
-        total = 0
-        for s in shards:
-            for queues in (self._fetchq, self._partq):
-                queue = queues.get(s)
-                total += queue.size if queue is not None else 0
-        return total
+        """Fetches and parts queued on ``shard`` (default: every shard)."""
+        if shard is None:
+            return sum(
+                queue.size
+                for queues in (self._fetchq, self._partq)
+                for queue in queues.values()
+            )
+        fetchq = self._fetchq.get(shard)
+        partq = self._partq.get(shard)
+        return (0 if fetchq is None else fetchq.size) + (
+            0 if partq is None else partq.size
+        )
 
     def __repr__(self) -> str:
         return (

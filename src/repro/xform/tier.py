@@ -117,8 +117,6 @@ class XformSpec:
     max_inflight_jobs: int = 16
     #: TransferEngine chunk size.
     chunk_bytes: int = 256 * 1024
-    #: TransferEngine per-destination chunk credits.
-    inflight_chunks: int = 4
     #: Pushdown mode: "worker" | "storage" | "cost".
     placement: str = "cost"
     #: Storage-node cores usable for pushdown stages (per node).
@@ -346,7 +344,6 @@ class XformTier:
         self.engine = TransferEngine(
             env, fs.cluster.fabric,
             chunk_bytes=spec.chunk_bytes,
-            inflight_per_dst=spec.inflight_chunks,
             registry=registry,
         )
         #: The effective pipeline (packed-format unpack prefixed).

@@ -90,13 +90,6 @@ class TransferEngine:
         self._c_chunks = metrics.counter("xform.net.chunks")
         self._h_latency = metrics.histogram("xform.net.transfer_latency")
 
-    def fluid_rate(self) -> float:
-        """This engine's steady-state bytes/s for fluid lane models."""
-        spec = self.fabric.spec
-        return fabric_fluid_rate(
-            spec.bandwidth, self.chunk_bytes, spec.propagation_latency
-        )
-
     def _credit(self, dst: str) -> Resource:
         credit = self._credits.get(dst)
         if credit is None:

@@ -1,5 +1,6 @@
 """Tests for the CLI entry point."""
 
+import re
 
 import pytest
 
@@ -26,6 +27,12 @@ class TestFigure:
         out = capsys.readouterr().out
         assert "ImageNet" in out
         assert "paper vs measured" in out
+
+    def test_stdout_has_no_wall_time_line(self, capsys):
+        assert main(["figure", "fig01"]) == 0
+        captured = capsys.readouterr()
+        assert not re.search(r"\[\S+ in [0-9.]+s\]", captured.out)
+        assert re.fullmatch(r"\[figure in [0-9.]+s\]\n", captured.err)
 
     def test_writes_output_file(self, tmp_path, capsys):
         assert main(["figure", "fig01", "--out", str(tmp_path)]) == 0

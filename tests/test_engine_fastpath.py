@@ -122,8 +122,8 @@ def test_constant_rank_tiebreak_keeps_insertion_order(seed):
 
 def _same_instant_order() -> list:
     """Fire order of four events due at t=1.0: two posted at the instant
-    (due heap) interleaved with two whose delay is absorbed by the float
-    addition (time heap, also at exactly t=1.0)."""
+    (succeed) interleaved with two timeouts whose delay is absorbed by
+    the float addition (also at exactly t=1.0)."""
     env = Environment(initial_time=1.0)
     fired = []
     for name in ("due-a", "absorbed-b", "due-c", "absorbed-d"):
@@ -136,11 +136,11 @@ def _same_instant_order() -> list:
     return fired
 
 
-def test_same_instant_events_merge_across_heaps_in_insertion_order():
+def test_same_instant_posts_and_absorbed_timeouts_fire_in_insertion_order():
     assert _same_instant_order() == ["due-a", "absorbed-b", "due-c", "absorbed-d"]
 
 
-def test_sanitizer_ranks_order_both_heaps():
+def test_sanitizer_ranks_order_posts_and_absorbed_timeouts():
     set_tiebreak_factory(_DescendingRanks)
     assert _same_instant_order() == ["absorbed-d", "due-c", "absorbed-b", "due-a"]
 

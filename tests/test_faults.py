@@ -40,6 +40,7 @@ from repro.hw import (
 )
 from repro.sim import Environment, RecoveryStats, Store
 from repro.spdk import IOQPair, SPDKRequest
+from repro.tenancy import TenantSpec
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ class TestErrorHierarchy:
 # ---------------------------------------------------------------------------
 
 def _mount(env, n=128, size=4 * KB, mode="sample", plan=None, recovery=None,
-           num_nodes=1, testbed=None, cluster_spec=None):
+           num_nodes=1, testbed=None, cluster_spec=None, tenants=()):
     if testbed is None:
         testbed = Testbed.paper() if num_nodes == 1 else Testbed.paper_emulated()
     cluster = Cluster(env, testbed, num_nodes=num_nodes, devices_per_node=1)
@@ -395,7 +396,7 @@ def _mount(env, n=128, size=4 * KB, mode="sample", plan=None, recovery=None,
     fs = DLFS.mount(
         cluster, ds,
         DLFSConfig(batching=mode, fault_plan=plan, recovery=recovery,
-                   cluster=cluster_spec),
+                   cluster=cluster_spec, tenants=tenants),
     )
     return fs
 
@@ -549,7 +550,7 @@ def _most_pending(env, lane):
 
     def listener(_now, _event):
         pending = sum(
-            lane._fire in item[-1].callbacks for item in env._queue + env._due
+            lane._fire in item[-1].callbacks for item in env._queue
         )
         most[0] = max(most[0], pending)
 
@@ -680,6 +681,12 @@ class TestTimerLanes:
 # Shutdown / drain semantics (satellite: CopyPool + Reactor.stop deadlock)
 # ---------------------------------------------------------------------------
 
+#: The reactor's request posting queues: FIFO, or (with tenants) the
+#: fair scheduler.  Stopping must drain queued work from either.
+_STOP_QUEUES = ((), (TenantSpec(name="t"),))
+_STOP_QUEUE_IDS = ("fifo", "fair")
+
+
 class TestShutdownDrain:
     def test_engine_deadlock_raises_deadlock_error(self):
         env = Environment()
@@ -687,12 +694,13 @@ class TestShutdownDrain:
         with pytest.raises(DeadlockError, match="deadlock"):
             env.run(until=ev)
 
-    def test_stop_with_inflight_job_does_not_deadlock(self):
+    @pytest.mark.parametrize("tenants", _STOP_QUEUES, ids=_STOP_QUEUE_IDS)
+    def test_stop_with_inflight_job_does_not_deadlock(self, tenants):
         """Regression: stopping the reactor while a job's I/O is in
         flight used to orphan the fetches — awaiting the job then hit
         the engine's deadlock detector.  The drain must complete it."""
         env = Environment()
-        fs = _mount(env)
+        fs = _mount(env, tenants=tenants)
         client = fs.client()
         job = ReadJob(
             samples=np.arange(16, dtype=np.int64), done=env.event()
@@ -713,9 +721,10 @@ class TestShutdownDrain:
         assert client.reactor.samples_delivered == delivered
         assert all(isinstance(e, SampleReadError) for e in job.errors)
 
-    def test_stop_before_any_posting_fails_all_samples(self):
+    @pytest.mark.parametrize("tenants", _STOP_QUEUES, ids=_STOP_QUEUE_IDS)
+    def test_stop_before_any_posting_fails_all_samples(self, tenants):
         env = Environment()
-        fs = _mount(env)
+        fs = _mount(env, tenants=tenants)
         client = fs.client()
         job = ReadJob(samples=np.arange(8, dtype=np.int64), done=env.event())
 

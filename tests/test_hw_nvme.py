@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, HardwareError, QueueFullError
 from repro.hw import KB, MB, USEC, NVMeDevice, NVMeSpec
+from repro.obs import Observability
 from repro.sim import Environment
 
 
@@ -43,9 +44,11 @@ class TestSoloLatency:
         transfer = dev.spec.transfer_time(16 * MB)
         assert cmd.latency == pytest.approx(transfer, rel=0.02)
 
-    def test_latency_recorded_in_tally(self, env, dev):
+    def test_latency_recorded_in_histogram(self, env, dev):
+        obs = Observability(env, metrics=True)
+        dev.install_observability(obs)
         drain(env, [dev.read(0, 4 * KB) for _ in range(5)])
-        assert dev.latency.count == 5
+        assert obs.metrics.histogram("nvme.latency").count == 5
 
 
 class TestThroughputEnvelope:

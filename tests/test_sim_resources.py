@@ -1,9 +1,9 @@
-"""Unit tests for Resource / PriorityResource / Store / Container."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
 from repro.errors import ResourceError
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 @pytest.fixture
@@ -148,66 +148,6 @@ class TestResource:
         assert env.run(until=p) == 1.0
 
 
-class TestPriorityResource:
-    def test_lowest_priority_value_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            yield from res.hold(1.0)
-
-        def proc(env, tag, prio):
-            yield env.timeout(0.1)
-            req = res.request(priority=prio)
-            yield req
-            order.append(tag)
-            yield env.timeout(0.5)
-            res.release(req)
-
-        env.process(holder(env))
-        env.process(proc(env, "low-urgency", 5.0))
-        env.process(proc(env, "high-urgency", 1.0))
-        env.run()
-        assert order == ["high-urgency", "low-urgency"]
-
-    def test_ties_are_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            yield from res.hold(1.0)
-
-        def proc(env, tag):
-            yield env.timeout(0.1)
-            req = res.request(priority=1.0)
-            yield req
-            order.append(tag)
-            res.release(req)
-
-        env.process(holder(env))
-        for tag in ("a", "b", "c"):
-            env.process(proc(env, tag))
-        env.run()
-        assert order == ["a", "b", "c"]
-
-    def test_cancel_from_heap(self, env):
-        res = PriorityResource(env, capacity=1)
-
-        def holder(env):
-            yield from res.hold(5.0)
-
-        def proc(env):
-            yield env.timeout(0.1)
-            req = res.request(priority=2.0)
-            yield env.timeout(0.1)
-            res.cancel(req)
-            return res.queue_length
-
-        env.process(holder(env))
-        p = env.process(proc(env))
-        assert env.run(until=p) == 0
-
-
 class TestStore:
     def test_put_then_get(self, env):
         store = Store(env)
@@ -296,72 +236,3 @@ class TestStore:
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
             Store(env, capacity=0)
-
-
-class TestContainer:
-    def test_get_available_quantity(self, env):
-        pool = Container(env, capacity=100.0, initial=100.0)
-
-        def proc(env):
-            yield pool.get(30.0)
-            return pool.level
-
-        assert env.run(until=env.process(proc(env))) == pytest.approx(70.0)
-
-    def test_get_blocks_until_put(self, env):
-        pool = Container(env, capacity=100.0, initial=0.0)
-
-        def getter(env):
-            yield pool.get(50.0)
-            return env.now
-
-        def putter(env):
-            yield env.timeout(2.0)
-            pool.put(50.0)
-
-        p = env.process(getter(env))
-        env.process(putter(env))
-        assert env.run(until=p) == 2.0
-
-    def test_fifo_no_starvation(self, env):
-        """A big waiter at the head blocks later small waiters (no bypass)."""
-        pool = Container(env, capacity=100.0, initial=10.0)
-        order = []
-
-        def getter(env, tag, amount, delay):
-            yield env.timeout(delay)
-            yield pool.get(amount)
-            order.append(tag)
-
-        def putter(env):
-            yield env.timeout(1.0)
-            pool.put(90.0)
-
-        env.process(getter(env, "big", 80.0, 0.0))
-        env.process(getter(env, "small", 5.0, 0.1))
-        env.process(putter(env))
-        env.run()
-        assert order == ["big", "small"]
-
-    def test_oversized_get_rejected(self, env):
-        pool = Container(env, capacity=10.0)
-        with pytest.raises(ResourceError):
-            pool.get(11.0)
-
-    def test_overflow_put_rejected(self, env):
-        pool = Container(env, capacity=10.0, initial=10.0)
-        with pytest.raises(ResourceError):
-            pool.put(1.0)
-
-    def test_nonpositive_amounts_rejected(self, env):
-        pool = Container(env, capacity=10.0, initial=5.0)
-        with pytest.raises(ValueError):
-            pool.get(0)
-        with pytest.raises(ValueError):
-            pool.put(-1.0)
-
-    def test_bad_construction(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0.0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10.0, initial=20.0)

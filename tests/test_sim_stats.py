@@ -1,98 +1,13 @@
 """Unit tests for the measurement accumulators."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.sim import Counter, Environment, Tally, ThroughputMeter, TimeWeighted
+from repro.sim import Counter, Environment, ThroughputMeter
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestTally:
-    def test_empty_tally_raises_on_mean(self):
-        with pytest.raises(ValueError):
-            Tally().mean
-
-    def test_single_value(self):
-        t = Tally()
-        t.observe(5.0)
-        assert t.count == 1
-        assert t.mean == 5.0
-        assert t.stdev == 0.0
-
-    def test_mean_and_stdev_known_values(self):
-        t = Tally()
-        t.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert t.mean == pytest.approx(5.0)
-        assert t.variance == pytest.approx(32.0 / 7.0)
-
-    def test_min_max_total(self):
-        t = Tally()
-        t.extend([3.0, 1.0, 2.0])
-        assert t.minimum == 1.0
-        assert t.maximum == 3.0
-        assert t.total == pytest.approx(6.0)
-
-    def test_percentiles(self):
-        t = Tally()
-        t.extend(float(i) for i in range(101))
-        assert t.percentile(50) == pytest.approx(50.0)
-        assert t.percentile(99) == pytest.approx(99.0)
-
-    def test_summary_keys(self):
-        t = Tally("lat")
-        t.extend([1.0, 2.0])
-        s = t.summary()
-        assert set(s) == {"count", "mean", "stdev", "min", "p50", "p99", "max"}
-
-    def test_empty_summary(self):
-        assert Tally().summary() == {"count": 0}
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=200))
-    def test_welford_matches_direct_computation(self, values):
-        t = Tally()
-        t.extend(values)
-        direct_mean = sum(values) / len(values)
-        direct_var = sum((v - direct_mean) ** 2 for v in values) / (len(values) - 1)
-        assert t.mean == pytest.approx(direct_mean, rel=1e-9, abs=1e-6)
-        assert t.variance == pytest.approx(direct_var, rel=1e-6, abs=1e-6)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=100))
-    def test_mean_bounded_by_min_max(self, values):
-        t = Tally()
-        t.extend(values)
-        assert t.minimum - 1e-9 <= t.mean <= t.maximum + 1e-9
-
-
-class TestTimeWeighted:
-    def test_constant_level(self, env):
-        tw = TimeWeighted(env, initial=3.0)
-        env.run(until=10.0)
-        assert tw.average() == pytest.approx(3.0)
-
-    def test_step_change(self, env):
-        tw = TimeWeighted(env, initial=0.0)
-        env.run(until=5.0)
-        tw.set(10.0)
-        env.run(until=10.0)
-        assert tw.average() == pytest.approx(5.0)
-
-    def test_add_is_relative(self, env):
-        tw = TimeWeighted(env, initial=1.0)
-        tw.add(2.0)
-        assert tw.level == 3.0
-
-    def test_average_at_zero_elapsed_is_level(self, env):
-        tw = TimeWeighted(env, initial=7.0)
-        assert tw.average() == 7.0
-
-    def test_average_until_explicit_time(self, env):
-        tw = TimeWeighted(env, initial=2.0)
-        env.run(until=4.0)
-        assert tw.average(until=8.0) == pytest.approx(2.0)
 
 
 class TestCounter:
@@ -142,32 +57,6 @@ class TestThroughputMeter:
         m.record(nbytes=10, count=32)
         assert m.completions == 32
         assert m.bytes == 10
-
-
-class TestTallyEdgeCases:
-    """Regression tests for the zero/one-sample paths."""
-
-    def test_empty_percentile_is_zero(self):
-        assert Tally().percentile(50) == 0.0
-
-    def test_empty_min_max_are_zero(self):
-        t = Tally()
-        assert t.minimum == 0.0
-        assert t.maximum == 0.0
-
-    def test_percentile_range_validated(self):
-        t = Tally()
-        t.observe(1.0)
-        with pytest.raises(ValueError):
-            t.percentile(-1)
-        with pytest.raises(ValueError):
-            t.percentile(101)
-
-    def test_single_observation_variance_is_zero(self):
-        t = Tally()
-        t.observe(3.0)
-        assert t.variance == 0.0
-        assert t.stdev == 0.0
 
     def test_throughput_meter_zero_elapsed(self, env):
         m = ThroughputMeter(env)

@@ -332,10 +332,10 @@ def test_graph_resolves_package_reexports():
 
 def test_graph_method_lookup_walks_bases():
     g = ProjectGraph.build(["src/repro"])
-    # PriorityResource inherits release() from Resource.
-    info = g.method_on("repro.sim.resources.PriorityResource", "release")
+    # Timeout inherits defuse() from Event.
+    info = g.method_on("repro.sim.engine.Timeout", "defuse")
     assert info is not None
-    assert info.qname == "repro.sim.resources.Resource.release"
+    assert info.qname == "repro.sim.engine.Event.defuse"
 
 
 def test_graph_importers_feed_changed_closure():

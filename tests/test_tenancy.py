@@ -141,8 +141,8 @@ class TestFairScheduler:
             queue_depth=64,
         )
         for _ in range(90):
-            sched.enqueue_part_charged(0, _part("a", 1000))
-            sched.enqueue_part_charged(0, _part("b", 1000))
+            sched.push_part(0, _part("a", 1000))
+            sched.push_part(0, _part("b", 1000))
         served = {"a": 0, "b": 0}
         for _ in range(60):
             entry = sched.select_part(0)
@@ -162,9 +162,9 @@ class TestFairScheduler:
         )
         # The low-priority entry is the SFQ leader (enqueued first, so
         # the smallest start tag) but keeps being passed over ...
-        sched.enqueue_part_charged(0, _part("low", 1000))
+        sched.push_part(0, _part("low", 1000))
         for _ in range(10):
-            sched.enqueue_part_charged(0, _part("high", 1000))
+            sched.push_part(0, _part("high", 1000))
         order = []
         for _ in range(5):
             entry = sched.select_part(0)
@@ -183,7 +183,7 @@ class TestFairScheduler:
             queue_depth=8,
         )
         for _ in range(5):
-            sched.enqueue_part_charged(0, _part("a", 1000))
+            sched.push_part(0, _part("a", 1000))
         # cap = max(1, int(8 * 0.25)) = 2 concurrent posts.
         for _ in range(2):
             entry = sched.select_part(0)
@@ -197,8 +197,8 @@ class TestFairScheduler:
     def test_fetch_gate_filters_candidates(self):
         sched = FairScheduler((TenantSpec(name="a"), TenantSpec(name="b")),
                               queue_depth=8)
-        sched.enqueue_fetch(0, _fetch("a", 1000, key="ka"))
-        sched.enqueue_fetch(0, _fetch("b", 1000, key="kb"))
+        sched.push_fetch(0, _fetch("a", 1000, key="ka"))
+        sched.push_fetch(0, _fetch("b", 1000, key="kb"))
         sched.gate = lambda tenant, nbytes: tenant != "a"
         entry = sched.select_fetch(0)
         assert entry.tenant == "b"
@@ -232,17 +232,15 @@ class _ScanScheduler(FairScheduler):
             start=start, seq=self._seq, bypassed=0,
         ))
 
-    def enqueue_fetch(self, shard, fetch):
+    def push_fetch(self, shard, fetch):
         state = self._state(fetch.tenant)
         start = self._tag(state, shard, fetch.nbytes)
         self._append("fetch", shard, fetch, state, start)
 
-    def enqueue_part_inherit(self, shard, req, start):
-        self._append("part", shard, req, self._state(req.tag.tenant), start)
-
-    def enqueue_part_charged(self, shard, req):
+    def push_part(self, shard, req, start=None):
         state = self._state(req.tag.tenant)
-        start = self._tag(state, shard, req.nbytes)
+        if start is None:
+            start = self._tag(state, shard, req.nbytes)
         self._append("part", shard, req, state, start)
 
     def _pick(self, shard, kind, gate):
@@ -309,7 +307,7 @@ _SCHED_OPS = st.one_of(
     st.tuples(st.just("gate"), _limits),
     _select,
     _select,  # picks are what is compared: draw them twice as often
-    st.tuples(st.just("popleft"), _shard, st.sampled_from(_KINDS)),
+    st.tuples(st.just("drain"), _shard, st.sampled_from(_KINDS)),
 )
 
 
@@ -324,10 +322,7 @@ class TestClassHeapsMatchLinearScan:
         )
         heaps = FairScheduler(specs, queue_depth=4, max_bypass=2)
         scan = _ScanScheduler(specs, queue_depth=4, max_bypass=2)
-        reactor = SimpleNamespace(qpairs=dict.fromkeys(_SHARDS), _rpq={},
-                                  _postq={})
-        heaps.attach(reactor)
-        lanes = {"fetch": reactor._rpq, "part": reactor._postq}
+        lanes = {"fetch": heaps._fetchq, "part": heaps._partq}
         # A size-dependent quota gate; "gate" steps move its limits.
         limit = dict(zip(("a", "b", "c", "_untagged"), limits))
         heaps.gate = scan.gate = lambda tenant, nbytes: nbytes <= limit[tenant]
@@ -335,16 +330,16 @@ class TestClassHeapsMatchLinearScan:
             kind = op[0]
             if kind == "fetch":
                 fetch = _fetch(op[2], op[3])
-                heaps.enqueue_fetch(op[1], fetch)
-                scan.enqueue_fetch(op[1], fetch)
+                heaps.push_fetch(op[1], fetch)
+                scan.push_fetch(op[1], fetch)
             elif kind == "charged":
                 part = _part(op[2], op[3])
-                heaps.enqueue_part_charged(op[1], part)
-                scan.enqueue_part_charged(op[1], part)
+                heaps.push_part(op[1], part)
+                scan.push_part(op[1], part)
             elif kind == "inherit":
                 part, start = _part(op[2], op[3]), op[4] * 4096.0
-                heaps.enqueue_part_inherit(op[1], part, start)
-                scan.enqueue_part_inherit(op[1], part, start)
+                heaps.push_part(op[1], part, start)
+                scan.push_part(op[1], part, start)
             elif kind in ("posted", "complete"):
                 getattr(heaps, f"on_{kind}")(op[2], op[1])
                 getattr(scan, f"on_{kind}")(op[2], op[1])
@@ -359,17 +354,23 @@ class TestClassHeapsMatchLinearScan:
                     assert heaps.take(shard, got, lane) is scan.take(
                         shard, want, lane
                     )
-            elif scan.count(op[1], op[2]):
-                assert lanes[op[2]][op[1]].popleft() is scan.popleft(
-                    op[1], op[2]
-                )
+            else:
+                # Every queued item, in enqueue order.
+                _, shard, lane = op
+                want = [scan.popleft(shard, lane)
+                        for _ in range(scan.count(shard, lane))]
+                got = heaps.drain(shard, lane)
+                assert len(got) == len(want)
+                assert all(g is w for g, w in zip(got, want))
             assert heaps.preemptions == scan.preemptions
             assert heaps.forced_serves == scan.forced_serves
             assert heaps.bytes_served == scan.bytes_served
             for shard in _SHARDS:
                 assert heaps._vtime.get(shard, 0.0) == scan._vtime.get(shard, 0.0)
                 for lane in _KINDS:
-                    assert len(lanes[lane][shard]) == scan.count(shard, lane)
+                    queue = lanes[lane].get(shard)
+                    size = 0 if queue is None else queue.size
+                    assert size == scan.count(shard, lane)
 
 
 # ---------------------------------------------------------------------------
