@@ -234,7 +234,7 @@ def scale_hybrid_workload() -> Dict[str, Any]:
     """The hybrid-fidelity sweep target: fluid lanes + tagged flows.
 
     A downscaled diurnal day with a lane outage and cohort churn, so
-    epoch-boundary anchor moves, forced event-fidelity windows, and the
+    epoch-boundary anchor moves, the vectorized epoch charge, and the
     tagged event processes all run under perturbed tiebreaks.  The
     witness is the tagged order/latency digest pair plus the exact bulk
     counters — a tiebreak-dependent charge or impulse would diverge in

@@ -767,7 +767,11 @@ def _run(args: argparse.Namespace) -> int:
         say(f"== scale: {spec.users:,} users, {spec.cohorts} cohorts, "
             f"{spec.lanes} lanes, {spec.day:,.0f} s day, "
             f"seed {spec.seed} ==")
-        hybrid, hybrid_wall = _timed(run_scale, spec, mode="hybrid")
+        try:
+            hybrid, hybrid_wall = _timed(run_scale, spec, mode="hybrid")
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         total_requests = hybrid.bulk_requests + len(hybrid.tagged)
         say(f"hybrid wall       {hybrid_wall:.2f} s")
         say(f"events scheduled  {hybrid.events_scheduled:,}")

@@ -39,11 +39,14 @@ cannot silently couple to event-processing order.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
 from .rng import rng as sim_rng
@@ -71,9 +74,15 @@ __all__ = [
 #: the latency summation differs (arithmetic series vs per-event adds).
 EQUIVALENCE_EPSILON = 1e-9
 
-#: Forced event-fidelity window after each fault/churn boundary of a
-#: :class:`ScaleSpec` day, as a fraction of the day.
-EVENT_WINDOW = 0.002
+#: Most arrivals one schedule segment may realize: the fluid charge
+#: forms ``n * (n - 1)`` in int64, so ``n`` must stay below 2**31.
+MAX_SEGMENT_ARRIVALS = (1 << 31) - 1
+
+#: An extra epoch cut this fraction of a :class:`ScaleSpec` day after each
+#: fault/churn edge.  Every cut re-bases the lane anchors that tagged
+#: flows read, so dropping these cuts would move tagged latencies in
+#: their last bits.
+EDGE_CUT_DELAY = 0.002
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +212,11 @@ class RateEnvelope:
 # ---------------------------------------------------------------------------
 
 class _SchedSeg:
-    """One envelope segment realized as an arrival grid."""
+    """One envelope segment realized as an arrival grid.
+
+    An empty segment's grid has no points; its infinite gap makes the
+    grid inverse map every instant to index 0.
+    """
 
     __slots__ = ("start", "end", "count", "gap", "size")
 
@@ -211,7 +224,7 @@ class _SchedSeg:
         self.start = start
         self.end = end
         self.count = count
-        self.gap = (end - start) / count if count else 0.0
+        self.gap = (end - start) / count if count else math.inf
         self.size = size
 
 
@@ -226,7 +239,7 @@ class ArrivalSchedule:
     what makes per-interval request counts split integer-exactly.
     """
 
-    __slots__ = ("segments", "total")
+    __slots__ = ("segments", "total", "_ends")
 
     def __init__(self, envelope: RateEnvelope, fraction: float = 1.0) -> None:
         if fraction < 0:
@@ -236,50 +249,69 @@ class ArrivalSchedule:
         for seg in envelope.segments:
             dur = seg.end - seg.start
             count = int(dur * seg.rate * fraction + 0.5)
+            if count > MAX_SEGMENT_ARRIVALS:
+                raise ConfigError(
+                    f"segment [{seg.start}, {seg.end}) realizes {count} "
+                    f"arrivals; at most {MAX_SEGMENT_ARRIVALS} fit the "
+                    f"int64 series sums"
+                )
             segs.append(_SchedSeg(seg.start, seg.end, count, seg.size))
             total += count
         self.segments = tuple(segs)
         self.total = total
+        self._ends = tuple(seg.end for seg in segs)
 
     @staticmethod
-    def _index_at(seg: _SchedSeg, t: float) -> int:
-        """First arrival index ``k`` with ``t_k >= t`` (clamped).
+    def _index_at(segs: Sequence[_SchedSeg], t):
+        """First arrival index ``k`` with ``t_k >= t``, clamped to the count.
 
-        Exact inverse of the ``t_k = start + (k + 0.5) * gap`` grid:
-        the division round-trip can land one off for non-dyadic gaps,
-        so the candidate is snapped against the grid expression itself
-        (the one :meth:`arrivals_between` emits).  Without the snap, a
-        window cut through an arrival instant could count it twice or
-        drop it, and per-interval counts would stop telescoping.
+        Vectorized: entry ``[i, j]`` inverts instant ``t[i]`` against
+        the grid of ``segs[j]``.  Exact inverse of the
+        ``t_k = start + (k + 0.5) * gap`` grid: the division round-trip
+        can land one off for non-dyadic gaps, so the candidate is
+        snapped against the grid expression itself (the one
+        :meth:`arrivals_between` emits).  Without the snap, a window cut
+        through an arrival instant could count it twice or drop it, and
+        per-interval counts would stop telescoping.
         """
-        if seg.count == 0:
-            return 0
-        k = int(math.ceil((t - seg.start) / seg.gap - 0.5))
-        if k < 0:
-            k = 0
-        elif k > seg.count:
-            k = seg.count
-        while k > 0 and seg.start + (k - 0.5) * seg.gap >= t:
-            k -= 1
-        while k < seg.count and seg.start + (k + 0.5) * seg.gap < t:
-            k += 1
+        start = np.array([seg.start for seg in segs])
+        gap = np.array([seg.gap for seg in segs])
+        count = np.array([seg.count for seg in segs])
+        t = np.asarray(t, dtype=float)[:, None]
+        k = np.clip(np.ceil((t - start) / gap - 0.5), 0, count).astype(np.int64)
+        while True:
+            over = (k > 0) & (start + (k - 0.5) * gap >= t)
+            if not over.any():
+                break
+            k = k - over
+        while True:
+            under = (k < count) & (start + (k + 0.5) * gap < t)
+            if not under.any():
+                break
+            k = k + under
         return k
+
+    def _active(self, a: float, b: float) -> Iterator[_SchedSeg]:
+        """Segments with arrivals that overlap ``[a, b)``, by bisection."""
+        segs = self.segments
+        for i in range(bisect.bisect_right(self._ends, a), len(segs)):
+            seg = segs[i]
+            if seg.start >= b:
+                return
+            if seg.count:
+                yield seg
 
     def count_between(self, a: float, b: float) -> int:
         """Arrivals with ``a <= t_k < b``."""
-        n = 0
-        for seg in self.segments:
-            if seg.end <= a or seg.start >= b or seg.count == 0:
-                continue
-            n += self._index_at(seg, b) - self._index_at(seg, a)
-        return n
+        lo, hi = self._index_at(list(self._active(a, b)), (a, b))
+        return int((hi - lo).sum())
 
     def arrivals_between(self, a: float, b: float) -> Iterator[Tuple[float, int]]:
         """Yield ``(t_k, size)`` for every arrival in ``[a, b)``."""
-        for seg in self.segments:
-            if seg.end <= a or seg.start >= b or seg.count == 0:
-                continue
-            for k in range(self._index_at(seg, a), self._index_at(seg, b)):
+        segs = list(self._active(a, b))
+        lo, hi = self._index_at(segs, (a, b)).tolist()
+        for seg, k_lo, k_hi in zip(segs, lo, hi):
+            for k in range(k_lo, k_hi):
                 yield seg.start + (k + 0.5) * seg.gap, seg.size
 
 
@@ -297,8 +329,8 @@ class FluidLane:
     The lane is *registered* with its environment: after each
     ``env.run_epoch(until)`` the kernel calls :meth:`epoch_end` with the
     epoch bounds, and the lane charges the epoch's bulk arrivals
-    analytically (unless the window was covered by real events — fault
-    windows in hybrid mode, everything in all-event mode).
+    analytically — unless the run is all-event, where every bulk
+    arrival is a real :meth:`offer` and the lane charges nothing.
     """
 
     def __init__(
@@ -336,8 +368,8 @@ class FluidLane:
         self.tagged_requests = 0
         self.tagged_bytes = 0
         self.tagged_latency_sum = 0.0
-        #: Bulk before this instant is charged by real events (hybrid
-        #: fault windows set it; all-event mode pins it to +inf).
+        #: Bulk before this instant is charged by real events: the lane
+        #: start in hybrid mode, +inf in all-event mode.
         self.evented_until = float(start)
         #: Service is down before this instant (waits include the gap).
         self.outage_until = float(start)
@@ -388,10 +420,15 @@ class FluidLane:
         self._append_anchor(t, self.backlog_at(t), self._inflow - mu_eff)
 
     def set_outage(self, t: float, until: float) -> None:
-        """Service outage over ``[t, until)``: backlog fills undrained."""
+        """Service outage over ``[t, until)``: backlog fills undrained.
+
+        Outages overlap as a union: the lane stays down until the last
+        open one ends.
+        """
         if until <= t:
             raise ConfigError(f"outage until {until} <= start {t}")
-        self.outage_until = float(until)
+        if until > self.outage_until:
+            self.outage_until = float(until)
         self.set_inflow(t, self._inflow)
 
     def clear_outage(self, t: float) -> None:
@@ -429,7 +466,7 @@ class FluidLane:
         """
         a = t0 if t0 >= self.evented_until else self.evented_until
         if a < t1:
-            self._advance(a, t1)
+            self._charge(a, t1)
         net = self._marks[-1][2]
         self._marks = [(t1, self.backlog_at(t1), net)]
         registry = self._registry
@@ -439,72 +476,63 @@ class FluidLane:
             registry.counter(prefix + "bytes").value = self.fluid_bytes
             registry.gauge(prefix + "backlog").set(self.backlog_at(t1))
 
-    def _advance(self, t0: float, t1: float) -> None:
-        """Charge every bulk arrival in ``[t0, t1)`` in closed form."""
-        marks = self._marks
-        for i, (ta, ba, net) in enumerate(marks):
-            lo = t0 if t0 >= ta else ta
-            hi = marks[i + 1][0] if i + 1 < len(marks) else t1
-            if hi > t1:
-                hi = t1
-            if hi <= lo:
-                continue
-            for sched in self.schedules:
-                self._charge_interval(sched, lo, hi, ta, ba, net)
+    def _charge(self, t0: float, t1: float) -> None:
+        """Series-sum the waits of every bulk arrival in ``[t0, t1)``.
 
-    def _charge_interval(
-        self,
-        sched: ArrivalSchedule,
-        a: float,
-        b: float,
-        ta: float,
-        ba: float,
-        net: float,
-    ) -> None:
-        """Series-sum the waits of ``sched``'s arrivals in ``[a, b)``.
-
-        ``(ta, ba, net)`` is the anchor in force over the whole interval
-        (the caller splits at anchor instants), so each arrival's wait is
+        Each anchor ``(ta, ba, net)`` is in force from its instant to the
+        next one, so an arrival's wait in that interval is
         ``max(0, ba + net*(t_k - ta)) / mu`` plus the outage gap — both
         linear in ``t_k``, hence exactly summable as arithmetic series.
+        One numpy pass covers every (anchor interval, schedule segment)
+        pair: rows are intervals, columns the schedules' active segments.
+        The charges are then added one at a time in (interval, schedule)
+        order: a pairwise or compensated sum would move the float totals
+        by ulps, and they must not depend on how the charges were
+        computed.
         """
+        segs = [seg for sched in self.schedules for seg in sched._active(t0, t1)]
+        if not segs:
+            return
+        # Column vectors, one row per anchor interval [lo, hi).
+        ta, ba, net = np.array(self._marks).T[:, :, None]
+        lo = np.maximum(ta, t0)
+        hi = np.minimum(np.append(ta[1:], [[t1]], axis=0), t1)
+        k = ArrivalSchedule._index_at(segs, np.concatenate((lo, hi))[:, 0])
+        k_lo = k[:len(lo)]
+        n = k[len(lo):] - k_lo
+        start = np.array([seg.start for seg in segs])
+        gap = np.array([seg.gap for seg in segs])
         mu = self.mu
+        t_first = start + (k_lo + 0.5) * gap
+        wait_first = (ba + net * (t_first - ta)) / mu
+        dwait = net * gap / mu
+        # Backlog clamps at zero: count the leading arrivals that still
+        # see a positive backlog (it only crosses downward — anchors
+        # always start with backlog >= 0).
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            drained = np.minimum(np.ceil(wait_first / -dwait), n)
+        m = np.where(
+            wait_first <= 0.0, 0, np.where(dwait >= 0.0, n, drained)
+        ).astype(np.int64)
+        wait_sum = m * wait_first + dwait * (m * (m - 1) // 2)
+        # Outage edges are epoch boundaries, so no interval straddles one.
         out = self.outage_until
-        for seg in sched.segments:
-            if seg.end <= a or seg.start >= b or seg.count == 0:
-                continue
-            k_lo = ArrivalSchedule._index_at(seg, a)
-            k_hi = ArrivalSchedule._index_at(seg, b)
-            n = k_hi - k_lo
-            if n <= 0:
-                continue
-            t_first = seg.start + (k_lo + 0.5) * seg.gap
-            base = self.base_latency(seg.size)
-            wait_first = (ba + net * (t_first - ta)) / mu
-            dwait = net * seg.gap / mu
-            # Backlog clamps at zero: count the leading arrivals that
-            # still see a positive backlog (it only crosses downward —
-            # anchors always start with backlog >= 0).
-            if wait_first <= 0.0:
-                m = 0
-            elif dwait >= 0.0:
-                m = n
-            else:
-                m = math.ceil(wait_first / -dwait)
-                if m > n:
-                    m = n
-            wait_sum = m * wait_first + dwait * (m * (m - 1) // 2)
-            if b <= out:
-                # Entire interval inside the outage (outage edges are
-                # epoch boundaries, so intervals never straddle them).
-                t_sum = n * t_first + seg.gap * (n * (n - 1) // 2)
-                wait_sum += n * out - t_sum
-            self.requests += n
-            self.bytes += n * seg.size
-            self.latency_sum += wait_sum + n * base
-            self.fluid_requests += n
-            self.fluid_bytes += n * seg.size
-            self.fluid_latency_sum += wait_sum + n * base
+        t_sum = n * t_first + gap * (n * (n - 1) // 2)
+        wait_sum = np.where(hi <= out, wait_sum + (n * out - t_sum), wait_sum)
+        base = np.array([self.base_latency(seg.size) for seg in segs])
+        live = n > 0
+        for count, seg in zip(np.where(live, n, 0).sum(axis=0).tolist(), segs):
+            self.requests += count
+            self.bytes += count * seg.size
+            self.fluid_requests += count
+            self.fluid_bytes += count * seg.size
+        total = self.latency_sum
+        fluid = self.fluid_latency_sum
+        for charge in (wait_sum + n * base)[live].tolist():
+            total += charge
+            fluid += charge
+        self.latency_sum = total
+        self.fluid_latency_sum = fluid
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +639,10 @@ def tagged_digests(records: Sequence[TaggedRecord]) -> Tuple[str, str]:
 class ScaleSpec:
     """A fleet-scale diurnal day: cohorts of users over fluid lanes.
 
-    Times in ``bumps``/``churn``/``faults`` (and :data:`EVENT_WINDOW`)
+    Times in ``bumps``/``churn``/``faults`` (and :data:`EDGE_CUT_DELAY`)
     are *fractions of the day*, so a downscaled slice (``sliced``) keeps
-    the same shape.  The diurnal profile has 24 segments.
+    the same shape.  The diurnal profile has 24 segments.  Outages on
+    one lane may overlap; the lane is down over their union.
     """
 
     users: int = 1_000_000
@@ -747,10 +776,9 @@ def _cohort_envelopes(spec: ScaleSpec) -> List[Tuple[str, RateEnvelope, int]]:
     return out
 
 
-def _bulk_emitter(env, lane: FluidLane, sched: ArrivalSchedule,
-                  start: float, end: float):
+def _bulk_emitter(env, lane: FluidLane, sched: ArrivalSchedule, end: float):
     """All-event bulk: one real kernel event per scheduled arrival."""
-    for t_k, size in sched.arrivals_between(start, end):
+    for t_k, size in sched.arrivals_between(0.0, end):
         delay = t_k - env.now
         if delay > 0.0:
             yield env.timeout(delay)
@@ -774,20 +802,21 @@ def _tagged_process(env, lane: FluidLane, flow: TaggedFlow,
 
 
 def _boundaries(spec: ScaleSpec, cohorts=None) -> List[float]:
-    """Epoch boundaries: envelope edges, faults, churn, window ends."""
+    """Epoch boundaries: envelope edges, faults, churn, and the cuts
+    :data:`EDGE_CUT_DELAY` after each fault/churn edge."""
     edges = [0.0, spec.day]
     if cohorts is None:
         cohorts = _cohort_envelopes(spec)
     for _, envelope, _ in cohorts:
         edges.extend(envelope.boundaries())
-    window = EVENT_WINDOW * spec.day
+    delay = EDGE_CUT_DELAY * spec.day
     forcing = []
     for _, down, up in spec.faults:
         forcing.extend([down * spec.day, up * spec.day])
     for _, join, leave in spec.churn:
         forcing.extend([join * spec.day, leave * spec.day])
     edges.extend(forcing)
-    edges.extend(t + window for t in forcing if t + window < spec.day)
+    edges.extend(t + delay for t in forcing if t + delay < spec.day)
     cut = sorted(e for e in edges if 0.0 <= e <= spec.day)
     out: List[float] = []
     for e in cut:
@@ -804,11 +833,12 @@ def run_scale(
 ) -> ScaleReport:
     """Simulate the fleet-scale day at the requested fidelity.
 
-    ``mode="hybrid"`` advances bulk lanes analytically between epoch
-    boundaries (faults and churn force bounded event windows);
+    ``mode="hybrid"`` charges every bulk arrival analytically at epoch
+    boundaries, so only tagged flows run as kernel events;
     ``mode="event"`` emits every bulk arrival as a kernel event.  Both
-    share the anchor trajectory, schedules, and tagged substreams, so
-    tagged results are bit-identical (see :func:`equivalence_check`).
+    share the epoch cuts, anchor trajectory, schedules, and tagged
+    substreams, so tagged results are bit-identical (see
+    :func:`equivalence_check`).
 
     ``envelopes`` overrides the built-in diurnal cohort envelopes with
     explicit ``(name, RateEnvelope, flows)`` triples — the scenario DSL
@@ -843,14 +873,13 @@ def run_scale(
     # lanes (the front-end balancer's fluid share).
     from ..cluster.serving import fluid_bulk_shares
     shares = fluid_bulk_shares(spec.lanes)
-    lane_scheds: List[List[ArrivalSchedule]] = [[] for _ in lanes]
     for name, envelope, flows in cohorts:
         k = min(spec.tagged_per_cohort, flows)
         bulk_frac = (flows - k) / flows
-        for li, share in enumerate(shares):
-            sched = ArrivalSchedule(envelope, fraction=bulk_frac * share)
-            lane_scheds[li].append(sched)
-            lanes[li].schedules.append(sched)
+        for lane, share in zip(lanes, shares):
+            lane.schedules.append(
+                ArrivalSchedule(envelope, fraction=bulk_frac * share)
+            )
 
     # Tagged flows: seeded choice per cohort, round-robin over lanes.
     for name, envelope, flows in cohorts:
@@ -874,29 +903,19 @@ def run_scale(
     if mode == "event":
         for lane in lanes:
             lane.evented_until = math.inf
-        for li, lane in enumerate(lanes):
-            for sched in lane_scheds[li]:
+            for sched in lane.schedules:
                 env.process(
-                    _bulk_emitter(env, lane, sched, 0.0, spec.day),
+                    _bulk_emitter(env, lane, sched, spec.day),
                     name=f"bulk.{lane.name}",
                 )
 
-    window = EVENT_WINDOW * spec.day
-    fault_down = {down * spec.day: (idx, up * spec.day)
-                  for idx, down, up in spec.faults}
-    fault_up = {up * spec.day: idx for idx, down, up in spec.faults}
-    churn_edges = []
-    for _, join, leave in spec.churn:
-        churn_edges.extend([join * spec.day, leave * spec.day])
-
     edges = _boundaries(spec, cohorts)
     for a, b in zip(edges, edges[1:]):
-        down = fault_down.get(a)
-        if down is not None:
-            lanes[down[0]].set_outage(a, down[1])
-        up = fault_up.get(a)
-        if up is not None:
-            lanes[up].clear_outage(a)
+        for idx, down, up in spec.faults:
+            if down * spec.day == a:
+                lanes[idx].set_outage(a, up * spec.day)
+        # Re-anchoring every lane also brings back a lane whose last
+        # open outage ended at ``a``.
         for li, lane in enumerate(lanes):
             inflow = 0.0
             for sname, envelope, flows in cohorts:
@@ -905,29 +924,6 @@ def run_scale(
                     envelope.bytes_rate_at(a) * ((flows - k) / flows) * shares[li]
                 )
             lane.set_inflow(a, inflow)
-        if mode == "hybrid":
-            # Fault/churn boundaries force a bounded event-fidelity
-            # window on the affected lanes: real bulk events, no
-            # analytic charging, so transients are event-accurate.
-            affected = []
-            if down is not None:
-                affected = [down[0]]
-            elif up is not None:
-                affected = [up]
-            elif a in churn_edges:
-                affected = list(range(spec.lanes))
-            for li in affected:
-                w_end = a + window
-                if w_end > spec.day:
-                    w_end = spec.day
-                lane = lanes[li]
-                if w_end > lane.evented_until:
-                    lane.evented_until = w_end
-                for sched in lane_scheds[li]:
-                    env.process(
-                        _bulk_emitter(env, lane, sched, a, w_end),
-                        name=f"bulkwin.{lane.name}",
-                    )
         env.run_epoch(until=b)
     env.run()
 

@@ -175,3 +175,12 @@ class TestFleet:
         assert main(["fleet", "--preset", "xform", "--quick",
                      "--stages", "none", "--worker-crash", "0=0.001"]) == 2
         assert "no transform stages" in capsys.readouterr().err
+
+
+class TestScale:
+    """The `scale` subcommand: the hybrid-fidelity fleet day."""
+
+    def test_day_too_dense_for_the_series_sums_exits_2(self, capsys):
+        assert main(["scale", "--users", "100000000", "--rate", "100",
+                     "--no-check"]) == 2
+        assert "error: segment" in capsys.readouterr().err

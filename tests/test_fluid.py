@@ -10,6 +10,7 @@ and the event sum are then the same dyadic arithmetic.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.errors import ConfigError
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 from repro.sim.fluid import (
+    EQUIVALENCE_EPSILON,
     ArrivalSchedule,
     FluidLane,
     RateEnvelope,
@@ -98,6 +100,11 @@ class TestEnvelope:
         envl = _const_envelope(100.0, 64, end=1.0)
         assert ArrivalSchedule(envl, fraction=0.25).total == 25
 
+    def test_segment_too_dense_for_int64_series_is_rejected(self):
+        # n * (n - 1) of 2**31 arrivals would wrap in the int64 charge.
+        with pytest.raises(ConfigError):
+            ArrivalSchedule(_const_envelope(2.0 ** 31, 64, end=1.0))
+
 
 class TestZeroRateBoundaries:
     """Phase boundaries against rate=0 intervals (diurnal troughs).
@@ -122,13 +129,13 @@ class TestZeroRateBoundaries:
         for seg in sched.segments:
             for k in range(seg.count):
                 t_k = seg.start + (k + 0.5) * seg.gap
-                # First index with t >= t_k is k itself, exactly.
-                assert sched._index_at(seg, t_k) == k
-                # Nudging past t_k moves to k+1: no arrival is ever
+                # First index with t >= t_k is k itself, exactly, and
+                # nudging past t_k moves to k+1: no arrival is ever
                 # double-counted or dropped at a cut through t_k.
-                assert sched._index_at(seg, math.nextafter(t_k, seg.end)) == k + 1
+                nudged = math.nextafter(t_k, seg.end)
+                assert sched._index_at([seg], [t_k, nudged]).ravel().tolist() == [k, k + 1]
         zero = sched.segments[0]
-        assert zero.count == 0 and sched._index_at(zero, 0.5) == 0
+        assert zero.count == 0 and sched._index_at([zero], [0.5]).item() == 0
 
     def test_zero_rate_interval_counts_zero_and_edges_are_clean(self):
         sched = ArrivalSchedule(self.TROUGHY)
@@ -184,6 +191,149 @@ def _fluid_lane(stages, sched, inflow=0.0):
     if inflow:
         lane.set_inflow(0.0, inflow)
     return env, lane
+
+
+def _scalar_index_at(seg, t):
+    """The scalar grid inverse the elementwise ``_index_at`` replaced."""
+    if seg.count == 0:
+        return 0
+    k = int(math.ceil((t - seg.start) / seg.gap - 0.5))
+    if k < 0:
+        k = 0
+    elif k > seg.count:
+        k = seg.count
+    while k > 0 and seg.start + (k - 0.5) * seg.gap >= t:
+        k -= 1
+    while k < seg.count and seg.start + (k + 0.5) * seg.gap < t:
+        k += 1
+    return k
+
+
+class _ScalarLane(FluidLane):
+    """Reference oracle: the scalar epoch charge the numpy pass replaced.
+
+    One call per (anchor interval, schedule), each scanning every
+    segment and adding its charge to the float sums as it goes.  The
+    vectorized charge must reproduce every counter and sum bit for bit.
+    """
+
+    def _charge(self, t0, t1):
+        marks = self._marks
+        for i, (ta, ba, net) in enumerate(marks):
+            lo = t0 if t0 >= ta else ta
+            hi = marks[i + 1][0] if i + 1 < len(marks) else t1
+            if hi > t1:
+                hi = t1
+            if hi <= lo:
+                continue
+            for sched in self.schedules:
+                self._charge_interval(sched, lo, hi, ta, ba, net)
+
+    def _charge_interval(self, sched, a, b, ta, ba, net):
+        mu = self.mu
+        out = self.outage_until
+        for seg in sched.segments:
+            if seg.end <= a or seg.start >= b or seg.count == 0:
+                continue
+            k_lo = _scalar_index_at(seg, a)
+            n = _scalar_index_at(seg, b) - k_lo
+            if n <= 0:
+                continue
+            t_first = seg.start + (k_lo + 0.5) * seg.gap
+            base = self.base_latency(seg.size)
+            wait_first = (ba + net * (t_first - ta)) / mu
+            dwait = net * seg.gap / mu
+            if wait_first <= 0.0:
+                m = 0
+            elif dwait >= 0.0:
+                m = n
+            else:
+                m = math.ceil(wait_first / -dwait)
+                if m > n:
+                    m = n
+            wait_sum = m * wait_first + dwait * (m * (m - 1) // 2)
+            if b <= out:
+                t_sum = n * t_first + seg.gap * (n * (n - 1) // 2)
+                wait_sum += n * out - t_sum
+            self.requests += n
+            self.bytes += n * seg.size
+            self.latency_sum += wait_sum + n * base
+            self.fluid_requests += n
+            self.fluid_bytes += n * seg.size
+            self.fluid_latency_sum += wait_sum + n * base
+
+
+_DAY = 8.0
+_instant = st.floats(min_value=0.01, max_value=_DAY - 0.01,
+                     allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _troughy_schedule(draw):
+    """A multi-segment schedule over [0, _DAY) with zero-rate troughs."""
+    edges = sorted({0.0, *draw(st.lists(_instant, max_size=5)), _DAY})
+    rates = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=400.0)),
+        min_size=len(edges) - 1, max_size=len(edges) - 1,
+    ))
+    size = draw(st.sampled_from([4096, 65536, 262144]))
+    envelope = RateEnvelope(tuple(
+        Segment(a, b, rate, size)
+        for a, b, rate in zip(edges, edges[1:], rates)
+    ))
+    return ArrivalSchedule(envelope, fraction=draw(
+        st.floats(min_value=0.05, max_value=1.0)))
+
+
+class TestVectorizedCharge:
+    """The numpy epoch charge against the scalar loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scheds=st.lists(_troughy_schedule(), min_size=1, max_size=3),
+        cuts=st.lists(_instant, max_size=8),
+        inflows=st.lists(st.floats(min_value=0.0, max_value=2.5e6),
+                         min_size=9, max_size=9),
+        impulses=st.lists(
+            st.tuples(_instant, st.integers(min_value=1, max_value=1 << 21)),
+            max_size=40,
+        ),
+        outage=st.one_of(st.none(), st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.integers(min_value=1, max_value=8),
+        )),
+    )
+    def test_bit_identical_to_scalar_loop(
+        self, scheds, cuts, inflows, impulses, outage
+    ):
+        # Epoch cuts fall anywhere, so epochs straddle segment edges;
+        # inflows swing around mu, so backlogs build and drain through
+        # zero; outage edges sit on epoch boundaries, as in run_scale.
+        bounds = sorted({0.0, *cuts, _DAY})
+        if outage is not None:
+            i, j = sorted(outage)
+            i, j = min(i, len(bounds) - 2), min(j, len(bounds) - 1)
+            outage = (bounds[i], bounds[j]) if i < j else None
+        impulses = sorted(impulses)
+
+        def drive(cls):
+            lane = cls(Environment(), "lane", (("nvme", 1e6), ("fabric", 3.7e6)))
+            lane.schedules.extend(scheds)
+            for (a, b), inflow in zip(zip(bounds, bounds[1:]), inflows):
+                if outage is not None and a == outage[0]:
+                    lane.set_outage(*outage)
+                lane.set_inflow(a, inflow)
+                for t, size in impulses:
+                    if a <= t < b:
+                        lane.offer(t, size, tagged=True)
+                lane.epoch_end(a, b)
+            return lane
+
+        fast, ref = drive(FluidLane), drive(_ScalarLane)
+        assert fast.requests == ref.requests == sum(s.total for s in scheds)
+        for name in ("bytes", "latency_sum", "fluid_requests", "fluid_bytes",
+                     "fluid_latency_sum", "tagged_latency_sum"):
+            assert getattr(fast, name) == getattr(ref, name), name
 
 
 class TestConstantRateExactness:
@@ -420,10 +570,39 @@ class TestScale:
         assert r1.events_scheduled == r2.events_scheduled
 
     def test_hybrid_elides_most_events(self):
+        # SMALL has churn and an outage, and still no bulk request
+        # becomes an event: the kernel sees only the tagged flows (one
+        # start and one exit per flow, one timeout per request).
         r = run_scale(SMALL, mode="hybrid")
-        assert r.elide_ratio > 0.9
         assert r.fluid_requests > 0
-        assert len(r.tagged) > 0
+        assert all(lane["fluid_requests"] == lane["requests"] for lane in r.lanes)
+        flows = SMALL.cohorts * SMALL.tagged_per_cohort
+        assert r.events_scheduled == len(r.tagged) + 2 * flows
+
+    def test_simultaneous_outages_each_match_their_single_fault_run(self):
+        both = run_scale(replace(SMALL, faults=((0, 0.5, 0.6), (1, 0.5, 0.6))))
+        for idx in (0, 1):
+            alone = run_scale(replace(SMALL, faults=((idx, 0.5, 0.6),)))
+            assert both.lanes[idx] == alone.lanes[idx]
+            lane = f"lane{idx}"
+            assert ([r for r in both.tagged if r.lane == lane]
+                    == [r for r in alone.tagged if r.lane == lane])
+
+    def test_nested_outage_keeps_the_lane_down_for_the_outer_one(self):
+        outer = (0, 0.5, 0.6)
+        spec = replace(SMALL, churn=())
+        nested = run_scale(replace(spec, faults=(outer, (0, 0.52, 0.55))))
+        # Moving the inner outage to lane 1 keeps every epoch cut, so
+        # lane 0 must come out bit-identical.
+        twin = run_scale(replace(spec, faults=(outer, (1, 0.52, 0.55))))
+        assert nested.lanes[0] == twin.lanes[0]
+        assert ([r for r in nested.tagged if r.lane == "lane0"]
+                == [r for r in twin.tagged if r.lane == "lane0"])
+        # Against the outer outage alone only the extra cuts differ.
+        alone = run_scale(replace(spec, faults=(outer,)))
+        assert nested.lanes[0]["requests"] == alone.lanes[0]["requests"]
+        assert nested.lanes[0]["latency_sum"] == pytest.approx(
+            alone.lanes[0]["latency_sum"], rel=EQUIVALENCE_EPSILON)
 
     def test_event_mode_elides_nothing(self):
         r = run_scale(SMALL, mode="event")
