@@ -921,7 +921,7 @@ class RunReport:
     #: merge clients (counts sum, percentiles from the merged records).
     per_tenant: tuple
     #: Every job completion ``(t_done, tenant, latency, delivered,
-    #: failed)``, merged and sorted; empty under the fair-queue scheduler.
+    #: failed)``, merged and sorted.
     records: tuple
     #: Merged reactor recovery counters (retries, failovers, node_down, ...).
     recovery: dict
@@ -1113,18 +1113,18 @@ def run_fleet(spec: FleetSpec) -> RunReport:
     for client in clients:
         for key, value in client.reactor.recovery_stats.as_dict().items():
             recovery[key] = recovery.get(key, 0) + value
+    records = tuple(
+        sorted(rec for rt in runtimes for rec in rt.accounting.records)
+    )
     if spec.fair_queue:
         sched = runtimes[0].scheduler
         out.update(
-            layers=("fair_queue",), records=(),
+            layers=("fair_queue",),
             per_tenant=tuple(runtimes[0].accounting.rows()),
             preemptions=sched.preemptions, forced_serves=sched.forced_serves,
         )
     else:
-        records = tuple(sorted(rec for rt in runtimes for rec in rt.records))
-        out.update(
-            records=records, per_tenant=_merge_tenant_rows(runtimes, records)
-        )
+        out.update(per_tenant=_merge_tenant_rows(runtimes, records))
     if fs.cluster_state is not None:
         routed: dict = {}
         for client in clients:
@@ -1158,6 +1158,7 @@ def run_fleet(spec: FleetSpec) -> RunReport:
         jobs=sum(e.jobs_completed for e in engines),
         sim_time=env.now,
         samples_read=np.concatenate([e.samples_read() for e in engines]),
+        records=records,
         recovery=recovery,
         obs=fs.obs,
         **out,

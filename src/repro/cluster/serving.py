@@ -396,30 +396,6 @@ class FrontEndBalancer:
         return f"<FrontEndBalancer loads={self.loads}>"
 
 
-class _RecordingAccounting:
-    """TenantAccounting wrapper that also timestamps every completion.
-
-    The crash/rejoin benches need *windowed* latency percentiles (the
-    victim window around a crash vs the no-crash baseline); the plain
-    accounting only keeps whole-run histograms.
-    """
-
-    def __init__(self, inner, env) -> None:
-        self._inner = inner
-        self._env = env
-        #: (t_done, tenant, latency, delivered, failed) per job.
-        self.records: list[tuple] = []
-
-    def on_job_done(self, tenant, latency, delivered, failed, nbytes) -> None:
-        self.records.append(
-            (self._env.now, tenant, latency, delivered, failed)
-        )
-        self._inner.on_job_done(tenant, latency, delivered, failed, nbytes)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class ClusterRuntime:
     """Tenant runtime facade for cluster serving.
 
@@ -435,17 +411,11 @@ class ClusterRuntime:
 
         self.env = env
         self.reactor = reactor
-        self.accounting = _RecordingAccounting(
-            TenantAccounting(env, tuple(specs), registry=registry), env
-        )
+        self.accounting = TenantAccounting(env, tuple(specs), registry=registry)
 
     def submit(self, job) -> bool:
         self.reactor.submit(job)
         return True
-
-    @property
-    def records(self) -> list:
-        return self.accounting.records
 
 
 class ClusterLifecycle:

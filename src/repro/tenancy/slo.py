@@ -29,7 +29,12 @@ class TenantAccounting:
             from ..obs.metrics import MetricsRegistry
 
             registry = MetricsRegistry(env)
+        self.env = env
         self.registry = registry
+        #: ``(t_done, tenant, latency, delivered, failed)`` per completed
+        #: job: windowed percentiles (crash benches) and merged
+        #: multi-client rows need more than whole-run histograms.
+        self.records: list[tuple] = []
         self._specs = {}
         for spec in specs:
             self._specs[spec.name] = spec
@@ -66,6 +71,7 @@ class TenantAccounting:
         nbytes: int,
     ) -> None:
         spec = self._spec(tenant)
+        self.records.append((self.env.now, tenant, latency, delivered, failed))
         r = self.registry
         r.counter(f"tenant.{tenant}.jobs_completed").incr()
         r.counter(f"tenant.{tenant}.samples_delivered").incr(delivered)
