@@ -12,7 +12,14 @@ properties:
   lose zero samples (every admitted sample delivered, ``failed == 0``),
   keep the victim-window job p99 within ``P99_DEGRADATION`` of the
   no-crash baseline, and recover post-rejoin throughput to within
-  ``RECOVERY_TOLERANCE`` of the baseline over the same window.
+  ``RECOVERY_TOLERANCE`` of the baseline over the same window;
+* **isolation** — the preset's tenant mix (closed-loop ``train`` with
+  4 workers per client beside the open-loop ``serve`` tenant) must keep
+  serve's job p99 within its own SLO, with zero SLO misses.  The run is
+  long enough for train's sample range to become cache-resident (near
+  50 ms on the full fleet): from then on train's jobs are cache hits
+  that keep every reactor's SCQ busy, and a poll loop that drained the
+  SCQ before posting starved serve's fetches of qpair slots.
 
 The victim window is ``[crash, rejoin + settle]``; the post-rejoin
 window starts at ``rejoin + SETTLE_MARGIN`` — the margin covers the
@@ -33,7 +40,7 @@ import sys
 
 import numpy as np
 
-from repro.bench.workloads import dlfs_cluster
+from repro.bench.workloads import cluster_tenants, dlfs_cluster
 
 #: (storage nodes, clients) pairs swept by the scaling section.
 FLEETS = ((2, 1), (4, 2), (8, 4))
@@ -136,6 +143,32 @@ def run_failover(horizon: float, storage: int, clients: int):
     }
 
 
+def run_isolation(quick: bool):
+    """Serve's tail beside the preset's closed-loop train tenant."""
+    specs, workloads = cluster_tenants()
+    slo = {s.name: s.slo_latency for s in specs}["serve"]
+    workers = {w.name: w.concurrency for w in workloads}["train"]
+    fields = (
+        dict(num_storage=4, num_clients=1, num_samples=2048, horizon=0.03)
+        if quick else dict(horizon=0.1)
+    )
+    r = dlfs_cluster(**fields)
+    serve = next(row for row in r.per_tenant if row["tenant"] == "serve")
+    ok = serve["p99"] <= slo and serve["slo_violations"] == 0
+    return {
+        **fields,
+        "train_workers_per_client": workers,
+        "serve_slo": slo,
+        "serve_jobs": serve["jobs"],
+        "serve_p50": serve["p50"],
+        "serve_p99": serve["p99"],
+        "serve_slo_misses": serve["slo_violations"],
+        "throughput": r.sample_throughput,
+        "failed": r.failed,
+        "ok": ok,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -188,7 +221,18 @@ def main(argv=None) -> int:
           f"aborted {lc.get('handoffs_aborted', 0)}) "
           f"failovers={failover['recovery'].get('failovers', 0)}")
 
-    ok = scaling_ok and failover["ok"]
+    isolation = run_isolation(args.quick)
+    print(f"\n-- isolation: serve beside "
+          f"{isolation['train_workers_per_client']} closed-loop train "
+          f"workers per client, horizon "
+          f"{isolation['horizon'] * 1e3:.0f} ms --")
+    print(f"  serve p99        {isolation['serve_p99'] * 1e3:.3f} ms "
+          f"(p50 {isolation['serve_p50'] * 1e3:.3f} ms, "
+          f"SLO {isolation['serve_slo'] * 1e3:.0f} ms), "
+          f"{isolation['serve_slo_misses']} of {isolation['serve_jobs']} "
+          f"jobs over SLO [{'ok' if isolation['ok'] else 'FAIL'}]")
+
+    ok = scaling_ok and failover["ok"] and isolation["ok"]
     artifact = {
         "ok": ok,
         "horizon": horizon,
@@ -199,6 +243,7 @@ def main(argv=None) -> int:
         "settle_margin": SETTLE_MARGIN,
         "scaling": scaling,
         "failover": failover,
+        "isolation": isolation,
     }
     with open(args.out, "w") as fh:
         json.dump(artifact, fh, indent=2)

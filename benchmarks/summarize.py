@@ -42,7 +42,7 @@ class ArtifactError(Exception):
 REQUIRED_KEYS = {
     "engine": ("digest_check", "benchmarks"),
     "tenancy": ("ok", "fairness", "isolation"),
-    "cluster": ("ok", "scaling", "failover"),
+    "cluster": ("ok", "scaling", "failover", "isolation"),
     "xform": ("ok", "cells"),
     "scale": ("ok", "hybrid"),
 }
@@ -96,6 +96,10 @@ def _fmt(value, spec=",.0f"):
 
 def _speedup(value):
     return "—" if value is None else f"{_fmt(value, '.2f')}x"
+
+
+def _ms(seconds):
+    return None if seconds is None else seconds * 1e3
 
 
 # -- per-artifact summarizers -------------------------------------------------
@@ -166,6 +170,7 @@ def summarize_tenancy(data):
 def summarize_cluster(data):
     scaling = data.get("scaling", ())
     failover = data.get("failover", {})
+    isolation = data.get("isolation", {})
     eff = None
     if len(scaling) >= 2 and scaling[0].get("per_client"):
         eff = scaling[-1].get("per_client", 0) / scaling[0]["per_client"]
@@ -174,7 +179,11 @@ def summarize_cluster(data):
         f"{scaling[-1].get('storage') if scaling else '?'} nodes, "
         f"crash p99 x{_fmt(failover.get('victim_p99_ratio'), '.2f')} "
         f"(bar {_fmt(data.get('p99_degradation_bar'), 'g')}x), "
-        f"{failover.get('failed_crash', '?')} samples lost in failover"
+        f"{failover.get('failed_crash', '?')} samples lost in failover, "
+        f"serve p99 {_fmt(_ms(isolation.get('serve_p99')), '.2f')} ms "
+        f"beside closed-loop train (SLO "
+        f"{_fmt(_ms(isolation.get('serve_slo')), 'g')} ms, "
+        f"{isolation.get('serve_slo_misses', '?')} misses)"
     )
     detail = ["| storage nodes | clients | throughput (samples/s) |",
               "|---|---|---|"]

@@ -16,7 +16,7 @@ immediately) without simulating every empty poll iteration.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Generator, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
 from ..errors import ConfigError, QPairResetError, QueueFullError
 from ..hw import NVMeDevice, STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK
@@ -82,6 +82,10 @@ class IOQPair:
         self._generation = 0
         #: request -> generation for every live in-flight request.
         self._live: dict[SPDKRequest, int] = {}
+        #: Called with each request as its slot frees (device completion
+        #: or reset abort), before the request reaches the sink: slot
+        #: accounting kept by the poster must not wait for the poll.
+        self.on_release: Optional[Callable[[SPDKRequest], None]] = None
         #: Observability (null objects until install_observability).
         self.tracer = NULL_TRACER
         self._h_latency = NULL_METRICS.histogram("")
@@ -235,6 +239,8 @@ class IOQPair:
             request.span.finish(status=status)
         if self.audit is not None:
             self.audit.check_delivery(self, generation)
+        if self.on_release is not None:
+            self.on_release(request)
         self.completion_sink.put_nowait(request)
 
     # -- reset / reconnect lifecycle ---------------------------------------------
@@ -263,6 +269,8 @@ class IOQPair:
             if request.span is not None:
                 request.span.event("aborted_by_reset")
                 request.span.finish(status=STATUS_ABORTED_RESET)
+            if self.on_release is not None:
+                self.on_release(request)
             self.completion_sink.put_nowait(request)
         return aborted
 

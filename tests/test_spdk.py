@@ -182,6 +182,24 @@ class TestLocalQPair:
         with pytest.raises(ConfigError):
             driver.connect(node.device, queue_depth=0)
 
+    def test_on_release_fires_as_the_slot_frees(self, env, cluster):
+        # Completion and reset abort both free the slot and call the
+        # hook before the request reaches the sink.
+        node, qp = self._connect(cluster, queue_depth=4)
+        seen = []
+        qp.on_release = lambda req: seen.append(
+            (req, qp.free_slots, len(qp.completion_sink))
+        )
+        done = make_request(node.hugepages)
+        qp.post(done)
+        env.run()
+        assert seen == [(done, 4, 0)]
+        aborted = make_request(node.hugepages, offset=8192)
+        qp.post(aborted)
+        qp.reset()
+        assert seen[1:] == [(aborted, 0, 1)]  # disconnected: no free slots
+        assert qp.completion_sink.items == (done, aborted)
+
 
 class TestRemoteQPair:
     def _connect_remote(self, env, cluster, **kw):

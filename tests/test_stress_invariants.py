@@ -286,3 +286,48 @@ class TestChaosInvariants:
         assert client.recovery_stats["budget_exhausted"] > 0
         report = client.error_report()
         assert report["failed_samples"] == 96
+
+
+class TestPostStage:
+    """The reactor's poll loop posts before it polls again: outside
+    shutdown it never takes an SCQ message while some lane has queued
+    work and a free qpair slot.  The configurations never run the cache
+    out of memory, because ``promote`` legitimately waits under memory
+    pressure."""
+
+    @pytest.mark.parametrize("num_storage, num_samples", [
+        (4, 2048),  # replicated lanes behind the balancer
+        (0, 1024),  # one local device, flat datapath
+    ])
+    def test_no_poll_with_a_post_pending(
+        self, monkeypatch, num_storage, num_samples
+    ):
+        from repro.bench.workloads import preset, run_fleet
+        from repro.core.reader import Reactor
+
+        takes, pending = [], []
+        init = Reactor.__init__
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            get = self.inbox.get
+
+            def checked_get():
+                takes.append(self.env.now)
+                if not self._stopping and self._pump_needed():
+                    pending.append(self.env.now)
+                return get()
+
+            self.inbox.get = checked_get
+
+        monkeypatch.setattr(Reactor, "__init__", spy_init)
+        r = run_fleet(preset(
+            "cluster", num_storage=num_storage, num_clients=1,
+            num_samples=num_samples, horizon=0.02,
+        ))
+        assert r.delivered > 0 and r.failed == 0
+        assert len(takes) > 500
+        assert not pending, (
+            f"{len(pending)} of {len(takes)} SCQ takes with a post "
+            f"pending, first at t={pending[0]:.6g}"
+        )
