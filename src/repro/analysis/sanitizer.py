@@ -267,7 +267,7 @@ def scenario_pack_workload() -> Dict[str, Any]:
     crash/rejoin wave, which exercises the handoff abort/re-graft race)
     in quick mode and witnesses their full fingerprint digests.  Any
     tiebreak-dependent ordering anywhere in a compiled scenario —
-    arrivals, phase windows, handoffs, per-phase histogram merges —
+    arrivals, phase windows, handoffs, per-job completion records —
     moves a digest.
     """
     from ..scenarios import SCENARIOS, fingerprint_digest, run_scenario

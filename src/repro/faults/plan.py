@@ -76,14 +76,6 @@ class FaultPlan:
     #: replicated :class:`~repro.core.DLFSConfig` (``config.cluster``).
     node_crashes: tuple = ()
 
-    # -- transform-worker crash/rejoin schedule (xform tier) -------------------
-    #: Deterministic transform-worker failures, as
-    #: ``((worker_index, crash_time, rejoin_time), ...)``; a crashed
-    #: worker loses its queued and in-service tasks (re-dispatched to
-    #: surviving lanes) and ``rejoin_time`` may be ``None``.  Driven by
-    #: :class:`repro.xform.XformTier` when a transform tier is built.
-    xform_crashes: tuple = ()
-
     def __post_init__(self) -> None:
         # Up-front validation: a bad plan fails at construction with a
         # one-line ConfigError, never minutes into a chaos run.
@@ -92,8 +84,7 @@ class FaultPlan:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in ("seed", "tenant_faults", "node_crashes",
-                          "xform_crashes"):
+            if f.name in ("seed", "tenant_faults", "node_crashes"):
                 continue
             if not math.isfinite(value):
                 raise ConfigError(f"fault plan field {f.name} must be finite")
@@ -119,28 +110,6 @@ class FaultPlan:
             ):
                 raise ConfigError(
                     f"node_crashes rejoin_time for node {node} must be "
-                    f"> crash_time {crash_time}, got {rejoin_time!r}"
-                )
-        for entry in self.xform_crashes:
-            if len(entry) != 3:
-                raise ConfigError(
-                    "xform_crashes entries must be (worker, crash_time, rejoin_time)"
-                )
-            worker, crash_time, rejoin_time = entry
-            if not isinstance(worker, int) or worker < 0:
-                raise ConfigError(
-                    f"xform_crashes worker index must be an int >= 0, got {worker!r}"
-                )
-            if not math.isfinite(crash_time) or crash_time < 0:
-                raise ConfigError(
-                    f"xform_crashes crash_time for worker {worker} must be >= 0, "
-                    f"got {crash_time!r}"
-                )
-            if rejoin_time is not None and (
-                not math.isfinite(rejoin_time) or rejoin_time <= crash_time
-            ):
-                raise ConfigError(
-                    f"xform_crashes rejoin_time for worker {worker} must be "
                     f"> crash_time {crash_time}, got {rejoin_time!r}"
                 )
         for entry in self.tenant_faults:
@@ -170,7 +139,6 @@ class FaultPlan:
             and self.qpair_reset_period == 0.0
             and not any(rate > 0.0 for _tenant, rate in self.tenant_faults)
             and not self.node_crashes
-            and not self.xform_crashes
         )
 
 
@@ -261,7 +229,7 @@ def parse_fault_plan(text: str) -> FaultPlan:
     updates = {}
     tenant_faults = []
     node_crashes = []
-    xform_crashes = []
+
     def _number(key, value, cast=float):
         try:
             return cast(value)
@@ -269,19 +237,6 @@ def parse_fault_plan(text: str) -> FaultPlan:
             raise ConfigError(
                 f"bad fault-plan value for {key!r}: {value!r}"
             ) from None
-
-    def _crash(key, node, value, into=node_crashes):
-        # Inline crash schedule: "crash.3=0.01:0.03" (crash:rejoin) or
-        # "crash.3=0.01" (never rejoins); "xcrash.N=..." targets
-        # transform workers the same way.
-        parts = str(value).split(":")
-        if len(parts) not in (1, 2):
-            raise ConfigError(
-                f"bad fault-plan entry {key!r}: expected crash[:rejoin] times"
-            )
-        crash_time = _number(key, parts[0])
-        rejoin_time = _number(key, parts[1]) if len(parts) == 2 else None
-        into.append((node, crash_time, rejoin_time))
 
     for key, value in items:
         if key.startswith("tenant."):
@@ -292,11 +247,17 @@ def parse_fault_plan(text: str) -> FaultPlan:
             tenant_faults.append((tenant, _number(key, value)))
             continue
         if key.startswith("crash."):
-            _crash(key, _number(key, key[len("crash."):].strip(), int), value)
-            continue
-        if key.startswith("xcrash."):
-            _crash(key, _number(key, key[len("xcrash."):].strip(), int),
-                   value, into=xform_crashes)
+            # Inline crash schedule: "crash.3=0.01:0.03" (crash:rejoin) or
+            # "crash.3=0.01" (never rejoins).
+            node = _number(key, key[len("crash."):].strip(), int)
+            parts = str(value).split(":")
+            if len(parts) not in (1, 2):
+                raise ConfigError(
+                    f"bad fault-plan entry {key!r}: expected crash[:rejoin] times"
+                )
+            crash_time = _number(key, parts[0])
+            rejoin_time = _number(key, parts[1]) if len(parts) == 2 else None
+            node_crashes.append((node, crash_time, rejoin_time))
             continue
         name = _ALIASES.get(key, key)
         if name not in valid:
@@ -306,17 +267,15 @@ def parse_fault_plan(text: str) -> FaultPlan:
             pairs = value.items() if isinstance(value, dict) else value
             tenant_faults.extend((t, _number(t, r)) for t, r in pairs)
             continue
-        if name in ("node_crashes", "xform_crashes"):
+        if name == "node_crashes":
             # JSON form: {"node_crashes": [[3, 0.01, 0.03], [5, 0.02, null]]}
-            # (same shape for xform_crashes, indexing transform workers).
-            into = node_crashes if name == "node_crashes" else xform_crashes
             for entry in value:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                     raise ConfigError(
                         f"{name} entries must be [index, crash, rejoin|null]"
                     )
                 node, crash_time, rejoin_time = entry
-                into.append((
+                node_crashes.append((
                     _number(name, node, int),
                     _number(name, crash_time),
                     None if rejoin_time is None
@@ -328,7 +287,5 @@ def parse_fault_plan(text: str) -> FaultPlan:
         updates["tenant_faults"] = tuple(tenant_faults)
     if node_crashes:
         updates["node_crashes"] = tuple(node_crashes)
-    if xform_crashes:
-        updates["xform_crashes"] = tuple(xform_crashes)
     # Construction validates (FaultPlan.__post_init__).
     return replace(FaultPlan(), **updates)

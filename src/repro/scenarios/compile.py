@@ -4,9 +4,9 @@ The DSL never grows a runtime of its own: a :class:`~.dsl.Scenario`
 compiles to exactly the objects the engines already consume —
 
 * tenancy / cluster / xform: ``(TenantSpec, ...)`` + ``(TenantWorkload,
-  ...)`` pairs for :class:`repro.tenancy.TrafficEngine`, plus a
-  :class:`repro.faults.FaultPlan` (tenant-keyed media drips, node and
-  transform-worker crash schedules);
+  ...)`` pairs for :class:`repro.tenancy.TrafficEngine`, a
+  :class:`repro.faults.FaultPlan` (tenant-keyed media drips and node
+  crash schedules) and the transform-worker crash schedule;
 * fluid: ``(name, RateEnvelope, flows)`` cohort triples for
   :func:`repro.sim.fluid.run_scale` plus a ``ScaleSpec`` carrying the
   lane topology and outage windows.
@@ -17,8 +17,8 @@ edge plus its own churn/hot-swap instants, and each active interval
 becomes a windowed ``TenantWorkload`` named ``tenant@phase.k``.  Every
 such workload draws from its own ``repro.sim.rng`` substream (streams
 are keyed by workload name), so the compiled scenario is deterministic
-and — because per-tenant metrics are keyed by workload name too — every
-counter and histogram is phase-scoped for free, with no mid-run
+and — because per-job completion records carry the workload name too —
+every fingerprint metric is phase-scoped for free, with no mid-run
 snapshot processes to race same-timestamp events under the sanitizer.
 """
 
@@ -168,7 +168,9 @@ def compile_fault_plan(
     Slow-drip media degradation compiles to per-interval tenant-keyed
     media rates: interval ``i``'s rate is ``fault_rate`` scaled by the
     interval's midpoint fraction, so the drip ramps linearly across the
-    run while staying a frozen, declarative plan.
+    run while staying a frozen, declarative plan.  Worker crashes are no
+    part of the plan: the fleet takes them as ``FleetSpec.xform_crashes``
+    (:func:`compile_crashes`).
     """
     from ..faults import FaultPlan
 
@@ -188,14 +190,12 @@ def compile_fault_plan(
             mid = 0.5 * (iv.lo + iv.hi)
             tenant_faults.append((wname, t.fault_rate * mid))
     node_crashes = compile_crashes(scn, "node_crash", horizon)
-    xform_crashes = compile_crashes(scn, "worker_crash", horizon)
-    if not tenant_faults and not node_crashes and not xform_crashes:
+    if not tenant_faults and not node_crashes:
         return None
     return FaultPlan(
         seed=seed if seed is not None else scn.seed,
         tenant_faults=tuple(tenant_faults),
         node_crashes=node_crashes,
-        xform_crashes=xform_crashes,
     )
 
 

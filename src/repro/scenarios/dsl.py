@@ -287,12 +287,12 @@ class Scenario:
     events: Tuple[EventSpec, ...] = ()
     num_samples: int = 3072
     sample_bytes: int = 16 * 1024
-    #: Cluster / xform topology.
-    storage: int = 4
-    clients: int = 2
-    replicas: int = 2
-    #: Xform tier: stage grammar (``repro.xform.parse_stages``) and
-    #: worker count.  Empty stages = no tier.
+    #: Fleet topology; ``None`` keeps the engine's fleet preset value.
+    storage: Optional[int] = None
+    clients: Optional[int] = None
+    replicas: Optional[int] = None
+    #: Xform tier (the xform engine only): stage grammar
+    #: (``repro.xform.parse_stages``) and worker count.
     stages: str = ""
     workers: int = 2
     #: Fluid engine: lanes, tagged flows per cohort, default cohort size.
@@ -323,7 +323,13 @@ class Scenario:
                 )
             names.add(t.name)
         realize_phases(self.phases)  # validates the timeline
+        if bool(self.stages) != (self.engine == "xform"):
+            raise ConfigError(
+                f"scenario {self.name!r}: transform stages are required "
+                "by, and only by, the xform engine"
+            )
         allowed = _EVENTS_BY_ENGINE[self.engine]
+        # A preset-default storage count is checked by the fleet builder.
         limits = {
             "node_crash": self.storage,
             "worker_crash": self.workers,
@@ -336,7 +342,7 @@ class Scenario:
                     f"scenario {self.name!r}: event {e.kind!r} does not "
                     f"apply to engine {self.engine!r}"
                 )
-            if e.target >= limits[e.kind]:
+            if limits[e.kind] is not None and e.target >= limits[e.kind]:
                 raise ConfigError(
                     f"scenario {self.name!r}: event target {e.target} "
                     f"out of range for {e.kind!r} (< {limits[e.kind]})"
@@ -353,8 +359,9 @@ class Scenario:
                 f"scenario {self.name!r}: num_samples and sample_bytes "
                 "must be >= 1"
             )
-        if min(self.storage, self.clients, self.replicas, self.workers,
-               self.lanes, self.tagged, self.users) < 1:
+        counts = (self.storage, self.clients, self.replicas, self.workers,
+                  self.lanes, self.tagged, self.users)
+        if any(n is not None and n < 1 for n in counts):
             raise ConfigError(
                 f"scenario {self.name!r}: topology counts must be >= 1"
             )

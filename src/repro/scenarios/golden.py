@@ -121,7 +121,6 @@ def write_golden(
 # ---------------------------------------------------------------------------
 
 _LAYER_PREFIXES = (
-    ("tenant.", "tenancy"),
     ("recovery.", "faults"),
     ("lifecycle.", "cluster"),
     ("balancer.", "cluster"),

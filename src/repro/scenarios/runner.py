@@ -4,12 +4,12 @@ A fingerprint is a plain JSON-able dict with four sections:
 
 * ``digests`` — sha1 of the sample-order witness and of the latency
   stream (``float.hex`` — bit-exact, no repr rounding);
-* ``counters`` — flat key counters (delivered/failed/jobs, recovery,
-  lifecycle, balancer, transform tier, fluid lanes), every key carrying
-  its layer in the prefix so a drift attributes itself;
-* ``percentiles`` — p50/p90/p99/p999 per tenant (tenancy: merged
-  phase-step histograms from the MetricsRegistry; cluster/xform: exact
-  nearest-rank over completion records; fluid: tagged-flow set);
+* ``counters`` — flat key counters (delivered/failed/jobs, scheduler,
+  recovery, lifecycle, balancer, transform tier, fluid lanes), every key
+  carrying its layer in the prefix so a drift attributes itself;
+* ``percentiles`` — p50/p90/p99/p999 per tenant (tenancy, cluster and
+  xform: exact nearest-rank over the fleet's per-job completion
+  records; fluid: tagged-flow set);
 * ``phases`` — the same metrics re-cut per phase window, so a drift
   names *which phase* moved, not just which metric.
 
@@ -51,10 +51,8 @@ def run_scenario(
     """Execute ``scn`` and return its fingerprint dict."""
     scn.validate()
     eff_seed = seed if seed is not None else scn.seed
-    if scn.engine == "tenancy":
-        fp = _run_tenancy(scn, quick, eff_seed, perturb)
-    elif scn.engine in _RECORD_ENGINES:
-        fp = _run_records(scn, quick, eff_seed, perturb)
+    if scn.engine in _FLEET_ENGINES:
+        fp = _run_fleet(scn, quick, eff_seed, perturb)
     elif scn.engine == "fluid":
         fp = _run_fluid(scn, quick, eff_seed, perturb)
     else:  # pragma: no cover - validate() rejects this
@@ -95,32 +93,6 @@ def _nearest_rank(lats: List[float]) -> dict:
     return out
 
 
-def _merge_histograms(hists) -> Optional[object]:
-    """Exact merge of same-bounds registry histograms."""
-    from ..obs.metrics import Histogram
-
-    hists = [h for h in hists if h is not None and h.count > 0]
-    if not hists:
-        return None
-    merged = Histogram("merged", bounds=hists[0].bounds)
-    for h in hists:
-        if h.bounds != merged.bounds:  # pragma: no cover - single default
-            raise ConfigError("cannot merge histograms with differing bounds")
-        merged.counts = [a + b for a, b in zip(merged.counts, h.counts)]
-        merged.count += h.count
-        merged.total += h.total
-        merged._min = min(merged._min, h._min)
-        merged._max = max(merged._max, h._max)
-    return merged
-
-
-def _hist_percentiles(hist) -> dict:
-    out = {"count": hist.count}
-    for p, key in _PCTS:
-        out[key] = hist.percentile(p)
-    return out
-
-
 def _phase_entries(scn: Scenario, horizon: float, per_phase: Dict[str, dict]):
     """Fingerprint ``phases`` section from per-phase metric dicts."""
     out = []
@@ -134,108 +106,11 @@ def _phase_entries(scn: Scenario, horizon: float, per_phase: Dict[str, dict]):
 
 
 # ---------------------------------------------------------------------------
-# tenancy
-# ---------------------------------------------------------------------------
-
-def _run_tenancy(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
-    from ..bench.workloads import dlfs_tenancy
-
-    horizon = scn.effective_horizon(quick)
-    specs, workloads = compile_workloads(scn, quick, perturb)
-    plan = compile_fault_plan(scn, quick, seed)
-    rep = dlfs_tenancy(
-        specs=specs,
-        workloads=workloads,
-        num_samples=scn.num_samples,
-        sample_bytes=scn.sample_bytes,
-        horizon=horizon,
-        warmup=0.0,
-        seed=seed,
-        metrics=True,
-        fault_plan=plan,
-    )
-    registry = rep.obs.metrics
-
-    lat = hashlib.sha1()
-    names = sorted(
-        n[len("tenant."):-len(".job_latency")]
-        for n in registry.histograms
-        if n.startswith("tenant.") and n.endswith(".job_latency")
-    )
-    hist_by_name = {}
-    for n in names:
-        h = registry.histograms[f"tenant.{n}.job_latency"]
-        hist_by_name[n] = h
-        lat.update(
-            f"{n}:{h.count}:{h.total.hex()}:"
-            f"{h.minimum.hex()}:{h.maximum.hex()}\n".encode("utf-8")
-        )
-
-    counters: dict = {
-        "delivered": rep.delivered,
-        "failed": rep.failed,
-        "rejected_jobs": rep.rejected_jobs,
-        "preemptions": rep.preemptions,
-        "forced_serves": rep.forced_serves,
-    }
-    by_base: Dict[str, dict] = {}
-    by_phase_base: Dict[str, Dict[str, List[str]]] = {}
-    for row in rep.per_tenant:
-        base, phase = split_workload_name(row["tenant"])
-        agg = by_base.setdefault(base, {
-            "jobs": 0, "rejected": 0, "samples": 0, "failed": 0,
-            "bytes": 0, "slo_violations": 0,
-        })
-        for key in agg:
-            agg[key] += row[key]
-        if phase:
-            by_phase_base.setdefault(phase, {}).setdefault(base, []).append(
-                row["tenant"]
-            )
-    for base, agg in sorted(by_base.items()):
-        for key, value in agg.items():
-            counters[f"tenant.{base}.{key}"] = value
-
-    percentiles: dict = {}
-    for base in sorted(by_base):
-        merged = _merge_histograms(
-            hist_by_name.get(n) for n in names
-            if split_workload_name(n)[0] == base
-        )
-        if merged is not None:
-            percentiles[base] = _hist_percentiles(merged)
-
-    per_phase: Dict[str, dict] = {}
-    for phase, bases in by_phase_base.items():
-        metrics: dict = {}
-        for base, wnames in sorted(bases.items()):
-            rows = [r for r in rep.per_tenant if r["tenant"] in wnames]
-            metrics[f"{base}.jobs"] = sum(r["jobs"] for r in rows)
-            metrics[f"{base}.samples"] = sum(r["samples"] for r in rows)
-            metrics[f"{base}.failed"] = sum(r["failed"] for r in rows)
-            merged = _merge_histograms(hist_by_name.get(n) for n in wnames)
-            if merged is not None:
-                metrics[f"{base}.p99"] = merged.percentile(99.0)
-        per_phase[phase] = metrics
-
-    return {
-        "sim_time": rep.sim_time,
-        "digests": {
-            "order": _order_digest(rep.samples_read),
-            "latency": lat.hexdigest(),
-        },
-        "counters": counters,
-        "percentiles": percentiles,
-        "phases": _phase_entries(scn, horizon, per_phase),
-    }
-
-
-# ---------------------------------------------------------------------------
-# cluster / xform (record-based engines)
+# tenancy / cluster / xform (one fleet run each)
 # ---------------------------------------------------------------------------
 
 def _records_fingerprint(scn: Scenario, horizon: float, rep) -> dict:
-    """Digests / percentiles / phases shared by cluster and xform."""
+    """Digests / percentiles / phases from the per-job records."""
     lat = hashlib.sha1()
     by_base: Dict[str, List[float]] = {}
     by_phase: Dict[str, Dict[str, List[float]]] = {}
@@ -278,54 +153,66 @@ def _scalar_items(prefix: str, mapping: dict) -> dict:
     return out
 
 
-#: Record-based engine (also its fleet preset) -> the RunReport sections
-#: flattened into its counters; a dotted name reaches into a nested dict.
-_RECORD_ENGINES = {
-    "cluster": ("recovery", "lifecycle", "balancer", "balancer.routed"),
-    "xform": ("tier", "routed"),
+#: Event-level engine -> (its fleet preset, the RunReport fields
+#: flattened into its counters).  A dotted name reaches into a nested
+#: dict; a dict field becomes one counter per scalar entry.
+_FLEET_ENGINES = {
+    "tenancy": ("serve", ("rejected_jobs", "preemptions", "forced_serves",
+                          "recovery")),
+    "cluster": ("cluster", ("recovery", "lifecycle", "balancer",
+                            "balancer.routed")),
+    "xform": ("xform", ("tier", "routed")),
 }
 
 
-def _run_records(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
+def _run_fleet(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
     from ..bench.workloads import preset, run_fleet
     from ..xform import XformSpec
     from ..xform.stages import parse_stages
 
-    xform = None
-    if scn.engine == "xform":
-        if not scn.stages:
-            raise ConfigError(
-                f"scenario {scn.name!r}: xform engine needs stages"
-            )
-        xform = XformSpec(stages=parse_stages(scn.stages), workers=scn.workers)
+    name, sections = _FLEET_ENGINES[scn.engine]
     horizon = scn.effective_horizon(quick)
     specs, workloads = compile_workloads(scn, quick, perturb)
+    topology = {
+        field: value for field, value in (
+            ("num_storage", scn.storage),
+            ("num_clients", scn.clients),
+            ("replicas", scn.replicas),
+        ) if value is not None
+    }
+    xform = None
+    if scn.stages:
+        xform = XformSpec(stages=parse_stages(scn.stages), workers=scn.workers)
     rep = run_fleet(preset(
-        scn.engine,
+        name,
         specs=specs,
         workloads=workloads,
-        num_storage=scn.storage,
-        num_clients=scn.clients,
-        replicas=scn.replicas,
         num_samples=scn.num_samples,
         sample_bytes=scn.sample_bytes,
         horizon=horizon,
+        # No service-share window: the serve preset's 10 ms warmup
+        # would outlast a quick tenancy horizon.
+        warmup=0.0,
         seed=seed,
-        node_crashes=compile_crashes(scn, "node_crash", horizon),
+        fault_plan=compile_fault_plan(scn, quick, seed),
         xform=xform,
         xform_crashes=compile_crashes(scn, "worker_crash", horizon),
+        **topology,
     ))
     counters = {
         "delivered": rep.delivered,
         "failed": rep.failed,
         "jobs": rep.jobs,
     }
-    for section in _RECORD_ENGINES[scn.engine]:
+    for section in sections:
         head, *path = section.split(".")
-        mapping = getattr(rep, head)
+        value = getattr(rep, head)
         for key in path:
-            mapping = mapping[key]
-        counters.update(_scalar_items(section, mapping))
+            value = value[key]
+        if isinstance(value, dict):
+            counters.update(_scalar_items(section, value))
+        else:
+            counters[section] = value
     fp = _records_fingerprint(scn, horizon, rep)
     fp["sim_time"] = rep.sim_time
     fp["counters"] = counters

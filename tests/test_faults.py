@@ -99,6 +99,22 @@ class TestFaultPlan:
         plan = parse_fault_plan('{"tenant_faults": {"alice": 0.02}}')
         assert plan.tenant_faults == (("alice", 0.02),)
 
+    @pytest.mark.parametrize("text", [
+        "xcrash.0=0.001:0.002",
+        '{"xform_crashes": [[0, 0.001, 0.002]]}',
+    ])
+    def test_parse_rejects_worker_crashes(self, text):
+        # Worker crashes have one schedule, FleetSpec.xform_crashes
+        # (fleet --worker-crash); a plan never carries them.
+        with pytest.raises(ConfigError, match="unknown fault-plan field"):
+            parse_fault_plan(text)
+
+    def test_parse_node_crashes(self):
+        plan = parse_fault_plan("crash.3=0.01:0.03,crash.5=0.02")
+        assert plan.node_crashes == ((3, 0.01, 0.03), (5, 0.02, None))
+        plan = parse_fault_plan('{"node_crashes": [[3, 0.01, null]]}')
+        assert plan.node_crashes == ((3, 0.01, None),)
+
 
 class TestRecoveryPolicy:
     def test_backoff_schedule_doubles_to_cap(self):

@@ -138,6 +138,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="out of range"):
             scn.validate()
 
+    @pytest.mark.parametrize("engine,stages", [
+        ("xform", ""), ("cluster", "parse"), ("tenancy", "parse"),
+    ])
+    def test_stages_belong_to_the_xform_engine(self, engine, stages):
+        scn = dataclasses.replace(CHEAP, engine=engine, stages=stages)
+        with pytest.raises(ConfigError, match="only by, the xform"):
+            scn.validate()
+
     def test_fluid_rejects_closed_loop_cohorts(self):
         scn = dataclasses.replace(
             CHEAP, engine="fluid",
@@ -221,6 +229,16 @@ class TestCompile:
 
     def test_fault_plan_none_when_clean(self):
         assert compile_fault_plan(CHEAP) is None
+
+    def test_worker_crashes_stay_out_of_the_fault_plan(self):
+        # FleetSpec.xform_crashes is the one worker-crash schedule; a plan
+        # holding only worker crashes would still arm the fault injector.
+        scn = dataclasses.replace(
+            CHEAP, engine="xform", stages="parse",
+            events=(EventSpec("worker_crash", at=0.25, until=0.5),),
+        )
+        assert compile_fault_plan(scn) is None
+        assert compile_crashes(scn, "worker_crash", 1.0) == ((0, 0.25, 0.5),)
 
     def test_crashes_scale_and_skew_by_target(self):
         scn = dataclasses.replace(
@@ -362,11 +380,13 @@ class TestGolden:
     def test_counter_drift_names_metric_and_layer(self):
         fp = run_scenario(CHEAP, quick=True)
         cur = json.loads(json.dumps(fp))
-        cur["counters"]["tenant.a.jobs"] += 1
-        drifts = compare_fingerprints(fp, cur)
-        d = {x.metric: x for x in drifts}["counters.tenant.a.jobs"]
+        cur["counters"]["preemptions"] += 1
+        cur["counters"]["recovery.degraded_time"] += 1.0
+        drifts = {x.metric: x for x in compare_fingerprints(fp, cur)}
+        d = drifts["counters.preemptions"]
         assert d.layer == "tenancy"
         assert d.current == d.golden + 1
+        assert drifts["counters.recovery.degraded_time"].layer == "faults"
 
     def test_phase_drift_carries_window(self):
         fp = run_scenario(CHEAP, quick=True)
