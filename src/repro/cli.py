@@ -447,14 +447,18 @@ def _run(args: argparse.Namespace) -> int:
             plan = dataclasses.replace(plan, seed=args.seed)
         samples = 512 if args.quick else args.samples
         epochs = 1 if args.quick else args.epochs
-        r = dlfs_chaos(
-            plan,
-            num_nodes=args.nodes,
-            sample_bytes=args.size,
-            num_samples=samples,
-            epochs=epochs,
-            mode=args.batching,
-        )
+        try:
+            r = dlfs_chaos(
+                plan,
+                num_nodes=args.nodes,
+                sample_bytes=args.size,
+                num_samples=samples,
+                epochs=epochs,
+                mode=args.batching,
+            )
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not args.json:
             print(f"== chaos: {args.nodes} nodes, {epochs} epochs, "
                   f"{samples} x {args.size} B samples ==")
@@ -500,14 +504,18 @@ def _run(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             print(f"error: --fault-plan: {exc}", file=sys.stderr)
             return 2
-        r = dlfs_observed(
-            samples=args.samples,
-            sample_bytes=args.size,
-            num_nodes=args.nodes,
-            mode=args.batching,
-            fault_plan=None if plan.is_zero else plan,
-            snapshot_period=args.snapshot_period,
-        )
+        try:
+            r = dlfs_observed(
+                samples=args.samples,
+                sample_bytes=args.size,
+                num_nodes=args.nodes,
+                mode=args.batching,
+                fault_plan=None if plan.is_zero else plan,
+                snapshot_period=args.snapshot_period,
+            )
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         trace_path = write_chrome_trace(r.obs.tracer, args.out / "trace.json")
         metrics_path = write_metrics(r.obs.metrics, args.out / "metrics.json")
         tables = []
