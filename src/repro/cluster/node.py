@@ -18,23 +18,22 @@ from ..sim import Environment
 __all__ = ["Node", "Cluster", "fluid_lane_stages"]
 
 
-def fluid_lane_stages(nvme=None, network=None, chunk_bytes: int = 256 * 1024):
+def fluid_lane_stages():
     """``(name, bytes/s)`` fluid service stages for one storage lane.
 
     The hybrid-fidelity engine (:mod:`repro.sim.fluid`) models a lane as
     a rate-balanced pipeline; this is the storage half: the NVMe read
-    stream feeding the chunked fabric link.  Rates come from the same
-    hardware specs the event-accurate models use, so the fluid
-    bottleneck is the one the per-event lane would saturate.
+    stream feeding the fabric link in 256 KiB chunks.  Rates come from
+    the same default hardware specs the event-accurate models use, so
+    the fluid bottleneck is the one the per-event lane would saturate.
     """
     from ..hw.platform import NetworkSpec, NVMeSpec
     from ..xform.transfer import fabric_fluid_rate
-    nvme = nvme or NVMeSpec()
-    network = network or NetworkSpec()
+    network = NetworkSpec()
     return (
-        ("nvme", float(nvme.read_bandwidth)),
+        ("nvme", float(NVMeSpec().read_bandwidth)),
         ("fabric", fabric_fluid_rate(
-            network.bandwidth, chunk_bytes, network.propagation_latency)),
+            network.bandwidth, 256 * 1024, network.propagation_latency)),
     )
 
 

@@ -53,25 +53,17 @@ __all__ = [
 ]
 
 
-def fluid_bulk_shares(lanes: int, weights=None) -> tuple:
+def fluid_bulk_shares(lanes: int) -> tuple:
     """Per-lane traffic fractions of the balancer's fluid model.
 
     The front-end balancer spreads steady-state bulk load evenly over
     live lanes (its residency/least-loaded preferences matter per
     request, not in aggregate), so the hybrid-fidelity engine charges
-    each lane ``1/lanes`` of the cohort envelope — or a normalized
-    ``weights`` vector when lanes are heterogeneous.
+    each lane ``1/lanes`` of the cohort envelope.
     """
     if lanes < 1:
         raise ConfigError(f"fluid_bulk_shares: lanes={lanes} < 1")
-    if weights is None:
-        return tuple(1.0 / lanes for _ in range(lanes))
-    if len(weights) != lanes or any(w < 0 for w in weights):
-        raise ConfigError("weights must be one non-negative value per lane")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ConfigError("weights must sum to > 0")
-    return tuple(float(w) / total for w in weights)
+    return tuple(1.0 / lanes for _ in range(lanes))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,8 @@ __all__ = ["DLFS", "DLFSClient", "DLFSConfig", "DLFSFile", "MountReport"]
 BATCH_NONE = "none"       # DLFS-Base: synchronous per-sample reads
 BATCH_SAMPLE = "sample"   # frontend sample-level batching
 BATCH_CHUNK = "chunk"     # + backend chunk-level batching (full DLFS)
+#: Default samples per bread() mini-batch (paper: 32).
+BATCH_PER_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,6 @@ class DLFSConfig:
     #: Fig 7(b): application compute injected per polling-loop
     #: iteration, in seconds.
     injected_compute: float = 0.0
-    #: Per-sample cost of the copy stage beyond the memcpy itself:
-    #: selecting the next valid sample, V-bit bookkeeping, and handing
-    #: the buffer across the API (calibrated against Fig 6's
-    #: DLFS/Ext4-MC ratio).
-    select_overhead: float = 0.60e-6
-    #: Per-completion handling beyond the raw poll iteration.
-    completion_overhead: float = 0.20e-6
-    #: Default samples per bread() mini-batch (paper: 32).
-    batch_per_rank: int = 32
     #: §III-C2 ablation: False polls every qpair's completion queue
     #: separately instead of the shared completion queue.
     use_scq: bool = True
@@ -126,10 +119,10 @@ class DLFSConfig:
     def validate(self) -> None:
         if self.batching not in (BATCH_NONE, BATCH_SAMPLE, BATCH_CHUNK):
             raise ConfigError(f"unknown batching mode {self.batching!r}")
-        if self.queue_depth < 1 or self.window < 1 or self.batch_per_rank < 1:
-            raise ConfigError("queue_depth, window, batch_per_rank must be >= 1")
-        if self.injected_compute < 0 or self.select_overhead < 0:
-            raise ConfigError("overheads must be >= 0")
+        if self.queue_depth < 1 or self.window < 1:
+            raise ConfigError("queue_depth and window must be >= 1")
+        if self.injected_compute < 0:
+            raise ConfigError("injected_compute must be >= 0")
         if self.snapshot_period < 0:
             raise ConfigError("snapshot_period must be >= 0")
         if self.fault_plan is not None:
@@ -536,8 +529,6 @@ class DLFSClient:
             plan=fs.plan,
             cpu_spec=testbed.cpu,
             net_spec=testbed.network,
-            select_overhead=config.select_overhead,
-            completion_overhead=config.completion_overhead,
             injected_compute=config.injected_compute,
             inbox=inbox,
             use_scq=config.use_scq,
@@ -627,7 +618,7 @@ class DLFSClient:
     # -- dlfs_sequence / dlfs_bread --------------------------------------------------
     def sequence(self, seed: int, batch_per_rank: Optional[int] = None) -> None:
         """``dlfs_sequence``: arm a new epoch from a shared seed."""
-        batch = batch_per_rank or self.config.batch_per_rank
+        batch = batch_per_rank or BATCH_PER_RANK
         if self.config.batching == BATCH_CHUNK:
             self._epoch = ChunkEpoch(self.fs.plan, seed, self.num_ranks)
             # Per-rank generator stream derived from (seed, rank).
@@ -669,7 +660,7 @@ class DLFSClient:
         Returns the indices of the delivered samples.  Requires a prior
         :meth:`sequence` call.
         """
-        count = count or self.config.batch_per_rank
+        count = count or BATCH_PER_RANK
         if self.config.batching == BATCH_CHUNK:
             samples = yield from self._bread_chunk(count)
         elif self.config.batching == BATCH_SAMPLE:

@@ -60,6 +60,12 @@ SHUTDOWN = object()
 KICK = object()
 #: Delay before a reset qpair reconnects and requeued I/O reposts.
 RECONNECT_DELAY = 1e-3
+#: Per-sample cost of the copy stage beyond the memcpy itself:
+#: selecting the next valid sample, V-bit bookkeeping, and handing the
+#: buffer across the API (calibrated against Fig 6's DLFS/Ext4-MC ratio).
+SELECT_OVERHEAD = 0.60e-6
+#: Per-completion handling beyond the raw poll iteration.
+COMPLETION_OVERHEAD = 0.20e-6
 
 
 class _DeadlineCheck:
@@ -357,10 +363,7 @@ class Reactor:
         plan: ChunkPlan,
         cpu_spec: CPUSpec,
         net_spec: NetworkSpec,
-        select_overhead: float = 0.15e-6,
-        completion_overhead: float = 0.20e-6,
         injected_compute: float = 0.0,
-        copy_pool: Optional[CopyPool] = None,
         inbox: Optional[Store] = None,
         use_scq: bool = True,
         zero_copy: bool = False,
@@ -379,10 +382,10 @@ class Reactor:
         self.plan = plan
         self.cpu = cpu_spec
         self.net = net_spec
-        self.select_overhead = select_overhead
-        self.completion_overhead = completion_overhead
         self.injected_compute = injected_compute
-        self.copy_pool = copy_pool
+        #: The copy-thread pool (set by the client when ``copy_cores``
+        #: are configured); ``None`` copies inline on the reactor core.
+        self.copy_pool: Optional[CopyPool] = None
         #: §III-C2 ablation: with the shared completion queue (SCQ)
         #: disabled, every completion pays a scan over all per-qpair
         #: completion queues instead of one consolidated check.
@@ -807,7 +810,7 @@ class Reactor:
         if not self.use_scq:
             # No SCQ: each completion round scans every qpair's CQ.
             poll_cost *= max(len(self.qpairs), 1)
-        poll_cost += self.completion_overhead
+        poll_cost += COMPLETION_OVERHEAD
         self._layers.add("poll", poll_cost)
         if poll_cost > 0.0:
             yield self.thread.delay(poll_cost)
@@ -1203,9 +1206,9 @@ class Reactor:
         its buffer, or (zero-copy mode) a retained cache reference."""
         self.cache.acquire(key)
         if self.zero_copy:
-            cost = self.select_overhead  # no memcpy: buffer is the cache
+            cost = SELECT_OVERHEAD  # no memcpy: buffer is the cache
         else:
-            cost = self.select_overhead + nbytes / self.cpu.memcpy_bandwidth
+            cost = SELECT_OVERHEAD + nbytes / self.cpu.memcpy_bandwidth
         span = None
         if self.tracer.enabled:
             track = (
