@@ -677,9 +677,9 @@ class DLFSClient:
         end = min(self._pos + count, len(self._delivery))
         d = self._delivery
         samples = d.order[self._pos:end]
-        requirements = [
-            (int(d.req_kind[i]), int(d.req_id[i])) for i in range(self._pos, end)
-        ]
+        requirements = list(zip(
+            d.req_kind[self._pos:end].tolist(), d.req_id[self._pos:end].tolist()
+        ))
         prefetch = self._prefetch_keys(end)
         self._pos = end
         self._release_lent()
@@ -697,13 +697,18 @@ class DLFSClient:
     def _prefetch_keys(self, from_pos: int) -> tuple:
         """Distinct upcoming requirements, up to the window depth."""
         d = self._delivery
+        window = self.config.window
+        # Read ahead in slices: a window's worth of distinct requirements
+        # usually lies within a few window lengths of entries.
+        step = 4 * window
         seen: list[tuple[int, int]] = []
-        i = from_pos
-        while i < len(d) and len(seen) < self.config.window:
-            req = (int(d.req_kind[i]), int(d.req_id[i]))
-            if req not in seen:
-                seen.append(req)
-            i += 1
+        for start in range(from_pos, len(d), step):
+            stop = start + step
+            for req in zip(d.req_kind[start:stop].tolist(), d.req_id[start:stop].tolist()):
+                if req not in seen:
+                    seen.append(req)
+                    if len(seen) == window:
+                        return tuple(seen)
         return tuple(seen)
 
     def _next_portion(self, count: int) -> np.ndarray:

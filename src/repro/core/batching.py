@@ -18,6 +18,9 @@ ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat, tee
+from operator import and_, ge, mul, rshift
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +40,10 @@ DEFAULT_CHUNK_BYTES = 256 * 1024
 #: Requirement kinds attached to each delivered sample.
 REQ_CHUNK = 0
 REQ_EDGE = 1
+
+#: 32-bit words drawn per numpy call by :func:`_uint32_words`.  The
+#: picks do not depend on it; it only trades numpy calls for overdraw.
+_WORD_BLOCK = 4096
 
 
 class ChunkPlan:
@@ -204,6 +211,44 @@ class DeliveryPlan:
         return len(self.order)
 
 
+def _uint32_words(rng: np.random.Generator) -> Iterator[int]:
+    """``rng``'s ``next_uint32`` stream as one iterator of Python ints,
+    drawn ``_WORD_BLOCK`` words per numpy call.
+
+    ``integers(0, 2**32, dtype=uint32)`` returns the generator's 32-bit
+    words unchanged.  The last block overdraws ``rng``, so the caller
+    must own ``rng`` and draw nothing else from it.
+    """
+    return chain.from_iterable(iter(
+        lambda: rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32).tolist(),
+        None,
+    ))
+
+
+def _uniform_picks(words: Iterator[int], n: int) -> Iterator[int]:
+    """Successive ``int(rng.integers(n))`` draws, for ``1 <= n <= 2**32``,
+    bit for bit, where ``words`` is ``_uint32_words(rng)``.
+
+    numpy draws ``integers(n)`` by Lemire's multiply-and-reject on the
+    ``next_uint32`` stream: ``m = word * n``; while the low 32 bits of
+    ``m`` are below ``(2**32 - n) % n``, ``m`` is remade from the next
+    word; the draw is ``m >> 32``.  ``n == 1`` draws no word.
+
+    The iterator is built from C-level iterators, so a pick costs no
+    Python call, and it is lazy: after each pick it has read ``words``
+    exactly through the accepted word.  A new ``_uniform_picks`` on the
+    same ``words`` therefore continues numpy's stream for another ``n``.
+    """
+    if n == 1:
+        return repeat(0)
+    threshold = ((1 << 32) - n) % n
+    products, leftovers = tee(map(mul, words, repeat(n)))
+    return compress(
+        map(rshift, products, repeat(32)),
+        map(ge, map(and_, leftovers, repeat(0xFFFFFFFF)), repeat(threshold)),
+    )
+
+
 def delivery_order(
     plan: ChunkPlan,
     chunks: np.ndarray,
@@ -218,10 +263,16 @@ def delivery_order(
     for the edge-sample stream — and delivers that cursor's next sample.
     An exhausted chunk leaves the window and the next chunk from the
     access list enters.
+
+    Each pick is ``integers(len(cursors))`` of the
+    ``dlfs.delivery.window`` generator seeded with ``seed``, computed by
+    :func:`_uniform_picks` from blocks of that generator's words instead
+    of one numpy call per delivered sample; the order is bit-identical
+    to the one-call-per-pick loop, which the tests keep as the oracle.
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
-    rng = sim_rng("dlfs.delivery.window", seed)
+    words = _uint32_words(sim_rng("dlfs.delivery.window", seed))
     chunk_iter = iter(int(g) for g in chunks)
     order: list[int] = []
     req_kind: list[int] = []
@@ -249,8 +300,12 @@ def delivery_order(
         cursors.append([REQ_EDGE, -1, list(map(int, edges)), 0])
     refill()
 
+    n = 0
     while cursors:
-        pick = int(rng.integers(len(cursors))) if len(cursors) > 1 else 0
+        if len(cursors) != n:
+            n = len(cursors)
+            picks = _uniform_picks(words, n)
+        pick = next(picks)
         cursor = cursors[pick]
         kind, ident, members, pos = cursor
         sample = members[pos]

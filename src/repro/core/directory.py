@@ -93,11 +93,8 @@ class SampleDirectory:
         order = np.argsort(member_keys, kind="stable")
         sorted_keys = member_keys[order]
         sorted_members = members[order]
-        payloads = [
-            (int(i), int(self.checks[i]))
-            for i in sorted_members
-        ]
-        tree = AVLTree.build_sorted([int(k) for k in sorted_keys], payloads)
+        payloads = list(zip(sorted_members.tolist(), self.checks[sorted_members].tolist()))
+        tree = AVLTree.build_sorted(sorted_keys.tolist(), payloads)
         self._trees[shard] = tree
         self._built_shards.add(shard)
         return tree

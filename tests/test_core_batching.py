@@ -1,13 +1,19 @@
 """Unit + property tests for chunk plans, epochs, and the DLFS ordering."""
 
+import hashlib
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ChunkEpoch, ChunkPlan, delivery_order
-from repro.core.batching import REQ_CHUNK, REQ_EDGE
-from repro.data import Dataset, DatasetLayout, imagenet_like, imdb_like
+from repro.core.batching import (
+    REQ_CHUNK, REQ_EDGE, DeliveryPlan, _uint32_words, _uniform_picks,
+)
+from repro.data import Dataset, DatasetLayout, FixedSize, imagenet_like, imdb_like
 from repro.errors import ConfigError
+from repro.sim import rng as sim_rng
 
 
 def make_plan(n=2000, shards=4, chunk=64 * 1024, dist=None, seed=0):
@@ -197,3 +203,170 @@ class TestDeliveryOrder:
         ds, _, plan = make_plan()
         with pytest.raises(ConfigError):
             delivery_order(plan, np.array([0]), np.array([]), seed=0, window=0)
+
+
+def reference_delivery_order(plan, chunks, edges, seed, window=8):
+    """The window discipline with one ``integers()`` call per pick: the
+    oracle for :func:`delivery_order`'s block-drawn picks."""
+    rng = sim_rng("dlfs.delivery.window", seed)
+    chunk_iter = iter(int(g) for g in chunks)
+    order, req_kind, req_id = [], [], []
+    cursors = []
+    chunk_cursors = 0
+
+    def refill():
+        nonlocal chunk_cursors
+        while chunk_cursors < window:
+            try:
+                gid = next(chunk_iter)
+            except StopIteration:
+                return
+            members = plan.chunk_members[gid].tolist()
+            if members:
+                cursors.append([REQ_CHUNK, gid, members, 0])
+                chunk_cursors += 1
+
+    if len(edges):
+        cursors.append([REQ_EDGE, -1, list(map(int, edges)), 0])
+    refill()
+
+    while cursors:
+        pick = int(rng.integers(len(cursors))) if len(cursors) > 1 else 0
+        cursor = cursors[pick]
+        kind, ident, members, pos = cursor
+        sample = members[pos]
+        order.append(sample)
+        if kind == REQ_CHUNK:
+            req_kind.append(REQ_CHUNK)
+            req_id.append(ident)
+        else:
+            req_kind.append(REQ_EDGE)
+            req_id.append(sample)
+        cursor[3] += 1
+        if cursor[3] >= len(members):
+            cursors.pop(pick)
+            if kind == REQ_CHUNK:
+                chunk_cursors -= 1
+                refill()
+
+    return DeliveryPlan(
+        order=np.asarray(order, dtype=np.int64),
+        req_kind=np.asarray(req_kind, dtype=np.int8),
+        req_id=np.asarray(req_id, dtype=np.int64),
+    )
+
+
+class TestDeliveryOracle:
+    @given(
+        n=st.integers(50, 600),
+        shards=st.integers(1, 4),
+        chunk=st.sampled_from([16 * 1024, 64 * 1024, 256 * 1024]),
+        plan_seed=st.integers(0, 20),
+        epoch_seed=st.integers(0, 2**31 - 1),
+        order_seed=st.integers(0, 2**31 - 1),
+        window=st.integers(1, 16),
+        with_edges=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_drawn_picks_match_one_call_per_pick(
+        self, n, shards, chunk, plan_seed, epoch_seed, order_seed, window, with_edges
+    ):
+        _, _, plan = make_plan(n=n, shards=shards, chunk=chunk, seed=plan_seed)
+        e = ChunkEpoch(plan, seed=epoch_seed)
+        edges = e.rank_edges(0) if with_edges else np.empty(0, dtype=np.int64)
+        got = delivery_order(plan, e.rank_chunks(0), edges, seed=order_seed, window=window)
+        want = reference_delivery_order(
+            plan, e.rank_chunks(0), edges, seed=order_seed, window=window
+        )
+        for field in ("order", "req_kind", "req_id"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype, field
+            assert np.array_equal(a, b), field
+
+
+#: Ranges where Lemire's rejection discards about half of all words.
+WIDE_RANGES = (2**31 + 1, 3 * 2**30 + 7)
+
+
+class TestUniformPicks:
+    @staticmethod
+    def picks(seed, runs):
+        """One ``_uniform_picks`` iterator per ``(n, count)`` run, all on
+        one word stream, as ``delivery_order`` uses them."""
+        words = _uint32_words(sim_rng("test.batching.picks", seed))
+        return [p for n, count in runs for p in islice(_uniform_picks(words, n), count)]
+
+    @staticmethod
+    def numpy_draws(seed, runs):
+        rng = sim_rng("test.batching.picks", seed)
+        return [int(rng.integers(n)) for n, count in runs for _ in range(count)]
+
+    def test_equals_integers_over_interleaved_ranges(self):
+        # 18k picks plus rejections span several word blocks; n == 1
+        # must draw no word, or every later pick shifts.
+        ranges = [2, 1, 9, 2**31 + 1, 17, 3 * 2**30 + 7, 1, 3, 2**32 - 1, 2**32] * 1800
+        runs = [(n, 1) for n in ranges]
+        assert self.picks(11, runs) == self.numpy_draws(11, runs)
+
+    def test_equals_integers_where_half_the_words_are_rejected(self):
+        runs = [(2**31 + 1, 3000), (9, 5), (3 * 2**30 + 7, 3000), (2, 1)]
+        assert self.picks(5, runs) == self.numpy_draws(5, runs)
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        runs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(1, 17), st.sampled_from(WIDE_RANGES), st.integers(1, 2**32)
+                ),
+                st.integers(1, 40),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_equals_integers_property(self, seed, runs):
+        assert self.picks(seed, runs) == self.numpy_draws(seed, runs)
+
+
+def delivery_digest(d):
+    h = hashlib.sha1()
+    for a in (d.order, d.req_kind, d.req_id):
+        h.update(a.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+#: sha1 of ``order``, ``req_kind`` and ``req_id`` (each as little-endian
+#: int64) of chunk-mode deliveries, recorded with the one-``integers()``-
+#: call-per-pick loop.  "fixed" is a plan of 4 KiB samples with no edge
+#: samples.  Columns: plan, epoch seed, ranks, rank, order seed, window,
+#: entries, digest.
+PINNED_DELIVERIES = [
+    ("imdb", 4, 2, 0, 11, 8, 1046, "e7a58c72d1cd854290a1fde453d749e58101fc98"),
+    ("imdb", 6, 1, 0, 7, 1, 2000, "3feb250411fc227765dedf19c35ef50c54540b02"),
+    ("imdb", 9, 3, 1, 2019, 3, 712, "fbed4ebb6a1d0fb5c44c4b4dd0dbfd3569c31f96"),
+    ("imdb", 1, 1, 0, 5, 16, 2000, "83dc104c0dc44e9e6d828d39f952ab324ab415cb"),
+    ("fixed", 2, 1, 0, 13, 8, 600, "2e54a5ea1194e71baed11fc3e0e07b36c4dc8461"),
+    ("fixed", 3, 2, 1, 42, 2, 300, "3d61f13c1a3cabb64aca09a5af630c02aac8ab86"),
+]
+
+
+class TestPinnedDeliveries:
+    @pytest.mark.parametrize(
+        "kind, epoch_seed, ranks, rank, seed, window, entries, digest", PINNED_DELIVERIES
+    )
+    def test_order_and_requirements_digest(
+        self, kind, epoch_seed, ranks, rank, seed, window, entries, digest
+    ):
+        if kind == "fixed":
+            _, _, plan = make_plan(n=600, dist=FixedSize(4096))
+            assert plan.num_edge_samples == 0
+        else:
+            _, _, plan = make_plan()
+        e = ChunkEpoch(plan, seed=epoch_seed, num_ranks=ranks)
+        d = delivery_order(
+            plan, e.rank_chunks(rank), e.rank_edges(rank), seed=seed, window=window
+        )
+        assert len(d) == entries
+        assert delivery_digest(d) == digest

@@ -172,6 +172,24 @@ class TestBreadModes:
 
         assert env.run(until=env.process(app(env))) == "exhausted"
 
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    def test_prefetch_keys_match_per_entry_scan(self, window):
+        env, cluster, ds, fs = make_rig(
+            mode="chunk", n=1500, dist=imdb_like(), window=window
+        )
+        client = fs.client()
+        client.sequence(seed=3)
+        d = client._delivery
+        for pos in range(len(d) + 1):
+            seen = []
+            i = pos
+            while i < len(d) and len(seen) < window:
+                req = (int(d.req_kind[i]), int(d.req_id[i]))
+                if req not in seen:
+                    seen.append(req)
+                i += 1
+            assert client._prefetch_keys(pos) == tuple(seen)
+
     def test_two_epochs_different_order(self):
         env, cluster, ds, fs = make_rig(mode="chunk", n=512)
         client = fs.client()
