@@ -121,16 +121,17 @@ def _run_figure(name: str, scale: float):
     return fn(scale=scale)
 
 
-def _parse_crash(spec: str) -> tuple:
-    """Parse a ``LANE=T1[:T2]`` crash spec into ``(lane, t1, t2|None)``."""
-    lane, _, times = spec.partition("=")
+def _parse_crash(spec: str, flag: str, unit: str) -> tuple:
+    """Parse a ``UNIT=T1[:T2]`` crash spec given to ``flag`` into
+    ``(index, t1, t2|None)``."""
+    index, _, times = spec.partition("=")
     t1, _, t2 = times.partition(":")
     try:
-        return (int(lane), float(t1), float(t2) if t2 else None)
+        return (int(index), float(t1), float(t2) if t2 else None)
     except ValueError:
         raise ValueError(
-            f"{spec!r}: expected LANE=T1[:T2] (integer lane, times in "
-            "sim seconds)"
+            f"{flag}: {spec!r}: expected {unit}=T1[:T2] (integer "
+            f"{unit.lower()}, times in sim seconds)"
         ) from None
 
 
@@ -677,10 +678,12 @@ def _run(args: argparse.Namespace) -> int:
             print(f"error: --fault-plan: {exc}", file=sys.stderr)
             return 2
         try:
-            crashes = tuple(_parse_crash(s) for s in args.crash)
-            worker_crashes = tuple(_parse_crash(s) for s in args.worker_crash)
+            crashes = tuple(_parse_crash(s, "--crash", "LANE") for s in args.crash)
+            worker_crashes = tuple(
+                _parse_crash(s, "--worker-crash", "WORKER") for s in args.worker_crash
+            )
         except ValueError as exc:
-            print(f"error: --crash: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         fields = dict(_FLEET_QUICK[args.preset]) if args.quick else {}
         fields.update(

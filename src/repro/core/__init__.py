@@ -3,8 +3,8 @@
 Sub-modules:
 
 * :mod:`entry` — 128-bit packed sample entries + name hashing;
-* :mod:`avltree` — the balanced tree under the sample directory;
-* :mod:`directory` — partitioned, replicated in-memory sample directory;
+* :mod:`directory` — partitioned, replicated in-memory sample directory,
+  one balanced tree per shard held as sorted key, payload and depth lists;
 * :mod:`sequence` — seeded global sample sequences (``dlfs_sequence``);
 * :mod:`batching` — chunk plans, access lists, DLFS-determined ordering;
 * :mod:`cache` — the hugepage sample cache;
@@ -13,13 +13,13 @@ Sub-modules:
 """
 
 from .api import DLFS, DLFSClient, DLFSConfig, DLFSFile, MountReport
-from .avltree import AVLTree
 from .batching import ChunkEpoch, ChunkPlan, DEFAULT_CHUNK_BYTES, delivery_order
 from .cache import CacheSlot, SampleCache
 from .directory import (
     LocalValidBits,
     LookupResult,
     SampleDirectory,
+    ShardTree,
     aggregate_directory,
 )
 from .entry import (
@@ -40,7 +40,6 @@ __all__ = [
     "DLFSConfig",
     "DLFSFile",
     "MountReport",
-    "AVLTree",
     "ChunkPlan",
     "ChunkEpoch",
     "DEFAULT_CHUNK_BYTES",
@@ -48,6 +47,7 @@ __all__ = [
     "SampleCache",
     "CacheSlot",
     "SampleDirectory",
+    "ShardTree",
     "LocalValidBits",
     "LookupResult",
     "aggregate_directory",

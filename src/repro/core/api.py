@@ -353,10 +353,10 @@ class DLFS:
             placement = [(n.index, 0) for n in cluster if n.devices]
         layout = BatchedFileLayout(dataset, files, num_shards=len(placement))
         fs = cls(cluster, dataset, config, placement, layout=layout)
-        fs.directory.build_all_shards()
         for i, f in enumerate(files):
             shard, offset, nbytes = layout.file_extent(i)
             fs.directory.register_file_entry(f.name, shard, offset, nbytes)
+        fs.directory.build_all_shards()
         fs._mounted = True
         return fs
 
@@ -369,7 +369,8 @@ class DLFS:
         """Timed collective ``dlfs_mount`` (paper §III-A/B2).
 
         Every shard node stages its portion from the parallel file
-        system onto its NVMe device, builds its local AVL tree, and one
+        system onto its NVMe device, builds its local directory tree
+        (charged as one hash and one AVL insert per sample), and one
         allgather replicates the directory.  Process helper.
         """
         env = self.env

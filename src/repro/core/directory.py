@@ -1,10 +1,16 @@
 """In-memory tree-based sample directory (paper §III-B).
 
-The directory is an array of balanced AVL trees, one per storage shard,
-keyed by the 48-bit hash of each sample's name.  Entries are the real
-128-bit packed records of :mod:`repro.core.entry`, held in two uint64
-numpy columns; tree payloads are ``(sample_index, check)`` pairs so key
-collisions resolve by the 16-bit check hash.
+The directory is an array of balanced search trees, one per storage
+shard, keyed by the 48-bit hash of each sample's name.  Entries are the
+real 128-bit packed records of :mod:`repro.core.entry`, held in two
+uint64 numpy columns; tree payloads are ``(sample_index, check)`` pairs
+so key collisions resolve by the 16-bit check hash.
+
+A shard's tree is only ever bulk-built from its sorted keys and then
+searched, so :class:`ShardTree` holds it implicitly: the sorted keys,
+their payloads, and each key's depth in the tree whose every subtree is
+rooted at its middle key.  A search is a bisection plus one depth read,
+and costs the same node visits as a descent of that tree.
 
 Construction mirrors the paper: every node builds the tree for *its*
 shard from its uploaded samples (:meth:`build_shard`), then one
@@ -21,6 +27,7 @@ samples; :meth:`SampleDirectory.entry_bytes` reports exactly that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Generator, Optional
 
 import numpy as np
@@ -29,13 +36,80 @@ from ..cluster import Communicator
 from ..data import Dataset, DatasetLayout
 from ..errors import DirectoryError, FileNotFound
 from ..sim import Event
-from .avltree import AVLTree
 from .entry import hash_sample_name, len_of, nid_of, offset_of, pack_entries
 
-__all__ = ["SampleDirectory", "LocalValidBits", "LookupResult", "aggregate_directory"]
+__all__ = [
+    "SampleDirectory",
+    "ShardTree",
+    "LocalValidBits",
+    "LookupResult",
+    "aggregate_directory",
+]
 
 #: Wire size of one directory entry (two 64-bit units).
 ENTRY_BYTES = 16
+
+
+def _midpoint_depths(n: int) -> np.ndarray:
+    """Depth (root = 1) of each of ``n`` sorted positions in the tree
+    whose subtree over positions ``[lo, hi)`` is rooted at
+    ``(lo + hi) // 2``; computed one tree level per numpy pass."""
+    depths = np.zeros(n, dtype=np.int64)
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    level = 0
+    while (live := lo < hi).any():
+        lo, hi = lo[live], hi[live]
+        level += 1
+        mid = (lo + hi) // 2
+        depths[mid] = level
+        lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid, hi))
+    return depths
+
+
+class ShardTree:
+    """One shard's balanced search tree, held as sorted lists.
+
+    The tree is the perfectly balanced one a bulk build from sorted keys
+    gives: the subtree over sorted distinct keys ``[lo, hi)`` is rooted
+    at ``(lo + hi) // 2``.  Nothing inserts into or rebalances a built
+    tree, so no node objects are kept: only the distinct keys in order,
+    each key's ``(id, check)`` payloads (equal keys chain, in input
+    order) and each key's depth, the nodes a descent to it visits.
+    """
+
+    __slots__ = ("keys", "depths", "_starts", "_payloads")
+
+    def __init__(self, keys: np.ndarray, ids: np.ndarray, checks: np.ndarray) -> None:
+        """Build from aligned columns in any order; ``ids[i]`` and
+        ``checks[i]`` form the payload of ``keys[i]``."""
+        order = np.argsort(keys, kind="stable")
+        distinct, starts = np.unique(keys[order], return_index=True)
+        self.keys: list[int] = distinct.tolist()
+        self.depths: list[int] = _midpoint_depths(len(distinct)).tolist()
+        self._starts: list[int] = starts.tolist() + [len(order)]
+        self._payloads: list[tuple[int, int]] = list(
+            zip(ids[order].tolist(), checks[order].tolist())
+        )
+
+    def __len__(self) -> int:
+        """Payload count (>= the number of distinct keys)."""
+        return len(self._payloads)
+
+    @property
+    def height(self) -> int:
+        return max(self.depths, default=0)
+
+    def search(self, key: int) -> tuple[list[tuple[int, int]], int]:
+        """-> (payloads-or-empty, nodes visited by the descent).
+
+        A miss ends below whichever of its in-order neighbours is the
+        other's descendant, that is, the deeper of the two.
+        """
+        keys, depths = self.keys, self.depths
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self._payloads[self._starts[i]:self._starts[i + 1]], depths[i]
+        return [], max(depths[max(i - 1, 0):i + 1], default=0)
 
 
 class LookupResult:
@@ -77,24 +151,32 @@ class SampleDirectory:
             offsets=layout.offsets.astype(np.uint64),
             lengths=dataset.sizes.astype(np.uint64),
         )
-        self._trees: list[Optional[AVLTree]] = [None] * self.num_shards
+        self._trees: list[Optional[ShardTree]] = [None] * self.num_shards
         self._built_shards: set[int] = set()
         # Batched-file entries (§III-B1: "there is also an entry taken by
-        # the batched file for file-oriented access").
-        self._file_entries: dict[str, tuple[int, int, int, int]] = {}
+        # the batched file for file-oriented access"):
+        # name -> (shard, offset, length, key, check).
+        self._file_entries: dict[str, tuple[int, int, int, int, int]] = {}
 
     # -- construction ------------------------------------------------------------
-    def build_shard(self, shard: int) -> AVLTree:
-        """Build the AVL tree for one shard (each node does its own)."""
+    def build_shard(self, shard: int) -> ShardTree:
+        """Build the tree for one shard (each node does its own) over its
+        samples and the whole-file entries registered on it."""
         if not 0 <= shard < self.num_shards:
             raise DirectoryError(f"shard {shard} out of range")
-        members = self.layout.shard_samples(shard)
-        member_keys = self.keys[members]
-        order = np.argsort(member_keys, kind="stable")
-        sorted_keys = member_keys[order]
-        sorted_members = members[order]
-        payloads = list(zip(sorted_members.tolist(), self.checks[sorted_members].tolist()))
-        tree = AVLTree.build_sorted(sorted_keys.tolist(), payloads)
+        ids = self.layout.shard_samples(shard)
+        keys, checks = self.keys[ids], self.checks[ids]
+        files = [
+            (-(n + 1), key, check)  # negative id: not a sample
+            for n, (s, _off, _len, key, check) in enumerate(self._file_entries.values())
+            if s == shard
+        ]
+        if files:
+            file_ids, file_keys, file_checks = np.array(files, dtype=np.int64).T
+            ids = np.concatenate((ids, file_ids))
+            keys = np.concatenate((keys, file_keys.astype(np.uint64)))
+            checks = np.concatenate((checks, file_checks.astype(np.uint64)))
+        tree = ShardTree(keys, ids, checks)
         self._trees[shard] = tree
         self._built_shards.add(shard)
         return tree
@@ -109,7 +191,7 @@ class SampleDirectory:
         """True once every shard's tree is present (post-allgather state)."""
         return len(self._built_shards) == self.num_shards
 
-    def tree(self, shard: int) -> AVLTree:
+    def tree(self, shard: int) -> ShardTree:
         t = self._trees[shard]
         if t is None:
             raise DirectoryError(f"shard {shard} tree not built/aggregated yet")
@@ -132,7 +214,7 @@ class SampleDirectory:
     def lookup_index(self, sample_index: int) -> LookupResult:
         """Directory lookup by sample index (the common fast path).
 
-        Resolves through the owning shard's AVL tree so the returned
+        Resolves through the owning shard's tree so the returned
         ``visits`` reflects the true descent cost.
         """
         if not 0 <= sample_index < self.dataset.num_samples:
@@ -157,16 +239,20 @@ class SampleDirectory:
         """Add a whole-file entry alongside the sample entries.
 
         The batched file becomes addressable by name for file-oriented
-        access while every contained sample keeps its own entry.
+        access while every contained sample keeps its own entry.  The
+        entry joins its shard's tree when the shard is built, so it must
+        be registered before that.
         """
         if name in self._file_entries:
             raise DirectoryError(f"file entry {name!r} already registered")
         if not 0 <= shard < self.num_shards:
             raise DirectoryError(f"shard {shard} out of range")
+        if shard in self._built_shards:
+            raise DirectoryError(
+                f"shard {shard} is already built; register {name!r} before it"
+            )
         key, check = hash_sample_name(name)
-        entry_id = -(len(self._file_entries) + 1)  # negative: not a sample
-        self._file_entries[name] = (shard, offset, length, check)
-        self.tree(shard).insert(key, (entry_id, check))
+        self._file_entries[name] = (shard, offset, length, key, check)
 
     @property
     def num_file_entries(self) -> int:
@@ -181,8 +267,7 @@ class SampleDirectory:
         record = self._file_entries.get(name)
         if record is None:
             raise FileNotFound(name)
-        shard, offset, length, _check = record
-        key, _ = hash_sample_name(name)
+        shard, offset, length, key, _check = record
         _payloads, visits = self.tree(shard).search(key)
         return LookupResult(-1, shard, offset, length, visits)
 

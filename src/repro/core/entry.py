@@ -177,9 +177,9 @@ def fnv1a_48(data: bytes) -> int:
 def hash_sample_name(name: str) -> tuple[int, int]:
     """(48-bit directory key, 16-bit disambiguation check).
 
-    The key indexes the AVL tree; the check distinguishes colliding
-    names (the paper's "other attributes such as its class" folded into
-    the hash).
+    The key orders its shard's directory tree; the check distinguishes
+    colliding names (the paper's "other attributes such as its class"
+    folded into the hash).
     """
     h = fnv1a_64(name.encode())
     key = (h ^ (h >> 48)) & MAX_KEY

@@ -10,9 +10,9 @@ shape so the paper's quartile landmarks hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ConfigError
 from ..hw.platform import KB
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 #: z-score of the 75th percentile of a standard normal.
-_Z75 = float(stats.norm.ppf(0.75))
+_Z75 = NormalDist().inv_cdf(0.75)
 
 
 class SizeDistribution:
@@ -34,14 +34,6 @@ class SizeDistribution:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` sizes (int64 bytes, all >= 1)."""
-        raise NotImplementedError
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        """P(size <= x)."""
-        raise NotImplementedError
-
-    def percentile(self, q: float) -> float:
-        """Inverse CDF at ``q`` in [0, 100]."""
         raise NotImplementedError
 
 
@@ -57,14 +49,6 @@ class FixedSize(SizeDistribution):
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.nbytes, dtype=np.int64)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) >= self.nbytes).astype(float)
-
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 100:
-            raise ValueError("percentile in [0, 100]")
-        return float(self.nbytes)
 
 
 @dataclass(frozen=True)
@@ -103,17 +87,6 @@ class LogNormalSizes(SizeDistribution):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raw = rng.lognormal(mean=self._mu, sigma=self.sigma, size=n)
         return np.clip(raw, self.min_bytes, self.max_bytes).astype(np.int64)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        return stats.lognorm.cdf(
-            np.asarray(x, dtype=float), s=self.sigma, scale=self.median_bytes
-        )
-
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 100:
-            raise ValueError("percentile in [0, 100]")
-        value = stats.lognorm.ppf(q / 100.0, s=self.sigma, scale=self.median_bytes)
-        return float(np.clip(value, self.min_bytes, self.max_bytes))
 
 
 def imagenet_like() -> LogNormalSizes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
-from repro.core import ChunkPlan, DLFS
+from repro.core import ChunkPlan, DLFS, hash_sample_name
 from repro.data import (
     BatchedFileLayout,
     CIFARBatchFormat,
@@ -146,6 +146,19 @@ class TestBatchedMount:
         env, cluster, ds, files, fs = self._mount()
         with pytest.raises(DirectoryError):
             fs.directory.register_file_entry(files[0].name, 0, 0, 10)
+
+    def test_file_entries_join_the_shard_build(self):
+        env, cluster, ds, files, fs = self._mount()
+        res = fs.directory.lookup_file(files[2].name)
+        key, check = hash_sample_name(files[2].name)
+        payloads, visits = fs.directory.tree(res.shard).search(key)
+        assert (-3, check) in payloads and visits == res.visits
+
+    def test_register_into_built_shard_rejected(self):
+        env, cluster, ds, files, fs = self._mount()
+        with pytest.raises(DirectoryError, match="already built"):
+            fs.directory.register_file_entry("late.tfrecord", 0, 0, 10)
+        assert fs.directory.num_file_entries == len(files)
 
     def test_sample_lookup_unaffected_by_file_entries(self):
         env, cluster, ds, files, fs = self._mount()

@@ -166,10 +166,18 @@ class TestFleet:
             for key in keys:
                 assert (key in blob) == (name == preset), key
 
-    def test_malformed_crash_exits_2(self, capsys):
-        assert main(["fleet", "--preset", "cluster", "--quick",
-                     "--crash", "one=0.004"]) == 2
-        assert "error: --crash" in capsys.readouterr().err
+    #: crash flag -> (preset it applies to, what its index names)
+    CRASH_FLAGS = {"--crash": ("cluster", "LANE"),
+                   "--worker-crash": ("xform", "WORKER")}
+
+    @pytest.mark.parametrize("flag", sorted(CRASH_FLAGS))
+    def test_malformed_crash_flag_exits_2(self, flag, capsys):
+        preset, unit = self.CRASH_FLAGS[flag]
+        assert main(["fleet", "--preset", preset, "--quick",
+                     flag, "0=abc"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (f"error: {flag}: '0=abc': expected {unit}=T1[:T2] "
+                          f"(integer {unit.lower()}, times in sim seconds)")
 
     def test_worker_crash_without_stages_exits_2(self, capsys):
         assert main(["fleet", "--preset", "xform", "--quick",
