@@ -195,6 +195,64 @@ class TestFleet:
         assert "unknown fault-plan field" in capsys.readouterr().err
 
 
+#: ``chaos --quick --json``: one epoch of 512 samples on 2 nodes.
+CHAOS_QUICK_JSON = """\
+{
+  "delivered": 512,
+  "failed": 0,
+  "expected": 512,
+  "accounted": true,
+  "sim_time": 0.0006906921223958334,
+  "sample_throughput": 741285.4199408032,
+  "fault_counts": {},
+  "recovery": {
+    "degraded_time": 0.0
+  }
+}
+"""
+
+#: ``trace --samples 400``: the summary lines, then ``breakdown.txt``.
+TRACE_400_SUMMARY = """\
+== trace: 1 node(s), 400 samples x 16384 B ==
+throughput        125,577 samples/s
+sim time          3.283 ms
+spans             503
+
+"""
+TRACE_400_BREAKDOWN = """\
+-- latency attribution: dlfs.node0.r0 --
+  prep                               0.0026 ms    0.08%
+  post                               0.0150 ms    0.46%
+  poll_idle                          2.4058 ms   73.29%
+  poll                               0.0090 ms    0.27%
+  copy                               0.8504 ms   25.90%
+  wait (device/fabric) + idle        0.0000 ms    0.00%
+  total (sim time)                   3.2828 ms  100.00%
+
+-- latency percentiles (estimated from fixed log buckets) --
+  layer                   count        p50        p90        p99       p999
+  nvme.latency               30   331.29us   674.87us   823.40us   823.40us
+  qpair.latency              30   331.29us   674.87us   823.40us   823.40us
+  reactor.job_latency        13   195.62us   693.63us   834.51us   834.51us
+"""
+
+
+class TestChaosAndTrace:
+    """The success paths print exactly what they printed when pinned."""
+
+    def test_chaos_quick_json(self, capsys):
+        assert main(["chaos", "--quick", "--json"]) == 0
+        assert capsys.readouterr().out == CHAOS_QUICK_JSON
+
+    def test_trace_summary_and_breakdown(self, tmp_path, capsys):
+        assert main(["trace", "--samples", "400", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(TRACE_400_SUMMARY + TRACE_400_BREAKDOWN)
+        assert (tmp_path / "breakdown.txt").read_text() == TRACE_400_BREAKDOWN
+        for name in ("trace.json", "metrics.json"):
+            assert f"wrote {tmp_path / name}" in out
+
+
 class TestDriverRejects:
     """A config the driver rejects is a one-line error and exit 2."""
 
