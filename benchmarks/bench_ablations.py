@@ -21,6 +21,16 @@ from repro.sim import Environment
 import numpy as np
 
 
+def _single_node(sample_bytes: int, batches: int, **fields) -> float:
+    """DLFS throughput of one reader on the real device: ``batches``
+    measured 32-sample batches after 4 warm-up batches."""
+    load = W.Readers(warmup=4 * 32, reads=batches * 32)
+    return W.dlfs_readers(
+        load, num_samples=max(2 * load.demand(), 2000),
+        sample_bytes=sample_bytes, testbed=Testbed.paper(), **fields,
+    ).sample_throughput
+
+
 def _emit(capsys_disabled_printer, result):
     text = render_figure(result)
     capsys_disabled_printer(text)
@@ -45,15 +55,11 @@ def test_ablation_chunk_size(benchmark, emit):
             y_label="samples/s",
         )
         result.series["DLFS"] = {
-            "per-sample": W.dlfs_single_node(
-                512, mode="sample", batches=120
-            ).sample_throughput
+            "per-sample": _single_node(512, 120, batching="sample")
         }
         for chunk in (16 * KB, 64 * KB, 256 * KB):
-            result.series["DLFS"][f"{chunk // KB}KB-chunks"] = (
-                W.dlfs_single_node(
-                    512, mode="chunk", chunk_bytes=chunk, batches=300
-                ).sample_throughput
+            result.series["DLFS"][f"{chunk // KB}KB-chunks"] = _single_node(
+                512, 300, chunk_bytes=chunk
             )
         return result
 
@@ -83,12 +89,12 @@ def test_ablation_copy_threads(benchmark, emit):
         result.series["128KB"] = {}
         for n_copy in (0, 1, 2):
             cores = tuple(range(1, 1 + n_copy))
-            result.series["512B"][n_copy] = W.dlfs_single_node(
-                512, mode="chunk", copy_cores=cores, batches=60
-            ).sample_throughput
-            result.series["128KB"][n_copy] = W.dlfs_single_node(
-                128 * KB, mode="chunk", copy_cores=cores, batches=30
-            ).sample_throughput
+            result.series["512B"][n_copy] = _single_node(
+                512, 60, copy_cores=cores
+            )
+            result.series["128KB"][n_copy] = _single_node(
+                128 * KB, 30, copy_cores=cores
+            )
         return result
 
     result = run_once(benchmark, run)

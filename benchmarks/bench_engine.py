@@ -9,8 +9,8 @@ Measures the simulator's wall-clock cost at three levels:
 * **qpair burst** — the SPDK datapath in isolation: a queue-depth
   window of block reads through one qpair into one NVMe device;
 * **fig06 end-to-end** — the paper's single-node throughput workload
-  (``dlfs_single_node``), also compared against the recorded
-  wall-clock of the seed tree.
+  (closed-loop readers, :func:`~repro.bench.workloads.dlfs_readers`),
+  also compared against the recorded wall-clock of the seed tree.
 
 The last two run twice: on the injector-free paths (analytic NVMe
 timing, qpair callback flight — "optimized") and on the reference paths
@@ -37,8 +37,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.perfcheck import zero_rate_injectors  # noqa: E402
-from repro.bench.workloads import dlfs_single_node  # noqa: E402
-from repro.hw import NVMeDevice  # noqa: E402
+from repro.bench.workloads import Readers, dlfs_readers  # noqa: E402
+from repro.hw import NVMeDevice, Testbed  # noqa: E402
 from repro.hw.memory import HugePagePool  # noqa: E402
 from repro.sim import Environment, Resource  # noqa: E402
 from repro.spdk.request import SPDKRequest  # noqa: E402
@@ -198,8 +198,12 @@ def qpair_burst(requests: int, depth: int) -> tuple[float, int]:
 
 
 def fig06_case(sample_bytes: int, batches: int) -> tuple[float, int]:
-    r = dlfs_single_node(sample_bytes=sample_bytes, batches=batches)
-    return r.sim_time, -1  # driver does not expose its Environment
+    load = Readers(warmup=4 * 32, reads=batches * 32)
+    r = dlfs_readers(
+        load, num_samples=max(2 * load.demand(), 2000),
+        sample_bytes=sample_bytes, testbed=Testbed.paper(),
+    )
+    return r.sim_time, -1  # the run does not expose its Environment
 
 
 # ---------------------------------------------------------------------------

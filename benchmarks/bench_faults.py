@@ -14,7 +14,7 @@ a CI smoke test::
 import argparse
 import sys
 
-from repro.bench.workloads import dlfs_chaos, dlfs_observed
+from repro.bench.workloads import Readers, dlfs_observed, dlfs_readers
 from repro.faults import FaultPlan, ZERO_PLAN
 from repro.obs import render_percentiles
 
@@ -38,14 +38,15 @@ def run_sweep(num_samples: int = 1024, epochs: int = 2, num_nodes: int = 2):
     for rate in RATES:
         # Sample-level batching: one SPDK command per sample, so the
         # per-command rates bite at sweep scale.
-        result = dlfs_chaos(
-            plan_for(rate),
-            num_nodes=num_nodes,
+        result = dlfs_readers(
+            Readers(epochs=epochs),
+            num_clients=num_nodes,
             num_samples=num_samples,
-            epochs=epochs,
-            mode="sample",
+            sample_bytes=4096,
+            batching="sample",
+            fault_plan=plan_for(rate),
         )
-        assert result.accounted, (
+        assert result.delivered + result.failed == result.expected, (
             f"rate={rate}: delivered {result.delivered} + failed "
             f"{result.failed} != expected {result.expected}"
         )

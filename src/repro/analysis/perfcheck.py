@@ -140,9 +140,10 @@ def _xform_pay_for_use(num_samples: int, horizon: float) -> Dict[str, Any]:
 def default_workloads(quick: bool = False) -> Dict[str, Callable[[], Any]]:
     """The six correctness gates: fig06, fig08, and the fleet presets.
 
-    Each returns a result with ``sim_time``, ``samples_read``,
-    delivered/failed counts and metrics enabled (a ``TraceReport`` or a
-    ``RunReport``), so the snapshot digest is part of the witness.
+    Each returns a :class:`~repro.bench.workloads.RunReport` (closed-loop
+    readers for fig06/fig08) with ``sim_time``, ``samples_read``,
+    delivered/failed counts and metrics enabled, so the snapshot digest
+    is part of the witness.
     ``quick`` shrinks the sample counts for CI smoke use; the datapath
     coverage (client → reactor → qpair → device → fabric) is the same.
     The fleet gates extend the proof to the fair-queued datapath

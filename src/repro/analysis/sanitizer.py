@@ -200,7 +200,7 @@ class SanitizerReport:
 
 
 def default_workload() -> Any:
-    """The standard sweep target: one observed DLFS run, obs disabled.
+    """The standard sweep target: closed-loop readers, obs disabled.
 
     Small enough for a CI smoke job, large enough to exercise the full
     datapath (clients, reactors, qpairs, fabric, drain-on-stop).
@@ -313,7 +313,7 @@ def run_sanitizer(
 
     The workload is any zero-argument callable that builds its own
     :class:`~repro.sim.Environment` and returns either a
-    :class:`~repro.bench.workloads.TraceReport`-like object or a plain
+    :class:`~repro.bench.workloads.RunReport`-like object or a plain
     dict of comparable values.  Returns a :class:`SanitizerReport`;
     check ``.ok``.
     """

@@ -572,7 +572,7 @@ class DLFSClient:
         if kind in ("s", "e"):
             self.vbits.clear_valid(key[1])
         else:  # ("c", gid)
-            self.vbits.clear_valid_many(self.fs.plan.chunk_members[key[1]])
+            self.vbits.clear_valid_many(self.fs.plan.members(key[1]))
 
     # -- dlfs_open / dlfs_read / dlfs_close ---------------------------------------
     def open(self, name: str) -> Generator[Event, Any, DLFSFile]:

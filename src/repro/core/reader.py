@@ -684,7 +684,7 @@ class Reactor:
         if kind == REQ_CHUNK:
             shard, offset, nbytes = self.plan.chunk_span(rid)
             offset, nbytes = aligned_span(offset, nbytes)
-            samples = self.plan.chunk_members[rid]
+            samples = self.plan.members(rid)
         else:
             loc = self.directory.layout.location(rid)
             shard = loc.shard

@@ -105,14 +105,14 @@ class TestChunkPlanOverBatchedLayout:
         ds, files, layout = make_layout(order=order)
         plan = ChunkPlan(layout, 64 * KB)
         for g in range(plan.num_chunks):
-            members = plan.chunk_members[g]
+            members = plan.members(g)
             offs = layout.offsets[members]
             assert (np.diff(offs) > 0).all()
 
     def test_exact_cover_including_edges(self):
         ds, files, layout = make_layout()
         plan = ChunkPlan(layout, 64 * KB)
-        interior = sum(len(plan.chunk_members[g]) for g in range(plan.num_chunks))
+        interior = sum(len(plan.members(g)) for g in range(plan.num_chunks))
         assert interior + plan.num_edge_samples == 1000
 
 

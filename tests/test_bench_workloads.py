@@ -3,11 +3,10 @@
 import pytest
 
 from repro.bench.workloads import (
-    Result,
-    dlfs_disaggregated,
+    Readers,
+    RunReport,
     dlfs_lookup_time,
-    dlfs_multi_node,
-    dlfs_single_node,
+    dlfs_readers,
     ext4_multi_node,
     ext4_open_time,
     ext4_single_node,
@@ -20,30 +19,41 @@ from repro.errors import ConfigError
 from repro.hw import GB, KB
 
 
-SMALL = dict(batches=6, warmup_batches=2)
+def dlfs_run(sample_bytes, batches=6, warmup=2, nodes=1, floor=2000,
+             cores=1, **fields):
+    """``batches`` measured 32-sample batches per reader after ``warmup``."""
+    load = Readers(warmup=32 * warmup, reads=32 * batches,
+                   ranks_per_node=cores)
+    return dlfs_readers(load, num_clients=nodes, sample_bytes=sample_bytes,
+                        num_samples=max(2 * load.demand(nodes), floor),
+                        **fields)
 
 
 class TestSingleNodeDrivers:
     def test_dlfs_returns_result(self):
-        r = dlfs_single_node(4 * KB, **SMALL)
-        assert isinstance(r, Result)
+        r = dlfs_run(4 * KB)
+        assert isinstance(r, RunReport)
+        assert r.layers == ("readers",)
         assert r.sample_throughput > 0
         assert r.bandwidth == pytest.approx(r.sample_throughput * 4 * KB, rel=0.01)
-        assert 0 < r.cpu_utilization <= 1.0
+        assert r.delivered == r.expected == 8 * 32 and r.failed == 0
+        assert r.reactor_names == ("dlfs.node0.r0",)
+        assert 0 < r.app_time <= r.sim_time
 
     def test_dlfs_modes_ordered(self):
-        chunk = dlfs_single_node(512, mode="chunk", **SMALL).sample_throughput
-        base = dlfs_single_node(512, mode="none", **SMALL).sample_throughput
+        chunk = dlfs_run(512, batching="chunk").sample_throughput
+        base = dlfs_run(512, batching="none").sample_throughput
         assert chunk > 2 * base
 
     def test_dlfs_deterministic(self):
-        a = dlfs_single_node(4 * KB, **SMALL)
-        b = dlfs_single_node(4 * KB, **SMALL)
+        a = dlfs_run(4 * KB)
+        b = dlfs_run(4 * KB)
         assert a.sample_throughput == b.sample_throughput
 
     def test_dlfs_multi_core(self):
-        r = dlfs_single_node(4 * KB, cores=2, **SMALL)
+        r = dlfs_run(4 * KB, cores=2)
         assert r.sample_throughput > 0
+        assert r.reactor_names == ("dlfs.node0.r0", "dlfs.node0.r1")
 
     def test_ext4_threads_scale(self):
         one = ext4_single_node(4 * KB, threads=1, reads_per_thread=60)
@@ -58,8 +68,8 @@ class TestSingleNodeDrivers:
 
 class TestMultiNodeDrivers:
     def test_dlfs_multi_node_aggregates(self):
-        r2 = dlfs_multi_node(2, 4 * KB, batches_per_node=6)
-        r4 = dlfs_multi_node(4, 4 * KB, batches_per_node=6)
+        r2 = dlfs_run(4 * KB, warmup=3, nodes=2, floor=4000)
+        r4 = dlfs_run(4 * KB, warmup=3, nodes=4, floor=4000)
         assert r4.sample_throughput > 1.4 * r2.sample_throughput
 
     def test_ext4_multi_node(self):
@@ -71,7 +81,8 @@ class TestMultiNodeDrivers:
         assert r.sample_throughput > 0
 
     def test_system_ordering_holds_at_small_scale(self):
-        dlfs = dlfs_multi_node(2, 512, batches_per_node=10).sample_throughput
+        dlfs = dlfs_run(512, batches=10, warmup=3, nodes=2,
+                        floor=4000).sample_throughput
         ext4 = ext4_multi_node(2, 512, reads_per_node=80).sample_throughput
         octo = octopus_multi_node(2, 512, reads_per_node=60).sample_throughput
         assert dlfs > ext4 > octo
@@ -99,8 +110,13 @@ class TestLookupDrivers:
 
 class TestDisaggregation:
     def test_more_devices_help_many_clients(self):
-        r1 = dlfs_disaggregated(1, 4, batches_per_client=6)
-        r4 = dlfs_disaggregated(4, 4, batches_per_client=6)
+        def disaggregated(devices):
+            return dlfs_run(128 * KB, warmup=3, nodes=4, floor=4000,
+                            num_storage=devices, replicas=1, balancer=False,
+                            window=max(8, 8 * devices // 4))
+
+        r1 = disaggregated(1)
+        r4 = disaggregated(4)
         assert r4.sample_throughput > 1.5 * r1.sample_throughput
 
     def test_ideal_model(self):

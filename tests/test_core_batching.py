@@ -23,6 +23,69 @@ def make_plan(n=2000, shards=4, chunk=64 * 1024, dist=None, seed=0):
     return ds, layout, ChunkPlan(layout, chunk)
 
 
+def split_members(plan, layout) -> list:
+    """Per-chunk members grouped the way ChunkPlan once built them: one
+    ``np.split`` array per chunk of the offset-sorted interior samples."""
+    interior_idx = np.flatnonzero(plan.sample_chunk >= 0)
+    order = np.lexsort(
+        (layout.offsets[interior_idx], plan.sample_chunk[interior_idx])
+    )
+    sorted_idx = interior_idx[order]
+    sorted_gid = plan.sample_chunk[sorted_idx]
+    boundaries = np.flatnonzero(np.diff(sorted_gid)) + 1
+    members = [np.empty(0, dtype=np.int64)] * plan.num_chunks
+    starts = np.concatenate(([0], boundaries)) if len(sorted_idx) else []
+    for g, group in zip(sorted_gid[starts] if len(sorted_idx) else [],
+                        np.split(sorted_idx, boundaries)):
+        members[int(g)] = group
+    return members
+
+
+def assert_members_match_split(plan, layout):
+    oracle = split_members(plan, layout)
+    for g in range(plan.num_chunks):
+        assert plan.members(g).dtype == np.int64
+        assert np.array_equal(plan.members(g), oracle[g]), g
+    nonempty = [g for g in range(plan.num_chunks) if len(oracle[g])]
+    assert plan.nonempty_chunks().dtype == np.int64
+    assert plan.nonempty_chunks().tolist() == nonempty
+
+
+class TestChunkPlanMembersOracle:
+    """Members come from one offsets array into the sorted interior
+    samples; the per-chunk ``np.split`` grouping is the oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(5, 1500),
+        shards=st.integers(1, 5),
+        chunk_kb=st.sampled_from([4, 16, 64, 256]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_packed_layout(self, n, shards, chunk_kb, seed):
+        ds, layout, plan = make_plan(n=n, shards=shards,
+                                     chunk=chunk_kb * 1024, seed=seed)
+        assert_members_match_split(plan, layout)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(1, 1200),
+        per_file=st.integers(1, 300),
+        chunk_kb=st.sampled_from([4, 16, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batched_file_layout(self, n, per_file, chunk_kb, seed):
+        from repro.data import BatchedFileLayout, TFRecordFormat
+
+        ds = Dataset.fixed("tfds", n, 2048)
+        order = np.random.default_rng(seed).permutation(n)
+        files = TFRecordFormat(samples_per_file=per_file).pack(ds, order=order)
+        shards = min(2, len(files))
+        layout = BatchedFileLayout(ds, files, num_shards=shards)
+        assert_members_match_split(layout=layout,
+                                   plan=ChunkPlan(layout, chunk_kb * 1024))
+
+
 class TestChunkPlan:
     def test_chunk_count_covers_shards(self):
         ds, layout, plan = make_plan()
@@ -34,7 +97,7 @@ class TestChunkPlan:
         ds, layout, plan = make_plan()
         interior = set()
         for g in range(plan.num_chunks):
-            interior.update(plan.chunk_members[g].tolist())
+            interior.update(plan.members(g).tolist())
         edges = set(plan.edge_samples.tolist())
         assert interior | edges == set(range(ds.num_samples))
         assert interior & edges == set()
@@ -43,7 +106,7 @@ class TestChunkPlan:
         ds, layout, plan = make_plan()
         for g in range(plan.num_chunks):
             shard, c_off, c_len = plan.chunk_span(g)
-            for i in plan.chunk_members[g]:
+            for i in plan.members(g):
                 loc = layout.location(int(i))
                 assert loc.shard == shard
                 assert c_off <= loc.offset
@@ -71,7 +134,7 @@ class TestChunkPlan:
         keys = np.arange(ds.num_samples, dtype=np.uint64) * 7
         entries = plan.access_list_entries(keys)
         for gid, key in entries:
-            first = int(plan.chunk_members[gid][0])
+            first = int(plan.members(gid)[0])
             assert key == int(keys[first])
 
     def test_large_samples_mostly_edges(self):
@@ -96,7 +159,7 @@ class TestChunkPlan:
     @settings(max_examples=25, deadline=None)
     def test_classification_is_exact_cover(self, n, shards, seed):
         ds, layout, plan = make_plan(n=n, shards=shards, seed=seed)
-        interior = sum(len(plan.chunk_members[g]) for g in range(plan.num_chunks))
+        interior = sum(len(plan.members(g)) for g in range(plan.num_chunks))
         assert interior + plan.num_edge_samples == n
 
 
@@ -141,7 +204,7 @@ class TestDeliveryOrder:
         d = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11)
         expected = set()
         for g in e.rank_chunks(0):
-            expected.update(plan.chunk_members[int(g)].tolist())
+            expected.update(plan.members(int(g)).tolist())
         expected.update(int(x) for x in e.rank_edges(0))
         assert sorted(d.order.tolist()) == sorted(expected)
         assert len(set(d.order.tolist())) == len(d.order)
@@ -174,7 +237,7 @@ class TestDeliveryOrder:
             open_chunks[g] = open_chunks.get(g, 0) + 1
             live = [
                 gid for gid, seen in open_chunks.items()
-                if seen < len(plan.chunk_members[gid])
+                if seen < len(plan.members(gid))
             ]
             assert len(live) <= window
 
@@ -221,7 +284,7 @@ def reference_delivery_order(plan, chunks, edges, seed, window=8):
                 gid = next(chunk_iter)
             except StopIteration:
                 return
-            members = plan.chunk_members[gid].tolist()
+            members = plan.members(gid).tolist()
             if members:
                 cursors.append([REQ_CHUNK, gid, members, 0])
                 chunk_cursors += 1

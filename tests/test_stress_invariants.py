@@ -166,7 +166,7 @@ class TestVBitConsistency:
                 continue
             kind = key[0]
             if kind == "c":
-                resident_samples.update(plan.chunk_members[key[1]].tolist())
+                resident_samples.update(plan.members(key[1]).tolist())
             else:
                 resident_samples.add(key[1])
         for s in range(300):
