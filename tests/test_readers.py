@@ -9,6 +9,7 @@ are built and driven must leave each one where it is.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -20,9 +21,14 @@ from repro.bench.workloads import (
     dlfs_readers,
     run_fleet,
 )
+from repro.cluster import Cluster
+from repro.core import DLFS, DLFSConfig, SampleCache
+from repro.data import Dataset
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, parse_fault_plan
-from repro.hw import KB, Testbed
+from repro.hw import KB, MB, Testbed
+from repro.obs.export import chrome_trace
+from repro.sim import Environment
 from repro.tenancy import TenantSpec
 from repro.xform import XformSpec, parse_stages
 
@@ -194,3 +200,89 @@ class TestReadersConfig:
                          sample_bytes=4 * KB)
         assert r.reactor_names == ("dlfs.node0.r0",)
         assert r.layers == ("readers",)
+
+
+@pytest.fixture
+def caches(monkeypatch):
+    """Every :class:`SampleCache` the run builds, in client order."""
+    built = []
+    init = SampleCache.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SampleCache, "__init__", record)
+    return built
+
+
+class TestPinnedCachePressure:
+    """Two whole epochs through a 2 MiB hugepage pool: clean slots are
+    evicted, so the order slots turn clean (which sets eviction order)
+    reaches the sim time and the throughput."""
+
+    @pytest.mark.parametrize("mode, evictions, pinned", [
+        ("chunk", [38, 40],
+         ("7e00d2a2f549308777a05a9743612be7f48ffe5d", "0x1.a6783708f25dfp-8",
+          4096, 0, "0x1.36407d9dfaab9p+19")),
+        ("sample", [2040, 2040],
+         ("cac4d6d7a8e63b1334a913d99577cda13a90f3eb", "0x1.17282080e5e58p-7",
+          4096, 0, "0x1.d5874076020adp+18")),
+    ])
+    def test_two_epochs_evict(self, caches, mode, evictions, pinned):
+        r = dlfs_readers(Readers(epochs=2), num_clients=2, num_samples=2048,
+                         sample_bytes=4 * KB, hugepage_bytes=2 * MB,
+                         batching=mode)
+        assert [c.evictions for c in caches] == evictions
+        assert (_sha1(r.samples_read), r.app_time.hex(), r.delivered,
+                r.failed, r.sample_throughput.hex()) == pinned
+
+
+def _zero_copy_reads(mode: str) -> tuple:
+    """Three warm-up and twenty measured 32-sample batches of one
+    zero-copy reader, built as ``test_zero_copy`` builds its rigs."""
+    env = Environment()
+    cluster = Cluster(env, Testbed.paper(), num_nodes=1, devices_per_node=1)
+    ds = Dataset.fixed("d", 2000, 4 * KB)
+    fs = DLFS.mount(cluster, ds, DLFSConfig(batching=mode, zero_copy=True))
+    client = fs.client()
+    client.sequence(seed=1)
+    batches = []
+
+    def app(env):
+        for i in range(23):
+            if i == 3:
+                client.reactor.read_meter.start()
+            batches.append((yield from client.bread(32)))
+
+    env.run(until=env.process(app(env)))
+    rate = client.sample_throughput()
+    env.run(until=env.process(client.shutdown()))
+    env.run()
+    return _sha1(np.concatenate(batches)), env.now.hex(), rate.hex()
+
+
+class TestPinnedZeroCopy:
+    """Zero-copy delivery lends cache references and returns them on the
+    next ``bread``; what it delivers and when is pinned."""
+
+    @pytest.mark.parametrize("mode, pinned", [
+        ("chunk", ("fec29b6d9a30c150efe9fc3fc45ed8eba881f145",
+                   "0x1.03c9062719d8bp-9", "0x1.1360dfdc4815dp+19")),
+        ("sample", ("e01ae0be530ca1ecf6e69091950aca5f2a6a3e0a",
+                    "0x1.ea1fef21c4b79p-10", "0x1.8056bfbbc2de8p+18")),
+    ])
+    def test_reads(self, mode, pinned):
+        assert _zero_copy_reads(mode) == pinned
+
+
+class TestPinnedTrace:
+    """Span ids are handed out as spans start, so this digest of the
+    exported trace pins the order every span starts in."""
+
+    def test_chunk_run_spans(self):
+        r = dlfs_observed(samples=256, trace=True)
+        doc = json.dumps(chrome_trace(r.obs.tracer), sort_keys=True)
+        assert len(r.obs.tracer.spans) == 327
+        assert (hashlib.sha1(doc.encode()).hexdigest()
+                == "c4a4c574cdb0fbee76c75d4b5c52c2f0511d163a")
