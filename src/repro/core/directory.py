@@ -73,11 +73,12 @@ class ShardTree:
     gives: the subtree over sorted distinct keys ``[lo, hi)`` is rooted
     at ``(lo + hi) // 2``.  Nothing inserts into or rebalances a built
     tree, so no node objects are kept: only the distinct keys in order,
-    each key's ``(id, check)`` payloads (equal keys chain, in input
-    order) and each key's depth, the nodes a descent to it visits.
+    each key's payloads — positions in the aligned ``ids`` and
+    ``checks`` lists (equal keys chain, in input order) — and each key's
+    depth, the nodes a descent to it visits.
     """
 
-    __slots__ = ("keys", "depths", "_starts", "_payloads")
+    __slots__ = ("keys", "depths", "ids", "checks", "_starts")
 
     def __init__(self, keys: np.ndarray, ids: np.ndarray, checks: np.ndarray) -> None:
         """Build from aligned columns in any order; ``ids[i]`` and
@@ -87,20 +88,20 @@ class ShardTree:
         self.keys: list[int] = distinct.tolist()
         self.depths: list[int] = _midpoint_depths(len(distinct)).tolist()
         self._starts: list[int] = starts.tolist() + [len(order)]
-        self._payloads: list[tuple[int, int]] = list(
-            zip(ids[order].tolist(), checks[order].tolist())
-        )
+        self.ids: list[int] = ids[order].tolist()
+        self.checks: list[int] = checks[order].tolist()
 
     def __len__(self) -> int:
         """Payload count (>= the number of distinct keys)."""
-        return len(self._payloads)
+        return len(self.ids)
 
     @property
     def height(self) -> int:
         return max(self.depths, default=0)
 
-    def search(self, key: int) -> tuple[list[tuple[int, int]], int]:
-        """-> (payloads-or-empty, nodes visited by the descent).
+    def search(self, key: int) -> tuple[range, int]:
+        """-> (positions of the key's payloads in ``ids``/``checks``,
+        empty on a miss; nodes visited by the descent).
 
         A miss ends below whichever of its in-order neighbours is the
         other's descendant, that is, the deeper of the two.
@@ -108,8 +109,8 @@ class ShardTree:
         keys, depths = self.keys, self.depths
         i = bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:
-            return self._payloads[self._starts[i]:self._starts[i + 1]], depths[i]
-        return [], max(depths[max(i - 1, 0):i + 1], default=0)
+            return range(self._starts[i], self._starts[i + 1]), depths[i]
+        return range(0), max(depths[max(i - 1, 0):i + 1], default=0)
 
 
 class LookupResult:
@@ -222,9 +223,10 @@ class SampleDirectory:
         unit1 = int(self.unit1[sample_index])
         shard = nid_of(unit1)
         key = int(self.keys[sample_index])
-        payloads, visits = self.tree(shard).search(key)
-        for idx, _check in payloads:
-            if idx == sample_index:
+        tree = self.tree(shard)
+        found, visits = tree.search(key)
+        for j in found:
+            if tree.ids[j] == sample_index:
                 unit2 = int(self.unit2[sample_index])
                 return LookupResult(
                     sample_index, shard, offset_of(unit2), len_of(unit2), visits
@@ -268,7 +270,7 @@ class SampleDirectory:
         if record is None:
             raise FileNotFound(name)
         shard, offset, length, key, _check = record
-        _payloads, visits = self.tree(shard).search(key)
+        _found, visits = self.tree(shard).search(key)
         return LookupResult(-1, shard, offset, length, visits)
 
     def lookup_name(self, name: str) -> LookupResult:
@@ -282,12 +284,14 @@ class SampleDirectory:
         key, check = hash_sample_name(name)
         total_visits = 0
         for shard in range(self.num_shards):
-            payloads, visits = self.tree(shard).search(key)
+            tree = self.tree(shard)
+            found, visits = tree.search(key)
             total_visits += visits
-            for idx, entry_check in payloads:
+            for j in found:
+                idx = tree.ids[j]
                 if idx < 0:
                     continue  # whole-file entry, not a sample
-                if entry_check == check and self.dataset.sample_name(idx) == name:
+                if tree.checks[j] == check and self.dataset.sample_name(idx) == name:
                     unit2 = int(self.unit2[idx])
                     return LookupResult(
                         idx, nid_of(int(self.unit1[idx])),

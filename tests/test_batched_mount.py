@@ -151,8 +151,10 @@ class TestBatchedMount:
         env, cluster, ds, files, fs = self._mount()
         res = fs.directory.lookup_file(files[2].name)
         key, check = hash_sample_name(files[2].name)
-        payloads, visits = fs.directory.tree(res.shard).search(key)
-        assert (-3, check) in payloads and visits == res.visits
+        tree = fs.directory.tree(res.shard)
+        found, visits = tree.search(key)
+        assert (-3, check) in [(tree.ids[j], tree.checks[j]) for j in found]
+        assert visits == res.visits
 
     def test_register_into_built_shard_rejected(self):
         env, cluster, ds, files, fs = self._mount()

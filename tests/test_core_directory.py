@@ -250,6 +250,14 @@ def _tree(keys):
     return ShardTree(np.asarray(keys, dtype=np.uint64), ids, ids * 7 % 65536)
 
 
+def _search(tree, key):
+    """``tree.search(key)`` with its payload range read out as
+    ``(id, check)`` pairs."""
+    found, visits = tree.search(key)
+    assert isinstance(found, range) and found.step == 1
+    return [(tree.ids[j], tree.checks[j]) for j in found], visits
+
+
 def _midpoint_descent(keys, key):
     """Oracle: the literal descent of the tree whose subtree over sorted
     distinct keys [lo, hi) is rooted at (lo + hi) // 2, with payloads
@@ -272,7 +280,7 @@ class TestShardTree:
     def test_empty_shard_misses_with_no_visits(self):
         tree = _tree([])
         assert len(tree) == 0 and tree.height == 0
-        assert tree.search(5) == ([], 0)
+        assert _search(tree, 5) == ([], 0)
 
     def test_build_from_empty_columns(self):
         from repro.core import ShardTree
@@ -280,33 +288,33 @@ class TestShardTree:
         tree = ShardTree(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
                          np.empty(0, dtype=np.uint64))
         assert tree.keys == [] and tree.depths == [] and len(tree) == 0
-        assert tree.search(0) == ([], 0)
-        assert tree.search(2**64 - 1) == ([], 0)
+        assert _search(tree, 0) == ([], 0)
+        assert _search(tree, 2**64 - 1) == ([], 0)
 
     def test_one_key_shard(self):
         tree = _tree([10])
-        assert tree.search(10) == ([(0, 0)], 1)
-        assert tree.search(3) == ([], 1)
-        assert tree.search(11) == ([], 1)
+        assert _search(tree, 10) == ([(0, 0)], 1)
+        assert _search(tree, 3) == ([], 1)
+        assert _search(tree, 11) == ([], 1)
 
     def test_duplicate_keys_chain(self):
         tree = _tree([5, 1, 5])
         assert len(tree) == 3 and tree.keys == [1, 5]
-        assert tree.search(5)[0] == [(0, 0), (2, 14)]
+        assert _search(tree, 5)[0] == [(0, 0), (2, 14)]
 
     def test_sorted_duplicates_share_one_node(self):
         tree = _tree([1, 1, 2])
         assert tree.keys == [1, 2] and len(tree.depths) == 2
         # Root is key 2 (sorted position (0 + 2) // 2); key 1 is its child.
-        assert tree.search(1) == ([(0, 0), (1, 7)], 2)
-        assert tree.search(2) == ([(2, 14)], 1)
+        assert _search(tree, 1) == ([(0, 0), (1, 7)], 2)
+        assert _search(tree, 2) == ([(2, 14)], 1)
 
     def test_search_visits_bounded_by_height(self):
         n = 1000
         tree = _tree(np.arange(0, 2 * n, 2))
         assert tree.height == math.ceil(math.log2(n + 1))
         for key in range(-1, 2 * n + 1):
-            payloads, visits = tree.search(key)
+            payloads, visits = _search(tree, key)
             assert 1 <= visits <= tree.height
             assert bool(payloads) == (0 <= key < 2 * n and key % 2 == 0)
 
@@ -341,7 +349,7 @@ class TestShardTree:
 
         assert subtree_height(0, len(tree.keys), 1) == tree.height
         for key, depth in zip(tree.keys, tree.depths):
-            payloads, visits = tree.search(key)
+            payloads, visits = _search(tree, key)
             assert len(payloads) == keys.count(key) and visits == depth
 
     def test_million_entry_height(self):
@@ -365,7 +373,7 @@ class TestShardTree:
         probes = set(keys) | set(extra) | {0, 2**48 - 1}
         probes |= {k + 1 for k in keys} | {k - 1 for k in keys if k}
         for key in sorted(probes):
-            assert tree.search(key) == _midpoint_descent(keys, key), key
+            assert _search(tree, key) == _midpoint_descent(keys, key), key
 
 
 def _visits_digest(visits) -> str:
