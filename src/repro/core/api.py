@@ -626,6 +626,7 @@ class DLFSClient:
             order_seed = int(
                 sim_rng("dlfs.sequence.rank", [seed, self.rank]).integers(2**31)
             )
+            # Lazy: picks are made only as bread and its prefetch read.
             self._delivery = delivery_order(
                 self.fs.plan,
                 self._epoch.rank_chunks(self.rank),
@@ -633,7 +634,6 @@ class DLFSClient:
                 seed=order_seed,
                 window=self.config.window,
             )
-            self._pos = 0
         else:
             self._global_seq = GlobalSequence(
                 self.fs.dataset.num_samples,
@@ -650,7 +650,7 @@ class DLFSClient:
         if self.config.batching == BATCH_CHUNK:
             if self._delivery is None:
                 return 0
-            return len(self._delivery) - self._pos
+            return len(self._delivery)
         if self._global_seq is None:
             return 0
         return len(self._rank_order) - self._pos
@@ -673,16 +673,11 @@ class DLFSClient:
     def _bread_chunk(self, count: int) -> Generator[Event, Any, np.ndarray]:
         if self._delivery is None:
             raise NotMounted("call sequence() before bread()")
-        if self._pos >= len(self._delivery):
+        if not len(self._delivery):
             raise ConfigError("epoch exhausted; call sequence() with a new seed")
-        end = min(self._pos + count, len(self._delivery))
-        d = self._delivery
-        samples = d.order[self._pos:end]
-        requirements = list(zip(
-            d.req_kind[self._pos:end].tolist(), d.req_id[self._pos:end].tolist()
-        ))
-        prefetch = self._prefetch_keys(end)
-        self._pos = end
+        samples, requirements = self._delivery.take(count)
+        # Distinct upcoming requirements, up to the window depth.
+        prefetch = self._delivery.lookahead(self.config.window)
         self._release_lent()
         job = ReadJob(
             samples=samples,
@@ -694,23 +689,6 @@ class DLFSClient:
         yield job.done
         self._collect_lent(job)
         return samples
-
-    def _prefetch_keys(self, from_pos: int) -> tuple:
-        """Distinct upcoming requirements, up to the window depth."""
-        d = self._delivery
-        window = self.config.window
-        # Read ahead in slices: a window's worth of distinct requirements
-        # usually lies within a few window lengths of entries.
-        step = 4 * window
-        seen: list[tuple[int, int]] = []
-        for start in range(from_pos, len(d), step):
-            stop = start + step
-            for req in zip(d.req_kind[start:stop].tolist(), d.req_id[start:stop].tolist()):
-                if req not in seen:
-                    seen.append(req)
-                    if len(seen) == window:
-                        return tuple(seen)
-        return tuple(seen)
 
     def _next_portion(self, count: int) -> np.ndarray:
         if self._global_seq is None:
@@ -742,9 +720,9 @@ class DLFSClient:
     # -- zero-copy buffer lending --------------------------------------------------
     def _release_lent(self) -> None:
         """Return the previous batch's cache references (zero-copy)."""
-        for key in self._lent_keys:
-            self.cache.release(key)
-        self._lent_keys.clear()
+        if self._lent_keys:
+            self.cache.release_many(self._lent_keys)
+            self._lent_keys.clear()
 
     def _collect_lent(self, job: ReadJob) -> None:
         if job.retained:

@@ -17,8 +17,7 @@ ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, compress, repeat, tee
+from itertools import chain, compress, islice, repeat, tee
 from operator import and_, ge, mul, rshift
 from typing import Iterator
 
@@ -31,15 +30,12 @@ from ..sim import rng as sim_rng
 __all__ = [
     "ChunkPlan",
     "ChunkEpoch",
+    "DeliveryPlan",
     "delivery_order",
     "DEFAULT_CHUNK_BYTES",
 ]
 
 DEFAULT_CHUNK_BYTES = 256 * 1024
-
-#: Requirement kinds attached to each delivered sample.
-REQ_CHUNK = 0
-REQ_EDGE = 1
 
 #: 32-bit words drawn per numpy call by :func:`_uint32_words`.  The
 #: picks do not depend on it; it only trades numpy calls for overdraw.
@@ -105,6 +101,11 @@ class ChunkPlan:
     def members(self, gid: int) -> np.ndarray:
         """Chunk ``gid``'s interior samples in on-device order (a view)."""
         return self._sorted[self._starts[gid]:self._starts[gid + 1]]
+
+    def count_members(self, gids: np.ndarray) -> int:
+        """Interior samples of the chunks ``gids``, summed."""
+        gids = np.asarray(gids, dtype=np.int64)
+        return int((self._starts[gids + 1] - self._starts[gids]).sum())
 
     # -- access-list construction ------------------------------------------------
     def nonempty_chunks(self) -> np.ndarray:
@@ -173,9 +174,8 @@ class ChunkEpoch:
 
     def rank_sample_count(self, rank: int) -> int:
         """Samples rank r will deliver this epoch."""
-        chunks = self.rank_chunks(rank)
-        interior = sum(len(self.plan.members(int(g))) for g in chunks)
-        return interior + len(self.rank_edges(rank))
+        return (self.plan.count_members(self.rank_chunks(rank))
+                + len(self.rank_edges(rank)))
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.num_ranks:
@@ -186,23 +186,6 @@ class ChunkEpoch:
             f"<ChunkEpoch seed={self.seed} chunks={len(self.chunk_list)} "
             f"edges={len(self.edge_list)} ranks={self.num_ranks}>"
         )
-
-
-@dataclass(frozen=True)
-class DeliveryPlan:
-    """Precomputed delivery for one rank-epoch.
-
-    ``order[i]`` is the i-th delivered sample; ``requirement[i]`` is
-    what must be resident before delivering it: ``(REQ_CHUNK, gid)`` or
-    ``(REQ_EDGE, sample)``.
-    """
-
-    order: np.ndarray
-    req_kind: np.ndarray
-    req_id: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 def _uint32_words(rng: np.random.Generator) -> Iterator[int]:
@@ -243,14 +226,9 @@ def _uniform_picks(words: Iterator[int], n: int) -> Iterator[int]:
     )
 
 
-def delivery_order(
-    plan: ChunkPlan,
-    chunks: np.ndarray,
-    edges: np.ndarray,
-    seed: int,
-    window: int = 8,
-) -> DeliveryPlan:
-    """Generate the DLFS-determined sample order (paper Fig 5b).
+class DeliveryPlan:
+    """One rank-epoch's DLFS-determined sample order (paper Fig 5b),
+    generated as it is read.
 
     A window of up to ``window`` chunks is "in cache"; each step picks a
     uniformly random active cursor — one per in-window chunk, plus one
@@ -258,67 +236,133 @@ def delivery_order(
     An exhausted chunk leaves the window and the next chunk from the
     access list enters.
 
+    Each entry is a sample and its *requirement*, the cache key that
+    must be resident before the sample is delivered: ``("c", gid)`` for
+    a member of chunk ``gid`` (one key object per chunk cursor) or
+    ``("e", sample)`` for an edge sample.
+
+    The walk runs only as far as :meth:`take` and :meth:`lookahead` have
+    read, and taken entries are dropped.  ``len()`` counts the entries
+    not yet taken; before the first pick it is the epoch's length, the
+    members of ``chunks`` plus ``edges``.
+
     Each pick is ``integers(len(cursors))`` of the
     ``dlfs.delivery.window`` generator seeded with ``seed``, computed by
-    :func:`_uniform_picks` from blocks of that generator's words instead
-    of one numpy call per delivered sample; the order is bit-identical
-    to the one-call-per-pick loop, which the tests keep as the oracle.
+    :func:`_uniform_picks` from blocks of that generator's words, with
+    the picks iterator carried from one extension of the walk to the
+    next; the order is bit-identical to the one-call-per-pick loop the
+    tests keep as the oracle.
     """
-    if window < 1:
-        raise ConfigError("window must be >= 1")
-    words = _uint32_words(sim_rng("dlfs.delivery.window", seed))
-    chunk_iter = iter(int(g) for g in chunks)
-    order: list[int] = []
-    req_kind: list[int] = []
-    req_id: list[int] = []
 
-    # Each cursor: (kind, ident, member array, position).
-    cursors: list[list] = []
-    chunk_cursors = 0  # running count of REQ_CHUNK entries in ``cursors``
+    def __init__(
+        self,
+        plan: ChunkPlan,
+        chunks: np.ndarray,
+        edges: np.ndarray,
+        seed: int,
+        window: int = 8,
+    ) -> None:
+        if window < 1:
+            raise ConfigError("window must be >= 1")
+        chunks = np.asarray(chunks, dtype=np.int64)
+        self._plan = plan
+        self._window = window
+        self._left = plan.count_members(chunks) + len(edges)
+        self._words = _uint32_words(sim_rng("dlfs.delivery.window", seed))
+        self._chunk_iter = iter(chunks.tolist())
+        # Each cursor: [key, members, position]; the edge stream's key is
+        # None (each edge sample is its own requirement).
+        self._cursors: list[list] = []
+        self._chunk_cursors = 0
+        self._n = 0
+        self._picks: Iterator[int] = iter(())
+        # Walked entries not yet taken.
+        self._samples: list[int] = []
+        self._keys: list[tuple] = []
+        if len(edges):
+            self._cursors.append([None, list(map(int, edges)), 0])
+        self._refill()
 
-    def refill() -> None:
-        nonlocal chunk_cursors
-        while chunk_cursors < window:
-            try:
-                gid = next(chunk_iter)
-            except StopIteration:
+    def __len__(self) -> int:
+        return self._left
+
+    def take(self, count: int) -> tuple[np.ndarray, list]:
+        """Remove the next ``count`` entries (all that are left, if
+        fewer) and return their samples and requirement keys."""
+        count = min(count, self._left)
+        if count > len(self._samples):
+            self._walk(count - len(self._samples))
+        samples, keys = self._samples, self._keys
+        taken = np.array(samples[:count], dtype=np.int64)
+        taken_keys = keys[:count]
+        del samples[:count], keys[:count]
+        self._left -= count
+        return taken, taken_keys
+
+    def lookahead(self, depth: int) -> tuple:
+        """The first ``depth`` distinct requirement keys of the entries
+        not yet taken (fewer near the epoch's end), in order of first
+        occurrence."""
+        keys = self._keys
+        seen = dict.fromkeys(keys)
+        while len(seen) < depth and self._cursors:
+            # A window's worth of distinct requirements usually lies
+            # within a few window lengths of entries.
+            walked = len(keys)
+            self._walk(4 * depth)
+            seen.update(dict.fromkeys(keys[walked:]))
+        return tuple(islice(seen, depth))
+
+    def _refill(self) -> None:
+        while self._chunk_cursors < self._window:
+            gid = next(self._chunk_iter, None)
+            if gid is None:
                 return
-            # Plain-list members: per-sample indexing below then yields
-            # Python ints directly instead of numpy scalars.
-            members = plan.members(gid).tolist()
+            # Plain-list members: per-sample indexing in the walk then
+            # yields Python ints directly instead of numpy scalars.
+            members = self._plan.members(gid).tolist()
             if members:
-                cursors.append([REQ_CHUNK, gid, members, 0])
-                chunk_cursors += 1
+                self._cursors.append([("c", gid), members, 0])
+                self._chunk_cursors += 1
 
-    if len(edges):
-        cursors.append([REQ_EDGE, -1, list(map(int, edges)), 0])
-    refill()
+    def _walk(self, count: int) -> None:
+        """Append up to ``count`` more entries (fewer if the walk ends)."""
+        cursors = self._cursors
+        samples, keys = self._samples, self._keys
+        n, picks = self._n, self._picks
+        for _ in range(count):
+            if not cursors:
+                break
+            if len(cursors) != n:
+                n = len(cursors)
+                picks = _uniform_picks(self._words, n)
+            pick = next(picks)
+            cursor = cursors[pick]
+            key, members, pos = cursor
+            sample = members[pos]
+            samples.append(sample)
+            keys.append(key or ("e", sample))
+            pos += 1
+            cursor[2] = pos
+            if pos == len(members):
+                cursors.pop(pick)
+                if key is not None:
+                    self._chunk_cursors -= 1
+                    self._refill()
+        self._n, self._picks = n, picks
 
-    n = 0
-    while cursors:
-        if len(cursors) != n:
-            n = len(cursors)
-            picks = _uniform_picks(words, n)
-        pick = next(picks)
-        cursor = cursors[pick]
-        kind, ident, members, pos = cursor
-        sample = members[pos]
-        order.append(sample)
-        if kind == REQ_CHUNK:
-            req_kind.append(REQ_CHUNK)
-            req_id.append(ident)
-        else:
-            req_kind.append(REQ_EDGE)
-            req_id.append(sample)
-        cursor[3] += 1
-        if cursor[3] >= len(members):
-            cursors.pop(pick)
-            if kind == REQ_CHUNK:
-                chunk_cursors -= 1
-                refill()
+    def __repr__(self) -> str:
+        return f"<DeliveryPlan left={self._left} walked={len(self._samples)}>"
 
-    return DeliveryPlan(
-        order=np.asarray(order, dtype=np.int64),
-        req_kind=np.asarray(req_kind, dtype=np.int8),
-        req_id=np.asarray(req_id, dtype=np.int64),
-    )
+
+def delivery_order(
+    plan: ChunkPlan,
+    chunks: np.ndarray,
+    edges: np.ndarray,
+    seed: int,
+    window: int = 8,
+) -> DeliveryPlan:
+    """The DLFS-determined order of one rank-epoch: the access list's
+    ``chunks`` and ``edges`` walked through a ``window``-chunk window
+    (see :class:`DeliveryPlan`).  Nothing is picked until it is read."""
+    return DeliveryPlan(plan, chunks, edges, seed, window)

@@ -17,7 +17,7 @@ Slots move through three states:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Callable, Optional
 
 from ..errors import AllocationError, DirectoryError
@@ -159,6 +159,36 @@ class SampleCache:
         slot.refs -= 1
         if slot.refs == 0 and slot.state == RESIDENT:
             self._clean[key] = None
+
+    def acquire_many(self, keys: list) -> None:
+        """:meth:`acquire` once per entry of ``keys`` (repeats count)."""
+        slots, clean = self._slots, self._clean
+        for key, count in Counter(keys).items():
+            slot = slots.get(key)
+            if slot is None:
+                raise DirectoryError(f"no cache slot {key!r}")
+            slot.refs += count
+            clean.pop(key, None)
+
+    def release_many(self, keys: list) -> None:
+        """:meth:`release` once per entry of ``keys``, in order.
+
+        A slot turns clean at its *last* release in ``keys``, so slots
+        join the eviction order as one-at-a-time releases put them.
+        """
+        counts = Counter(keys)
+        slots, clean = self._slots, self._clean
+        # Distinct keys by position of their last release.
+        for key in reversed(dict.fromkeys(reversed(keys))):
+            slot = slots.get(key)
+            if slot is None:
+                raise DirectoryError(f"no cache slot {key!r}")
+            count = counts[key]
+            if slot.refs < count:
+                raise DirectoryError(f"release of unreferenced slot {key!r}")
+            slot.refs -= count
+            if slot.refs == 0 and slot.state == RESIDENT:
+                clean[key] = None
 
     def clean_keys(self) -> tuple:
         """Keys of evictable slots, oldest (next-to-evict) first."""

@@ -28,6 +28,9 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import groupby
+from operator import add, itemgetter
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
@@ -48,7 +51,7 @@ from ..obs import NULL_METRICS, NULL_TRACER
 from ..sim import Environment, Event, RecoveryStats, Store, ThroughputMeter
 from ..sim import rng as sim_rng
 from ..spdk import IOQPair, SPDKRequest, aligned_span
-from .batching import REQ_CHUNK, ChunkPlan
+from .batching import ChunkPlan
 from .cache import RESIDENT, SampleCache
 from .directory import LocalValidBits, SampleDirectory
 
@@ -66,6 +69,9 @@ RECONNECT_DELAY = 1e-3
 SELECT_OVERHEAD = 0.60e-6
 #: Per-completion handling beyond the raw poll iteration.
 COMPLETION_OVERHEAD = 0.20e-6
+#: A fetch waiter ``(job, nbytes)``'s job and payload size.
+_JOB = itemgetter(0)
+_NBYTES = itemgetter(1)
 
 
 class _DeadlineCheck:
@@ -235,9 +241,10 @@ class ReadJob:
 
     samples: np.ndarray
     done: Event
-    #: Chunk-mode requirement per sample: (kind, id); None => per-sample
-    #: fetches through the directory (base / sample-level batching).
-    requirements: Optional[list[tuple[int, int]]] = None
+    #: Chunk-mode requirement per sample: the cache key of its span,
+    #: ``("c", gid)`` or ``("e", sample)``; None => per-sample fetches
+    #: through the directory (base / sample-level batching).
+    requirements: Optional[list[tuple]] = None
     #: Chunk-mode lookahead: requirement keys to prefetch with no waiter.
     prefetch: tuple = ()
     submit_time: float = 0.0
@@ -320,17 +327,18 @@ class CopyPool:
         for core in cores:
             env.process(self._worker(core), name=f"copy@{core.name}")
 
-    def submit(self, cost: float, callback: Callable[[], None]) -> None:
-        self.tasks.put_nowait((cost, callback))
+    def submit(self, cost: float, callback: Callable[..., None], *args) -> None:
+        """Run ``callback(*args)`` once a worker has spent ``cost``."""
+        self.tasks.put_nowait((cost, callback, args))
 
     def _worker(self, core: Core) -> Generator[Event, Any, None]:
         while True:
             task = yield self.tasks.get()
             if task is SHUTDOWN:
                 return
-            cost, callback = task
+            cost, callback, args = task
             yield from core.execute(cost)
-            callback()
+            callback(*args)
             self._kick()
 
     def shutdown(self, workers: Optional[int] = None) -> None:
@@ -423,8 +431,10 @@ class Reactor:
         self._pending: dict[object, _PendingFetch] = {}
         self.read_meter = ThroughputMeter(env, name=f"{name}.delivered")
         self.samples_delivered = 0
+        #: Inline copies started since the last flush: their summed cost
+        #: and one ``(job, keys, sizes, spans)`` batch per hand-off.
         self._inline_copy_cost = 0.0
-        self._inline_done_list: list[Callable[[], None]] = []
+        self._inline_batches: list[tuple] = []
         self._stopped = env.event()
         self._stopping = False
 
@@ -595,7 +605,8 @@ class Reactor:
         else:
             yield from self._intake_requirements(job)
         # Cache hits at intake queued copies; charge them now.
-        yield from self._flush_inline_copies()
+        if self._inline_batches:
+            yield from self._flush_inline_copies()
         if self.injected_compute > 0.0:
             # Fig 7(b): application compute folded into the polling loop,
             # once per batch of samples, on the reactor's core.  Devices
@@ -608,8 +619,10 @@ class Reactor:
     def _intake_samples(self, job: ReadJob) -> Generator[Event, Any, None]:
         """Base / sample-level batching: per-sample directory lookups."""
         cost = 0.0
-        for s in job.samples:
-            s = int(s)
+        hits: list = []
+        hit_sizes: list = []
+        spans: Optional[list] = [] if self.tracer.enabled else None
+        for s in job.samples.tolist():
             result = self.directory.lookup_index(s)
             cost += (
                 self.cpu.hash_cost
@@ -618,7 +631,10 @@ class Reactor:
             )
             key = ("s", s)
             if self.vbits.is_valid(s) and self.cache.lookup(key) is not None:
-                self._start_delivery(job, key, result.length)
+                hits.append(key)
+                hit_sizes.append(result.length)
+                if spans is not None:
+                    spans.append(self._deliver_span(job, key, result.length))
                 continue
             fetch = self._pending.get(key)
             if fetch is None:
@@ -638,50 +654,60 @@ class Reactor:
                     fetch.lane = self.balancer.route(fetch)
                 self._queues.push_fetch(fetch.lane, fetch)
             fetch.waiters.append((job, result.length))
+        if hits:
+            self._start_deliveries(job, hits, hit_sizes, spans)
         self._layers.add("prep", cost)
         if cost > 0.0:
             yield self.thread.delay(cost)
 
     def _intake_requirements(self, job: ReadJob) -> Generator[Event, Any, None]:
-        """Chunk-level batching: samples arrive via chunk / edge fetches."""
+        """Chunk-level batching: samples arrive via chunk / edge fetches.
+
+        A slot's state cannot change during intake (nothing here inserts
+        or evicts), so each distinct requirement is looked up once.
+        """
         cost = self.cpu.request_setup  # one bread dispatch
-        sizes = self.directory.dataset.sizes
-        for s, (kind, rid) in zip(job.samples, job.requirements):
-            s = int(s)
-            key = ("c", rid) if kind == REQ_CHUNK else ("e", rid)
-            slot = self.cache.slot(key)
-            if slot is not None and slot.state == RESIDENT:
-                self.cache.hits += 1
-                self._start_delivery(job, key, int(sizes[s]))
+        cache = self.cache
+        pending = self._pending
+        keys = job.requirements
+        sizes = self.directory.dataset.sizes[job.samples].tolist()
+        resident: dict = {}
+        hits: list = []
+        hit_sizes: list = []
+        spans: Optional[list] = [] if self.tracer.enabled else None
+        for key, nbytes in zip(keys, sizes):
+            hit = resident.get(key)
+            if hit is None:
+                slot = cache.slot(key)
+                hit = resident[key] = slot is not None and slot.state == RESIDENT
+            if hit:
+                hits.append(key)
+                hit_sizes.append(nbytes)
+                if spans is not None:
+                    spans.append(self._deliver_span(job, key, nbytes))
                 continue
-            self.cache.misses += 1
-            fetch = self._ensure_fetch(
-                key, kind, rid, parent=job.span, tenant=job.tenant
-            )
-            fetch.waiters.append((job, int(sizes[s])))
-        for kind, rid in job.prefetch:
-            key = ("c", rid) if kind == REQ_CHUNK else ("e", rid)
-            slot = self.cache.slot(key)
-            if slot is None and key not in self._pending:
-                self._ensure_fetch(
-                    key, kind, rid, parent=job.span, tenant=job.tenant
-                )
+            fetch = pending.get(key)
+            if fetch is None:
+                fetch = self._chunk_fetch(key, job.span, job.tenant)
+            fetch.waiters.append((job, nbytes))
+        cache.hits += len(hits)
+        cache.misses += len(keys) - len(hits)
+        if hits:
+            self._start_deliveries(job, hits, hit_sizes, spans)
+        for key in job.prefetch:
+            # A key this job required has a slot or a pending fetch now.
+            if key not in resident and key not in pending and cache.slot(key) is None:
+                self._chunk_fetch(key, job.span, job.tenant)
         self._layers.add("prep", cost)
         if cost > 0.0:
             yield self.thread.delay(cost)
 
-    def _ensure_fetch(
-        self,
-        key,
-        kind: int,
-        rid: int,
-        parent: Optional[object] = None,
-        tenant: Optional[str] = None,
+    def _chunk_fetch(
+        self, key, parent: Optional[object], tenant: Optional[str]
     ) -> _PendingFetch:
-        fetch = self._pending.get(key)
-        if fetch is not None:
-            return fetch
-        if kind == REQ_CHUNK:
+        """Queue the fetch of a chunk-mode requirement ``key``."""
+        kind, rid = key
+        if kind == "c":
             shard, offset, nbytes = self.plan.chunk_span(rid)
             offset, nbytes = aligned_span(offset, nbytes)
             samples = self.plan.members(rid)
@@ -836,12 +862,13 @@ class Reactor:
         del self._pending[fetch.key]
         if self.balancer is not None:
             self.balancer.fetch_done(fetch)
-        for job, nbytes in fetch.waiters:
-            self._start_delivery(job, fetch.key, nbytes)
-        fetch.waiters.clear()
-        # Copy work for this completion happens via _start_delivery; the
-        # inline path charges it on this core inside the loop below.
-        yield from self._flush_inline_copies()
+        if fetch.waiters:
+            for job, waiting in groupby(fetch.waiters, key=_JOB):
+                sizes = list(map(_NBYTES, waiting))
+                self._start_deliveries(job, [fetch.key] * len(sizes), sizes)
+            fetch.waiters.clear()
+            # The inline path charges these copies on this core.
+            yield from self._flush_inline_copies()
 
     # -- failure recovery --------------------------------------------------------------
     def _already_settled(self, req: SPDKRequest) -> bool:
@@ -1201,62 +1228,83 @@ class Reactor:
         if self.copy_pool is not None:
             self.copy_pool.shutdown()
 
-    def _start_delivery(self, job: ReadJob, key, nbytes: int) -> None:
-        """Hand one sample from the cache to the application: a copy to
-        its buffer, or (zero-copy mode) a retained cache reference."""
-        self.cache.acquire(key)
+    def _deliver_span(self, job: ReadJob, key, nbytes: int):
+        """Open the traced delivery of one sample (None untraced)."""
+        if not self.tracer.enabled:
+            return None
+        track = f"{self.name}.copy" if self.copy_pool is not None else self.name
+        return self.tracer.start(
+            "deliver", track=track, parent=job.span, cat="reactor",
+            key=str(key), nbytes=nbytes,
+        )
+
+    def _start_deliveries(self, job: ReadJob, keys: list, sizes: list,
+                          spans: Optional[list] = None) -> None:
+        """Hand samples of one job from the cache to the application: a
+        copy to its buffer, or (zero-copy mode) a retained cache
+        reference.  ``keys[i]`` holds the sample of ``sizes[i]`` bytes;
+        ``spans`` are their traced deliveries, if already started.
+
+        Each sample costs ``SELECT_OVERHEAD`` plus its memcpy, summed in
+        sample order, and is one copy-pool task when there is a pool.
+        """
+        self.cache.acquire_many(keys)
+        if spans is None and self.tracer.enabled:
+            spans = [self._deliver_span(job, k, n) for k, n in zip(keys, sizes)]
         if self.zero_copy:
-            cost = SELECT_OVERHEAD  # no memcpy: buffer is the cache
+            costs = [SELECT_OVERHEAD] * len(sizes)  # no memcpy: buffer is the cache
         else:
-            cost = SELECT_OVERHEAD + nbytes / self.cpu.memcpy_bandwidth
-        span = None
-        if self.tracer.enabled:
-            track = (
-                f"{self.name}.copy" if self.copy_pool is not None else self.name
-            )
-            span = self.tracer.start(
-                "deliver", track=track, parent=job.span, cat="reactor",
-                key=str(key), nbytes=nbytes,
-            )
-
-        def finish() -> None:
-            if self.zero_copy:
-                job.retained.append(key)
-            else:
-                self.cache.release(key)
-            self.samples_delivered += 1
-            self._c_delivered.incr()
-            self.read_meter.record(nbytes=nbytes)
-            if span is not None:
-                span.finish()
-            job.remaining -= 1
-            if job.remaining == 0:
-                self._h_job.observe(self.env.now - job.submit_time)
-                if job.span is not None:
-                    job.span.finish(errors=len(job.errors))
-                job.done.succeed(job)
-
-        self._layers.add("copy", cost)
+            bandwidth = self.cpu.memcpy_bandwidth
+            costs = [SELECT_OVERHEAD + nbytes / bandwidth for nbytes in sizes]
+        if self.metrics.enabled:
+            for cost in costs:
+                self._layers.add("copy", cost)
         if self.copy_pool is not None:
-            self.copy_pool.submit(cost, finish)
+            for i, cost in enumerate(costs):
+                self.copy_pool.submit(
+                    cost, self._settle, job, keys[i:i + 1], sizes[i:i + 1],
+                    spans[i:i + 1] if spans else None,
+                )
         else:
-            # Inline copies accumulate; charged in one run() per batch.
-            self._inline_copy_cost += cost
-            self._inline_done_list.append(finish)
+            # Inline copies accumulate; charged in one run() per flush.
+            self._inline_copy_cost = reduce(add, costs, self._inline_copy_cost)
+            self._inline_batches.append((job, keys, sizes, spans))
+
+    def _settle(self, job: ReadJob, keys: list, sizes: list,
+                spans: Optional[list]) -> None:
+        """The copies of one hand-off are done: count the samples
+        delivered and complete the job if they were its last."""
+        if self.zero_copy:
+            job.retained.extend(keys)
+        else:
+            self.cache.release_many(keys)
+        count = len(keys)
+        self.samples_delivered += count
+        self._c_delivered.incr(count)
+        self.read_meter.record(nbytes=sum(sizes), count=count)
+        if spans:
+            for span in spans:
+                span.finish()
+        job.remaining -= count
+        if job.remaining == 0:
+            self._h_job.observe(self.env.now - job.submit_time)
+            if job.span is not None:
+                job.span.finish(errors=len(job.errors))
+            job.done.succeed(job)
 
     def _flush_inline_copies(self) -> Generator[Event, Any, None]:
         if self.copy_pool is not None:
             return
-        pending = self._inline_done_list
-        if not pending:
+        batches = self._inline_batches
+        if not batches:
             return
         cost = self._inline_copy_cost
         self._inline_copy_cost = 0.0
-        self._inline_done_list = []
+        self._inline_batches = []
         if cost > 0.0:
             yield self.thread.delay(cost)
-        for finish in pending:
-            finish()
+        for batch in batches:
+            self._settle(*batch)
 
     def _kick(self) -> None:
         """Wake the loop after an off-reactor event freed resources."""

@@ -40,7 +40,8 @@ def dlfs_ordering(plan: ChunkPlan, seed: int, window: int = 8):
             plan, e.rank_chunks(0), e.rank_edges(0),
             seed=epoch_seed + 1, window=window,
         )
-        return d.order
+        order, _keys = d.take(len(d))
+        return order
 
     return source
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ChunkEpoch, ChunkPlan, delivery_order
-from repro.core.batching import (
-    REQ_CHUNK, REQ_EDGE, DeliveryPlan, _uint32_words, _uniform_picks,
+from repro.core.batching import DeliveryPlan, _uint32_words, _uniform_picks
+from repro.data import (
+    BatchedFileLayout, Dataset, DatasetLayout, FixedSize, TFRecordFormat,
+    imagenet_like, imdb_like,
 )
-from repro.data import Dataset, DatasetLayout, FixedSize, imagenet_like, imdb_like
 from repro.errors import ConfigError
 from repro.sim import rng as sim_rng
 
@@ -21,6 +22,21 @@ def make_plan(n=2000, shards=4, chunk=64 * 1024, dist=None, seed=0):
     ds = Dataset.synthetic("d", n, dist, seed=seed)
     layout = DatasetLayout(ds, num_shards=shards)
     return ds, layout, ChunkPlan(layout, chunk)
+
+
+def make_batched_layout(n, per_file, seed):
+    """``n`` 2 KiB samples packed into TFRecord files in a shuffled
+    on-disk order, over up to two shards."""
+    ds = Dataset.fixed("tfds", n, 2048)
+    order = np.random.default_rng(seed).permutation(n)
+    files = TFRecordFormat(samples_per_file=per_file).pack(ds, order=order)
+    return BatchedFileLayout(ds, files, num_shards=min(2, len(files)))
+
+
+def drain(d) -> tuple:
+    """Every entry of a delivery plan: samples (int64) and requirement
+    keys."""
+    return d.take(len(d))
 
 
 def split_members(plan, layout) -> list:
@@ -75,13 +91,7 @@ class TestChunkPlanMembersOracle:
         seed=st.integers(0, 2**16),
     )
     def test_batched_file_layout(self, n, per_file, chunk_kb, seed):
-        from repro.data import BatchedFileLayout, TFRecordFormat
-
-        ds = Dataset.fixed("tfds", n, 2048)
-        order = np.random.default_rng(seed).permutation(n)
-        files = TFRecordFormat(samples_per_file=per_file).pack(ds, order=order)
-        shards = min(2, len(files))
-        layout = BatchedFileLayout(ds, files, num_shards=shards)
+        layout = make_batched_layout(n, per_file, seed)
         assert_members_match_split(layout=layout,
                                    plan=ChunkPlan(layout, chunk_kb * 1024))
 
@@ -201,39 +211,47 @@ class TestDeliveryOrder:
     def test_covers_rank_exactly_once(self):
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=4, num_ranks=2)
-        d = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11)
+        order, _ = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
         expected = set()
         for g in e.rank_chunks(0):
             expected.update(plan.members(int(g)).tolist())
         expected.update(int(x) for x in e.rank_edges(0))
-        assert sorted(d.order.tolist()) == sorted(expected)
-        assert len(set(d.order.tolist())) == len(d.order)
+        assert sorted(order.tolist()) == sorted(expected)
+        assert len(set(order.tolist())) == len(order)
 
     def test_requirements_match_samples(self):
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=4)
-        d = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11)
-        for i in range(len(d)):
-            s = int(d.order[i])
-            if d.req_kind[i] == REQ_CHUNK:
-                assert plan.sample_chunk[s] == d.req_id[i]
+        order, keys = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
+        assert len(keys) == len(order)
+        for s, (kind, ident) in zip(order.tolist(), keys):
+            if kind == "c":
+                assert plan.sample_chunk[s] == ident
             else:
-                assert d.req_kind[i] == REQ_EDGE
-                assert d.req_id[i] == s
+                assert kind == "e"
+                assert ident == s
                 assert plan.sample_chunk[s] == -1
+
+    def test_one_key_object_per_chunk(self):
+        ds, _, plan = make_plan()
+        e = ChunkEpoch(plan, seed=4)
+        _, keys = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
+        chunk_keys = {}
+        for key in keys:
+            if key[0] == "c":
+                assert chunk_keys.setdefault(key, key) is key
 
     def test_window_limits_concurrent_chunks(self):
         """At any point, samples come only from <= window open chunks."""
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=5)
         window = 3
-        d = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=6,
-                           window=window)
+        _, keys = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0),
+                                       seed=6, window=window))
         open_chunks: dict[int, int] = {}
-        for i in range(len(d)):
-            if d.req_kind[i] != REQ_CHUNK:
+        for kind, g in keys:
+            if kind != "c":
                 continue
-            g = int(d.req_id[i])
             open_chunks[g] = open_chunks.get(g, 0) + 1
             live = [
                 gid for gid, seen in open_chunks.items()
@@ -244,36 +262,52 @@ class TestDeliveryOrder:
     def test_order_is_shuffled_not_sequential(self):
         ds, _, plan = make_plan(n=5000)
         e = ChunkEpoch(plan, seed=6)
-        d = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7)
+        order, _ = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
         # Not the identity: plenty of inversions.
-        inversions = (np.diff(d.order) < 0).mean()
+        inversions = (np.diff(order) < 0).mean()
         assert inversions > 0.2
 
     def test_deterministic_per_seed(self):
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=6)
-        d1 = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7)
-        d2 = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7)
-        assert (d1.order == d2.order).all()
+        d1 = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
+        d2 = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
+        assert (d1[0] == d2[0]).all() and d1[1] == d2[1]
 
     def test_empty_inputs(self):
         ds, _, plan = make_plan()
         d = delivery_order(plan, np.array([], dtype=np.int64),
                            np.array([], dtype=np.int64), seed=0)
         assert len(d) == 0
+        assert d.lookahead(8) == ()
+        order, keys = d.take(32)
+        assert order.dtype == np.int64 and len(order) == 0 and keys == []
 
     def test_window_validation(self):
         ds, _, plan = make_plan()
         with pytest.raises(ConfigError):
             delivery_order(plan, np.array([0]), np.array([]), seed=0, window=0)
 
+    def test_walks_only_what_is_read(self):
+        """Nothing is picked before it is read; taken entries are dropped."""
+        ds, _, plan = make_plan()
+        e = ChunkEpoch(plan, seed=4)
+        d = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11)
+        total = len(d)
+        assert total == e.rank_sample_count(0) and d._samples == []
+        d.take(32)
+        assert len(d) == total - 32 and d._samples == []
+        d.lookahead(8)
+        assert 0 < len(d._samples) <= 4 * 8
+
 
 def reference_delivery_order(plan, chunks, edges, seed, window=8):
     """The window discipline with one ``integers()`` call per pick: the
-    oracle for :func:`delivery_order`'s block-drawn picks."""
+    oracle for :class:`DeliveryPlan`'s block-drawn picks.  Returns the
+    samples (int64) and each one's requirement key."""
     rng = sim_rng("dlfs.delivery.window", seed)
     chunk_iter = iter(int(g) for g in chunks)
-    order, req_kind, req_id = [], [], []
+    order, keys = [], []
     cursors = []
     chunk_cursors = 0
 
@@ -286,11 +320,11 @@ def reference_delivery_order(plan, chunks, edges, seed, window=8):
                 return
             members = plan.members(gid).tolist()
             if members:
-                cursors.append([REQ_CHUNK, gid, members, 0])
+                cursors.append(["c", gid, members, 0])
                 chunk_cursors += 1
 
     if len(edges):
-        cursors.append([REQ_EDGE, -1, list(map(int, edges)), 0])
+        cursors.append(["e", -1, list(map(int, edges)), 0])
     refill()
 
     while cursors:
@@ -299,24 +333,46 @@ def reference_delivery_order(plan, chunks, edges, seed, window=8):
         kind, ident, members, pos = cursor
         sample = members[pos]
         order.append(sample)
-        if kind == REQ_CHUNK:
-            req_kind.append(REQ_CHUNK)
-            req_id.append(ident)
-        else:
-            req_kind.append(REQ_EDGE)
-            req_id.append(sample)
+        keys.append((kind, ident if kind == "c" else sample))
         cursor[3] += 1
         if cursor[3] >= len(members):
             cursors.pop(pick)
-            if kind == REQ_CHUNK:
+            if kind == "c":
                 chunk_cursors -= 1
                 refill()
 
-    return DeliveryPlan(
-        order=np.asarray(order, dtype=np.int64),
-        req_kind=np.asarray(req_kind, dtype=np.int8),
-        req_id=np.asarray(req_id, dtype=np.int64),
-    )
+    return np.asarray(order, dtype=np.int64), keys
+
+
+def assert_same_entries(got, want):
+    """Equal samples (int64) and keys, with plain ``int`` ids."""
+    (order, keys), (want_order, want_keys) = got, want
+    assert order.dtype == want_order.dtype == np.int64
+    assert np.array_equal(order, want_order)
+    assert keys == want_keys
+    assert all(type(key[1]) is int for key in keys)
+
+
+def entries_to_see(keys, depth) -> int:
+    """Leading entries of ``keys`` that hold its first ``depth``
+    distinct keys (all of them, if it has fewer)."""
+    seen = set()
+    for i, key in enumerate(keys):
+        seen.add(key)
+        if len(seen) == depth:
+            return i + 1
+    return len(keys)
+
+
+def first_distinct(keys, depth) -> tuple:
+    """The per-entry scan :meth:`DeliveryPlan.lookahead` replaces."""
+    seen = []
+    for key in keys:
+        if len(seen) == depth:
+            break
+        if key not in seen:
+            seen.append(key)
+    return tuple(seen)
 
 
 class TestDeliveryOracle:
@@ -337,14 +393,64 @@ class TestDeliveryOracle:
         _, _, plan = make_plan(n=n, shards=shards, chunk=chunk, seed=plan_seed)
         e = ChunkEpoch(plan, seed=epoch_seed)
         edges = e.rank_edges(0) if with_edges else np.empty(0, dtype=np.int64)
-        got = delivery_order(plan, e.rank_chunks(0), edges, seed=order_seed, window=window)
+        d = delivery_order(plan, e.rank_chunks(0), edges, seed=order_seed, window=window)
         want = reference_delivery_order(
             plan, e.rank_chunks(0), edges, seed=order_seed, window=window
         )
-        for field in ("order", "req_kind", "req_id"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype, field
-            assert np.array_equal(a, b), field
+        assert len(d) == len(want[0])
+        assert_same_entries(drain(d), want)
+        assert len(d) == 0
+
+    @given(
+        layout_kind=st.sampled_from(["packed", "batched"]),
+        n=st.integers(20, 800),
+        chunk_kb=st.sampled_from([16, 64, 256]),
+        layout_seed=st.integers(0, 2**16),
+        epoch_seed=st.integers(0, 2**31 - 1),
+        order_seed=st.integers(0, 2**31 - 1),
+        window=st.integers(1, 8),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["take", "lookahead"]), st.integers(1, 70)),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_walk_in_random_increments(
+        self, layout_kind, n, chunk_kb, layout_seed, epoch_seed, order_seed,
+        window, steps,
+    ):
+        """Taking and looking ahead in any increments yields the drained
+        order entry for entry, dropping what was taken."""
+        if layout_kind == "packed":
+            _, layout, _ = make_plan(n=n, shards=2, seed=layout_seed)
+        else:
+            layout = make_batched_layout(n, per_file=37, seed=layout_seed)
+        plan = ChunkPlan(layout, chunk_kb * 1024)
+        e = ChunkEpoch(plan, seed=epoch_seed)
+        args = (plan, e.rank_chunks(0), e.rank_edges(0))
+        want_order, want_keys = reference_delivery_order(
+            *args, seed=order_seed, window=window
+        )
+        d = delivery_order(*args, seed=order_seed, window=window)
+        assert len(d) == len(want_order)
+        # ``reach``: entries any call so far had to see; the walk may
+        # overshoot it by one look-ahead step of 4 x depth.
+        pos = reach = step = 0
+        for op, k in steps + [("take", len(want_order) + 1)]:
+            if op == "lookahead":
+                want = first_distinct(want_keys[pos:], k)
+                assert d.lookahead(k) == want
+                reach = max(reach, pos + entries_to_see(want_keys[pos:], k))
+                step = max(step, 4 * k)
+            else:
+                end = min(pos + k, len(want_order))
+                assert_same_entries(
+                    d.take(k), (want_order[pos:end], want_keys[pos:end])
+                )
+                pos, reach = end, max(reach, end)
+            assert len(d) == len(want_order) - pos
+            assert reach <= pos + len(d._samples) <= reach + step
+        assert pos == len(want_order) and d._samples == []
 
 
 #: Ranges where Lemire's rejection discards about half of all words.
@@ -393,10 +499,14 @@ class TestUniformPicks:
         assert self.picks(seed, runs) == self.numpy_draws(seed, runs)
 
 
-def delivery_digest(d):
+def delivery_digest(order, keys):
+    """sha1 of the samples, the requirement kinds (0 chunk, 1 edge) and
+    the requirement ids, each as little-endian int64."""
     h = hashlib.sha1()
-    for a in (d.order, d.req_kind, d.req_id):
-        h.update(a.astype("<i8").tobytes())
+    req_kind = [0 if kind == "c" else 1 for kind, _ in keys]
+    req_id = [ident for _, ident in keys]
+    for a in (order, req_kind, req_id):
+        h.update(np.asarray(a).astype("<i8").tobytes())
     return h.hexdigest()
 
 
@@ -432,4 +542,4 @@ class TestPinnedDeliveries:
             plan, e.rank_chunks(rank), e.rank_edges(rank), seed=seed, window=window
         )
         assert len(d) == entries
-        assert delivery_digest(d) == digest
+        assert delivery_digest(*drain(d)) == digest

@@ -1,6 +1,7 @@
 """Unit tests for the DLFS sample cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SampleCache
 from repro.core.cache import FILLING, RESIDENT
@@ -139,3 +140,74 @@ class TestLifecycle:
         assert len(cache) == 0
         cache.try_insert("a", 100)
         assert len(cache) == 1 and "a" in cache
+
+
+class TestBatchedRefs:
+    """``acquire_many``/``release_many`` against a twin cache making the
+    same calls one key at a time."""
+
+    def test_slot_turns_clean_at_its_last_release(self, cache):
+        for key in "abc":
+            cache.try_insert(key, 100)
+            cache.mark_resident(key)
+        cache.acquire_many(["a", "b", "a", "c"])
+        assert cache.clean_keys() == ()
+        cache.release_many(["a", "b", "a", "c"])
+        assert cache.clean_keys() == ("b", "a", "c")
+
+    def test_over_release_and_missing_keys_rejected(self, cache):
+        cache.try_insert("a", 100)
+        cache.mark_resident("a")
+        cache.acquire_many(["a"])
+        with pytest.raises(DirectoryError):
+            cache.release_many(["a", "a"])
+        with pytest.raises(DirectoryError):
+            cache.acquire_many(["ghost"])
+        with pytest.raises(DirectoryError):
+            cache.release_many(["ghost"])
+
+    @staticmethod
+    def _twin(num_keys):
+        pool = HugePagePool(Environment(), total_bytes=num_keys * CHUNK,
+                            chunk_size=CHUNK)
+        evicted = []
+        cache = SampleCache(pool, on_evict=evicted.append)
+        for key in range(num_keys):
+            cache.try_insert(key, CHUNK)
+        return cache, evicted
+
+    @given(data=st.data(), num_keys=st.integers(1, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_at_a_time(self, data, num_keys):
+        batched, batched_evicted = self._twin(num_keys)
+        single, single_evicted = self._twin(num_keys)
+        held: list = []  # references acquired and not yet released
+        filling = list(range(num_keys))
+        keys_st = st.lists(st.integers(0, num_keys - 1), max_size=12)
+        for _ in range(data.draw(st.integers(1, 30))):
+            op = data.draw(st.sampled_from(["acquire", "release", "fill"]))
+            if op == "acquire":
+                keys = data.draw(keys_st)
+                batched.acquire_many(keys)
+                for key in keys:
+                    single.acquire(key)
+                held.extend(keys)
+            elif op == "release" and held:
+                order = data.draw(st.permutations(held))
+                keys = order[:data.draw(st.integers(0, len(order)))]
+                batched.release_many(keys)
+                for key in keys:
+                    single.release(key)
+                    held.remove(key)
+            elif op == "fill" and filling:
+                key = filling.pop(data.draw(st.integers(0, len(filling) - 1)))
+                batched.mark_resident(key)
+                single.mark_resident(key)
+            assert ([batched.slot(k).refs for k in range(num_keys)]
+                    == [single.slot(k).refs for k in range(num_keys)])
+            assert batched.clean_keys() == single.clean_keys()
+        # A span as big as the pool evicts every clean slot, oldest first.
+        clean = single.clean_keys()
+        for cache in (batched, single):
+            cache.try_insert("big", num_keys * CHUNK)
+        assert batched_evicted == single_evicted == list(clean)

@@ -179,16 +179,20 @@ class TestBreadModes:
         )
         client = fs.client()
         client.sequence(seed=3)
+        _, keys = client._delivery.take(len(client._delivery))
+        # The same epoch again, looked ahead from every position.
+        client.sequence(seed=3)
         d = client._delivery
-        for pos in range(len(d) + 1):
+        for pos in range(len(keys) + 1):
             seen = []
             i = pos
-            while i < len(d) and len(seen) < window:
-                req = (int(d.req_kind[i]), int(d.req_id[i]))
-                if req not in seen:
-                    seen.append(req)
+            while i < len(keys) and len(seen) < window:
+                if keys[i] not in seen:
+                    seen.append(keys[i])
                 i += 1
-            assert client._prefetch_keys(pos) == tuple(seen)
+            assert d.lookahead(window) == tuple(seen)
+            if pos < len(keys):
+                assert d.take(1)[1] == [keys[pos]]
 
     def test_two_epochs_different_order(self):
         env, cluster, ds, fs = make_rig(mode="chunk", n=512)

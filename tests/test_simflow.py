@@ -185,8 +185,8 @@ def test_finally_release_covers_all_exits(tmp_path):
 
 
 def test_closure_capture_is_an_escape(tmp_path):
-    """Regression for the deferred-completion idiom in Reactor
-    ``_start_delivery``: the nested callback owns the release."""
+    """Regression for the deferred-completion idiom (a span finished by
+    a callback handed to a pool): the nested callback owns the release."""
     src = """
     import repro.sim as sim
 
