@@ -17,7 +17,7 @@ Slots move through three states:
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import Callable, Optional
 
 from ..errors import AllocationError, DirectoryError
@@ -161,32 +161,29 @@ class SampleCache:
             self._clean[key] = None
 
     def acquire_many(self, keys: list) -> None:
-        """:meth:`acquire` once per entry of ``keys`` (repeats count)."""
+        """:meth:`acquire` each entry of ``keys`` in turn (repeats
+        count), with no call per key."""
         slots, clean = self._slots, self._clean
-        for key, count in Counter(keys).items():
-            slot = slots.get(key)
-            if slot is None:
+        for key in keys:
+            if key not in slots:
                 raise DirectoryError(f"no cache slot {key!r}")
-            slot.refs += count
-            clean.pop(key, None)
+            slots[key].refs += 1
+            if key in clean:
+                del clean[key]
 
     def release_many(self, keys: list) -> None:
-        """:meth:`release` once per entry of ``keys``, in order.
-
-        A slot turns clean at its *last* release in ``keys``, so slots
-        join the eviction order as one-at-a-time releases put them.
-        """
-        counts = Counter(keys)
+        """:meth:`release` each entry of ``keys`` in turn, with no call
+        per key.  A slot turns clean at its last release in ``keys``,
+        so slots join the eviction order as one-at-a-time releases put
+        them."""
         slots, clean = self._slots, self._clean
-        # Distinct keys by position of their last release.
-        for key in reversed(dict.fromkeys(reversed(keys))):
-            slot = slots.get(key)
-            if slot is None:
+        for key in keys:
+            if key not in slots:
                 raise DirectoryError(f"no cache slot {key!r}")
-            count = counts[key]
-            if slot.refs < count:
+            slot = slots[key]
+            if slot.refs <= 0:
                 raise DirectoryError(f"release of unreferenced slot {key!r}")
-            slot.refs -= count
+            slot.refs -= 1
             if slot.refs == 0 and slot.state == RESIDENT:
                 clean[key] = None
 
