@@ -13,7 +13,7 @@ Sub-modules:
 """
 
 from .api import DLFS, DLFSClient, DLFSConfig, DLFSFile, MountReport
-from .batching import ChunkEpoch, ChunkPlan, DEFAULT_CHUNK_BYTES, delivery_order
+from .batching import ChunkEpoch, ChunkPlan, DEFAULT_CHUNK_BYTES, DeliveryPlan
 from .cache import CacheSlot, SampleCache
 from .directory import (
     LocalValidBits,
@@ -43,7 +43,7 @@ __all__ = [
     "ChunkPlan",
     "ChunkEpoch",
     "DEFAULT_CHUNK_BYTES",
-    "delivery_order",
+    "DeliveryPlan",
     "SampleCache",
     "CacheSlot",
     "SampleDirectory",

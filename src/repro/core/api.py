@@ -47,7 +47,7 @@ from ..obs import OBS_OFF, Observability
 from ..sim import Event, Store
 from ..sim import rng as sim_rng
 from ..spdk import IOQPair, NVMeoFTarget, SPDKDriver
-from .batching import ChunkEpoch, ChunkPlan, delivery_order
+from .batching import ChunkEpoch, ChunkPlan, DeliveryPlan
 from .directory import LocalValidBits, SampleDirectory, aggregate_directory
 from .reader import CopyPool, LookupJob, Reactor, ReadJob
 from .sequence import GlobalSequence
@@ -627,7 +627,7 @@ class DLFSClient:
                 sim_rng("dlfs.sequence.rank", [seed, self.rank]).integers(2**31)
             )
             # Lazy: picks are made only as bread and its prefetch read.
-            self._delivery = delivery_order(
+            self._delivery = DeliveryPlan(
                 self.fs.plan,
                 self._epoch.rank_chunks(self.rank),
                 self._epoch.rank_edges(self.rank),

@@ -31,7 +31,6 @@ __all__ = [
     "ChunkPlan",
     "ChunkEpoch",
     "DeliveryPlan",
-    "delivery_order",
     "DEFAULT_CHUNK_BYTES",
 ]
 
@@ -350,19 +349,3 @@ class DeliveryPlan:
                     self._chunk_cursors -= 1
                     self._refill()
         self._n, self._picks = n, picks
-
-    def __repr__(self) -> str:
-        return f"<DeliveryPlan left={self._left} walked={len(self._samples)}>"
-
-
-def delivery_order(
-    plan: ChunkPlan,
-    chunks: np.ndarray,
-    edges: np.ndarray,
-    seed: int,
-    window: int = 8,
-) -> DeliveryPlan:
-    """The DLFS-determined order of one rank-epoch: the access list's
-    ``chunks`` and ``edges`` walked through a ``window``-chunk window
-    (see :class:`DeliveryPlan`).  Nothing is picked until it is read."""
-    return DeliveryPlan(plan, chunks, edges, seed, window)

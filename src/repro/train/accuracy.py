@@ -5,7 +5,7 @@ Trains the same model on the same data twice:
 * ``Full_Rand`` — the application shuffles all sample names fully each
   epoch (the paper's baseline);
 * ``DLFS`` — the sample order comes from the *actual* chunk-batching
-  machinery (``ChunkEpoch`` + ``delivery_order``), i.e. random chunks
+  machinery (``ChunkEpoch`` + ``DeliveryPlan``), i.e. random chunks
   from the access list interleaved sample by sample, edge samples
   interleaved as a stream.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batching import ChunkEpoch, ChunkPlan, delivery_order
+from ..core.batching import ChunkEpoch, ChunkPlan, DeliveryPlan
 from ..data import Dataset, DatasetLayout
 from ..sim import rng as sim_rng
 from .features import FeatureSpace
@@ -36,7 +36,7 @@ def dlfs_ordering(plan: ChunkPlan, seed: int, window: int = 8):
             sim_rng("train.accuracy.epoch", (seed, epoch)).integers(2**31)
         )
         e = ChunkEpoch(plan, seed=epoch_seed, num_ranks=1)
-        d = delivery_order(
+        d = DeliveryPlan(
             plan, e.rank_chunks(0), e.rank_edges(0),
             seed=epoch_seed + 1, window=window,
         )

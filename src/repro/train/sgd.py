@@ -3,7 +3,7 @@
 The trainer consumes an *ordering source*: a callable producing one
 epoch's sample-index order.  Plugging in a full random permutation
 yields the paper's ``Full_Rand`` baseline; plugging in the real DLFS
-chunk-batching generator (:func:`repro.core.batching.delivery_order`)
+chunk-batching generator (:class:`repro.core.batching.DeliveryPlan`)
 yields the ``DLFS`` curve.  Everything else — model, data, validation —
 is held identical, so any accuracy gap is attributable to ordering.
 """

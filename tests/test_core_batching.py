@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ChunkEpoch, ChunkPlan, delivery_order
-from repro.core.batching import DeliveryPlan, _uint32_words, _uniform_picks
+from repro.core import ChunkEpoch, ChunkPlan, DeliveryPlan
+from repro.core.batching import _uint32_words, _uniform_picks
 from repro.data import (
     BatchedFileLayout, Dataset, DatasetLayout, FixedSize, TFRecordFormat,
     imagenet_like, imdb_like,
@@ -211,7 +211,7 @@ class TestDeliveryOrder:
     def test_covers_rank_exactly_once(self):
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=4, num_ranks=2)
-        order, _ = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
+        order, _ = drain(DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
         expected = set()
         for g in e.rank_chunks(0):
             expected.update(plan.members(int(g)).tolist())
@@ -222,7 +222,7 @@ class TestDeliveryOrder:
     def test_requirements_match_samples(self):
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=4)
-        order, keys = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
+        order, keys = drain(DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
         assert len(keys) == len(order)
         for s, (kind, ident) in zip(order.tolist(), keys):
             if kind == "c":
@@ -235,7 +235,7 @@ class TestDeliveryOrder:
     def test_one_key_object_per_chunk(self):
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=4)
-        _, keys = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
+        _, keys = drain(DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0), seed=11))
         chunk_keys = {}
         for key in keys:
             if key[0] == "c":
@@ -246,7 +246,7 @@ class TestDeliveryOrder:
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=5)
         window = 3
-        _, keys = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0),
+        _, keys = drain(DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0),
                                        seed=6, window=window))
         open_chunks: dict[int, int] = {}
         for kind, g in keys:
@@ -262,7 +262,7 @@ class TestDeliveryOrder:
     def test_order_is_shuffled_not_sequential(self):
         ds, _, plan = make_plan(n=5000)
         e = ChunkEpoch(plan, seed=6)
-        order, _ = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
+        order, _ = drain(DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
         # Not the identity: plenty of inversions.
         inversions = (np.diff(order) < 0).mean()
         assert inversions > 0.2
@@ -270,13 +270,13 @@ class TestDeliveryOrder:
     def test_deterministic_per_seed(self):
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=6)
-        d1 = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
-        d2 = drain(delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
+        d1 = drain(DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
+        d2 = drain(DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0), seed=7))
         assert (d1[0] == d2[0]).all() and d1[1] == d2[1]
 
     def test_empty_inputs(self):
         ds, _, plan = make_plan()
-        d = delivery_order(plan, np.array([], dtype=np.int64),
+        d = DeliveryPlan(plan, np.array([], dtype=np.int64),
                            np.array([], dtype=np.int64), seed=0)
         assert len(d) == 0
         assert d.lookahead(8) == ()
@@ -286,13 +286,13 @@ class TestDeliveryOrder:
     def test_window_validation(self):
         ds, _, plan = make_plan()
         with pytest.raises(ConfigError):
-            delivery_order(plan, np.array([0]), np.array([]), seed=0, window=0)
+            DeliveryPlan(plan, np.array([0]), np.array([]), seed=0, window=0)
 
     def test_walks_only_what_is_read(self):
         """Nothing is picked before it is read; taken entries are dropped."""
         ds, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=4)
-        d = delivery_order(plan, e.rank_chunks(0), e.rank_edges(0), seed=11)
+        d = DeliveryPlan(plan, e.rank_chunks(0), e.rank_edges(0), seed=11)
         total = len(d)
         assert total == e.rank_sample_count(0) and d._samples == []
         d.take(32)
@@ -301,7 +301,7 @@ class TestDeliveryOrder:
         assert 0 < len(d._samples) <= 4 * 8
 
 
-def reference_delivery_order(plan, chunks, edges, seed, window=8):
+def reference_DeliveryPlan(plan, chunks, edges, seed, window=8):
     """The window discipline with one ``integers()`` call per pick: the
     oracle for :class:`DeliveryPlan`'s block-drawn picks.  Returns the
     samples (int64) and each one's requirement key."""
@@ -393,8 +393,8 @@ class TestDeliveryOracle:
         _, _, plan = make_plan(n=n, shards=shards, chunk=chunk, seed=plan_seed)
         e = ChunkEpoch(plan, seed=epoch_seed)
         edges = e.rank_edges(0) if with_edges else np.empty(0, dtype=np.int64)
-        d = delivery_order(plan, e.rank_chunks(0), edges, seed=order_seed, window=window)
-        want = reference_delivery_order(
+        d = DeliveryPlan(plan, e.rank_chunks(0), edges, seed=order_seed, window=window)
+        want = reference_DeliveryPlan(
             plan, e.rank_chunks(0), edges, seed=order_seed, window=window
         )
         assert len(d) == len(want[0])
@@ -428,10 +428,10 @@ class TestDeliveryOracle:
         plan = ChunkPlan(layout, chunk_kb * 1024)
         e = ChunkEpoch(plan, seed=epoch_seed)
         args = (plan, e.rank_chunks(0), e.rank_edges(0))
-        want_order, want_keys = reference_delivery_order(
+        want_order, want_keys = reference_DeliveryPlan(
             *args, seed=order_seed, window=window
         )
-        d = delivery_order(*args, seed=order_seed, window=window)
+        d = DeliveryPlan(*args, seed=order_seed, window=window)
         assert len(d) == len(want_order)
         # ``reach``: entries any call so far had to see; the walk may
         # overshoot it by one look-ahead step of 4 x depth.
@@ -461,7 +461,7 @@ class TestUniformPicks:
     @staticmethod
     def picks(seed, runs):
         """One ``_uniform_picks`` iterator per ``(n, count)`` run, all on
-        one word stream, as ``delivery_order`` uses them."""
+        one word stream, as ``DeliveryPlan`` uses them."""
         words = _uint32_words(sim_rng("test.batching.picks", seed))
         return [p for n, count in runs for p in islice(_uniform_picks(words, n), count)]
 
@@ -538,7 +538,7 @@ class TestPinnedDeliveries:
         else:
             _, _, plan = make_plan()
         e = ChunkEpoch(plan, seed=epoch_seed, num_ranks=ranks)
-        d = delivery_order(
+        d = DeliveryPlan(
             plan, e.rank_chunks(rank), e.rank_edges(rank), seed=seed, window=window
         )
         assert len(d) == entries
