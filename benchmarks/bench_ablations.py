@@ -14,7 +14,7 @@ from repro.bench.report import render_figure
 from repro.cluster import Cluster
 from repro.core import DLFS, DLFSConfig
 from repro.data import Dataset
-from repro.hw import KB, MB, Testbed
+from repro.hw import KB, Testbed
 from repro.octopus import OctopusFS, OctopusSpec
 from repro.sim import Environment
 
@@ -27,7 +27,7 @@ def _single_node(sample_bytes: int, batches: int, **fields) -> float:
     load = W.Readers(warmup=4 * 32, reads=batches * 32)
     return W.dlfs_readers(
         load, num_samples=max(2 * load.demand(), 2000),
-        sample_bytes=sample_bytes, testbed=Testbed.paper(), **fields,
+        sample_bytes=sample_bytes, **fields,
     ).sample_throughput
 
 

@@ -38,7 +38,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.perfcheck import zero_rate_injectors  # noqa: E402
 from repro.bench.workloads import Readers, dlfs_readers  # noqa: E402
-from repro.hw import NVMeDevice, Testbed  # noqa: E402
+from repro.hw import NVMeDevice  # noqa: E402
 from repro.hw.memory import HugePagePool  # noqa: E402
 from repro.sim import Environment, Resource  # noqa: E402
 from repro.spdk.request import SPDKRequest  # noqa: E402
@@ -201,7 +201,7 @@ def fig06_case(sample_bytes: int, batches: int) -> tuple[float, int]:
     load = Readers(warmup=4 * 32, reads=batches * 32)
     r = dlfs_readers(
         load, num_samples=max(2 * load.demand(), 2000),
-        sample_bytes=sample_bytes, testbed=Testbed.paper(),
+        sample_bytes=sample_bytes,
     )
     return r.sim_time, -1  # the run does not expose its Environment
 

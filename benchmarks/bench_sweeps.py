@@ -11,7 +11,7 @@ from conftest import run_once
 
 from repro.bench.figures import FigureResult
 from repro.bench import workloads as W
-from repro.hw import KB, Testbed
+from repro.hw import KB
 
 
 def test_sweep_queue_depth(benchmark, emit):
@@ -31,7 +31,6 @@ def test_sweep_queue_depth(benchmark, emit):
             result.series["DLFS-sample"][depth] = W.dlfs_readers(
                 load, num_samples=max(2 * load.demand(), 2000),
                 sample_bytes=4 * KB, batching="sample", queue_depth=depth,
-                testbed=Testbed.paper(),
             ).sample_throughput
         return result
 

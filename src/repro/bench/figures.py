@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data import imagenet_like, imdb_like
-from ..hw.platform import KB, MB, Testbed
+from ..hw.platform import KB, MB
 from ..sim import rng as sim_rng
 from ..train import run_accuracy_experiment
 from . import workloads as W
@@ -134,10 +134,10 @@ def fig06_single_node_throughput(
         ).sample_throughput
         result.series["DLFS-Base"][size] = _dlfs(
             size, max(batches // 3, 4), warmup=4, floor=2000,
-            batching="none", testbed=Testbed.paper(),
+            batching="none",
         ).sample_throughput
         result.series["DLFS"][size] = _dlfs(
-            size, batches, warmup=4, floor=2000, testbed=Testbed.paper(),
+            size, batches, warmup=4, floor=2000,
         ).sample_throughput
 
     small = [s for s in sizes if s <= 4 * KB]
@@ -177,7 +177,6 @@ def fig07a_core_scaling(
     for cores in core_counts:
         result.series["DLFS"][cores] = _dlfs(
             sample_bytes, batches, warmup=4, floor=2000, cores=cores,
-            testbed=Testbed.paper(),
         ).bandwidth
         result.series["Ext4"][cores] = W.ext4_single_node(
             sample_bytes, threads=cores, reads_per_thread=reads
@@ -215,7 +214,7 @@ def fig07b_compute_overlap(
         for compute in compute_points:
             tput = _dlfs(
                 size, batches, warmup=4, floor=2000,
-                injected_compute=compute, testbed=Testbed.paper(),
+                injected_compute=compute,
             ).sample_throughput
             if base is None:
                 base = tput

@@ -1,6 +1,6 @@
 """Closed-loop ``bread`` readers: outputs pinned bit for bit.
 
-Every DLFS figure bar, the ``chaos`` and ``trace`` commands, perfcheck's
+Every DLFS figure bar, ``fleet --preset readers``, perfcheck's
 fig06/fig08 gates, the sanitizer's default target and e2e ``ingest``
 run closed-loop trainers over the paper's datapath.  These digests pin
 what those runs deliver — the sample order (sha1), the final sim time,
@@ -32,7 +32,7 @@ from repro.sim import Environment
 from repro.tenancy import TenantSpec
 from repro.xform import XformSpec, parse_stages
 
-#: The ``chaos`` command's default fault plan.
+#: A fault plan with media errors and periodic qpair resets.
 CHAOS_PLAN = "media=0.01,reset_period=0.002"
 
 
@@ -79,8 +79,8 @@ class TestPinnedObservedRuns:
 
 
 class TestPinnedChaosRuns:
-    """The ``chaos`` command's default run: 2 nodes x 2 whole epochs of
-    1024 samples under the default plan."""
+    """A fault-injected accounting run: 2 nodes x 2 whole epochs of
+    1024 samples under ``CHAOS_PLAN``."""
 
     @pytest.mark.parametrize("mode, pinned, recovery, faults", [
         ("chunk",
@@ -118,14 +118,13 @@ class TestPinnedFigureTopologies:
     bandwidth over the measured window, and the time the readers end."""
 
     @pytest.mark.parametrize("run, pinned", [
-        (lambda: _measured(4 * KB, cores=2, testbed=Testbed.paper()),
+        (lambda: _measured(4 * KB, cores=2),
          ("0x1.980e2b1227ce5p+20", "0x1.980e2b1227ce5p+32",
           "0x1.d4f8c5c0b0a64p-10")),
-        (lambda: _measured(16 * KB, injected_compute=1e-3,
-                           testbed=Testbed.paper()),
+        (lambda: _measured(16 * KB, injected_compute=1e-3),
          ("0x1.945ba3ca75893p+14", "0x1.945ba3ca75893p+28",
           "0x1.188f78ae6786ep-7")),
-        (lambda: _measured(512, copy_cores=(1, 2), testbed=Testbed.paper()),
+        (lambda: _measured(512, copy_cores=(1, 2)),
          ("0x1.78f1b795f0699p+21", "0x1.78f1b795f0699p+30",
           "0x1.fb8fa02d792a1p-12")),
         (lambda: _measured(4 * KB, nodes=2, floor=4000, warmup=3),
