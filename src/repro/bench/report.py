@@ -103,7 +103,4 @@ def render_metrics_summary(dump: dict) -> str:
     for name, stages in sorted(dump.get("layers", {}).items()):
         busy = sum(stages.values())
         lines.append(f"  layers   {name:<34} busy={format_quantity(busy)}s")
-    snapshots = dump.get("snapshots", [])
-    if snapshots:
-        lines.append(f"  snapshots {len(snapshots)} points")
     return "\n".join(lines)

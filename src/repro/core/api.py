@@ -103,9 +103,6 @@ class DLFSConfig:
     #: Observability: collect counters/histograms/layer attribution in
     #: a unified :class:`repro.obs.MetricsRegistry`.
     metrics: bool = False
-    #: Metrics time-series snapshot period in simulated seconds
-    #: (0 = no periodic snapshots).  Pull-based — never extends a run.
-    snapshot_period: float = 0.0
     #: Multi-tenant serving (:mod:`repro.tenancy`): per-tenant
     #: :class:`~repro.tenancy.TenantSpec` policies.  Empty keeps the
     #: single-job datapath bit-identical — pay-for-use, like faults/obs.
@@ -123,8 +120,6 @@ class DLFSConfig:
             raise ConfigError("queue_depth and window must be >= 1")
         if self.injected_compute < 0:
             raise ConfigError("injected_compute must be >= 0")
-        if self.snapshot_period < 0:
-            raise ConfigError("snapshot_period must be >= 0")
         if self.fault_plan is not None:
             self.fault_plan.validate()
         if self.recovery is not None:
@@ -275,7 +270,6 @@ class DLFS:
                 self.env,
                 trace=self.config.trace,
                 metrics=self.config.metrics,
-                snapshot_period=self.config.snapshot_period,
             )
             cluster.fabric.install_observability(self.obs)
             for node_idx, dev_idx in placement:

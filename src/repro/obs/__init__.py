@@ -91,24 +91,18 @@ class Observability:
         env=None,
         trace: bool = False,
         metrics: bool = False,
-        snapshot_period: float = 0.0,
     ) -> None:
         if (trace or metrics) and env is None:
             raise ValueError("enabled observability needs an environment")
         self.env = env
         self.tracer = Tracer(env) if trace else NULL_TRACER
-        self.metrics = (
-            MetricsRegistry(env, snapshot_period) if metrics else NULL_METRICS
-        )
+        self.metrics = MetricsRegistry(env) if metrics else NULL_METRICS
         if self.metrics.enabled:
-            # Engine event hook: count processed events and drive the
-            # pull-based snapshot clock off the simulation's own steps.
+            # Engine event hook: count processed events.
             events = self.metrics.counter("sim.events_processed")
-            registry = self.metrics
 
             def _on_step(now: float, event) -> None:
                 events.incr()
-                registry.maybe_snapshot()
 
             env.add_step_listener(_on_step)
 

@@ -20,11 +20,8 @@ unmetered one.
   registry counters so recovery appears in the unified metrics dump
   (``repro.sim.RecoveryStats`` remains as a re-export shim).
 
-Snapshotting is *pull-based*: :meth:`MetricsRegistry.maybe_snapshot` is
-called from instrumentation points (the sim-engine step hook) and
-records a time-series point once per ``snapshot_period`` of simulated
-time.  No timer process is ever scheduled, so enabling metrics cannot
-extend a run's final sim time.
+No timer process is ever scheduled, so enabling metrics cannot extend a
+run's final sim time.
 """
 
 from __future__ import annotations
@@ -221,7 +218,7 @@ class LayerTimes:
 
 
 class MetricsRegistry:
-    """Named instruments plus periodic sim-time snapshots.
+    """Named instruments, dumped once at the end of a run.
 
     Instruments are get-or-create by name, so independently-constructed
     components share a series when they share a name.
@@ -229,24 +226,18 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, env, snapshot_period: float = 0.0) -> None:
-        if snapshot_period < 0:
-            raise ValueError("snapshot_period must be >= 0")
+    def __init__(self, env) -> None:
         self.env = env
-        self.snapshot_period = snapshot_period
         self.counters: dict[str, CounterMetric] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
         self.layers_by_name: dict[str, LayerTimes] = {}
         self.recovery: list["RecoveryStats"] = []
-        #: Time-series of :meth:`snapshot_now` dicts.
-        self.snapshots: list[dict] = []
         #: Instrument names whose values are (partly) charged by the
         #: fluid analytic path rather than per-event observation
         #: (:mod:`repro.sim.fluid`).  Kept as an insertion-ordered list
         #: so exports stay deterministic.
         self._fluid: list[str] = []
-        self._next_snapshot = snapshot_period if snapshot_period > 0 else math.inf
 
     # -- instruments ---------------------------------------------------------
     def counter(self, name: str) -> CounterMetric:
@@ -284,8 +275,8 @@ class MetricsRegistry:
     def mark_fluid(self, name: str) -> None:
         """Flag ``name`` as fluid-charged (analytic, not per-event).
 
-        Flagged names appear under ``"fluid"`` in snapshots and the
-        dump, so dashboards can distinguish counters backed by real
+        Flagged names appear under ``"fluid"`` in the dump, so
+        dashboards can distinguish counters backed by real
         events from ones advanced in closed form by a hybrid run.
         """
         if name not in self._fluid:
@@ -295,31 +286,6 @@ class MetricsRegistry:
     def fluid_names(self) -> tuple:
         """Sorted names flagged by :meth:`mark_fluid`."""
         return tuple(sorted(self._fluid))
-
-    # -- snapshots -------------------------------------------------------------
-    def snapshot_now(self) -> dict:
-        """Record (and return) one time-series point at the current time."""
-        point = {
-            "t": self.env.now,
-            "counters": {n: c.value for n, c in self.counters.items()},
-            "gauges": {n: g.value for n, g in self.gauges.items()},
-        }
-        if self._fluid:
-            point["fluid"] = list(self.fluid_names)
-        self.snapshots.append(point)
-        return point
-
-    def maybe_snapshot(self) -> None:
-        """Snapshot if a full period has elapsed since the last one.
-
-        Pull-based: callers (the engine step hook, benchmark loops)
-        invoke this opportunistically; nothing is ever scheduled.
-        """
-        now = self.env.now
-        if now >= self._next_snapshot:
-            self.snapshot_now()
-            period = self.snapshot_period
-            self._next_snapshot = now - (now % period) + period
 
     # -- export ---------------------------------------------------------------
     def dump(self) -> dict:
@@ -335,7 +301,6 @@ class MetricsRegistry:
                 n: lt.as_dict() for n, lt in sorted(self.layers_by_name.items())
             },
             "recovery": {s.name: s.as_dict() for s in self.recovery},
-            "snapshots": list(self.snapshots),
         }
         if self._fluid:
             out["fluid"] = list(self.fluid_names)
@@ -394,7 +359,6 @@ class NullMetrics:
     """Disabled registry: every instrument is the shared no-op."""
 
     enabled = False
-    snapshots: tuple = ()
     fluid_names: tuple = ()
 
     def mark_fluid(self, name: str) -> None:
@@ -413,12 +377,6 @@ class NullMetrics:
         return _NULL_INSTRUMENT
 
     def register_recovery(self, stats) -> None:
-        pass
-
-    def snapshot_now(self) -> dict:
-        return {}
-
-    def maybe_snapshot(self) -> None:
         pass
 
     def dump(self) -> dict:

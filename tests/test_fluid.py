@@ -644,4 +644,3 @@ class TestScale:
         reg = MetricsRegistry(env)
         reg.counter("plain").incr()
         assert "fluid" not in reg.dump()
-        assert "fluid" not in reg.snapshot_now()

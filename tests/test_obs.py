@@ -181,22 +181,6 @@ class TestMetricsRegistry:
         reg.counter("c").incr(5)
         assert reg.dump()["counters"]["c"] == 5
 
-    def test_snapshots_are_pull_based_and_periodic(self, env):
-        reg = MetricsRegistry(env, snapshot_period=1.0)
-        reg.counter("c").incr()
-        reg.maybe_snapshot()  # t=0: nothing due yet
-        assert reg.snapshots == []
-        env.run(until=2.5)
-        reg.maybe_snapshot()
-        reg.maybe_snapshot()  # same period: no duplicate point
-        assert len(reg.snapshots) == 1
-        assert reg.snapshots[0]["t"] == 2.5
-        assert reg.snapshots[0]["counters"]["c"] == 1
-
-    def test_negative_snapshot_period_rejected(self, env):
-        with pytest.raises(ValueError):
-            MetricsRegistry(env, snapshot_period=-1.0)
-
     def test_breakdown_rows_sum_to_total(self, env):
         reg = MetricsRegistry(env)
         layers = reg.layers("lane")
