@@ -77,7 +77,7 @@ class LifecycleAudit:
         if hasattr(obj, "_live") and hasattr(obj, "completion_sink"):
             obj.audit = self  # qpair: verify generation at delivery time
 
-    # Called by IOQPair._fly just before delivering a completion.
+    # Called by IOQPair._deliver just before delivering a completion.
     def check_delivery(self, qpair: Any, generation: int) -> None:
         if generation != qpair._generation:
             self.violations.append(

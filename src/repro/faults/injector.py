@@ -9,11 +9,11 @@ on the order in which components were wired up.  Same plan + same
 workload => bit-identical fault event trace.
 
 Components hold the injector behind an ``injector`` attribute that
-defaults to ``None``; with no injector installed they take their
-original fast path, and a zero-rate site consumes no randomness, keeping
-fault machinery strictly pay-for-use.  The attribute is also the only
-switch between an NVMe device's analytic and per-command service paths:
-any injector, even a zero-rate one, selects the per-command path.
+defaults to ``None``; with no injector installed they draw nothing, and
+a zero-rate site consumes no randomness either, keeping fault machinery
+strictly pay-for-use.  An NVMe device times every command in closed
+form whether or not an injector is installed: the injector only decides
+each READ's fault, drawn when the command is submitted.
 """
 
 from __future__ import annotations

@@ -15,6 +15,11 @@ nbytes/bandwidth``; sustained small-command throughput approaches
 ``bandwidth``.  Those are the published envelope numbers for the
 paper's Intel Optane device.
 
+Every command is timed in closed form at submit: both serialized stages
+are FIFO, so each is one "next free" instant, and a single timer per
+device delivers the completions.  A fault injector changes only what a
+READ's timing is (media error, timeout or hiccup), drawn at submit.
+
 For multi-node experiments the paper emulates NVMe with RAMdisk plus an
 injected delay; ``NVMeSpec.emulated_ramdisk()`` mirrors that by keeping
 the same envelope and tagging the spec, exactly as the paper intends.
@@ -24,14 +29,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
-
-from collections import deque
+from heapq import heappop, heappush
+from math import inf
+from typing import Optional
 
 from ..errors import ConfigError, HardwareError, QueueFullError
 from ..obs import NULL_METRICS, NULL_TRACER
 from ..sim import Environment, Event, Resource, ThroughputMeter
-from ..sim.engine import audit_register
 from .platform import GB, NVMeSpec
 
 __all__ = [
@@ -106,10 +110,8 @@ class NVMeDevice:
             raise ConfigError("device capacity must be positive")
         self.name = name or f"nvme{next(self._ids)}"
         self.capacity = capacity
-        #: Optional fault injector (see :mod:`repro.faults`).  It alone
-        #: picks the service path: ``None`` takes the analytic timing
-        #: below, an injector (even at zero rates) the per-command
-        #: process that can fail, stall, or hiccup.
+        #: Optional fault injector (see :mod:`repro.faults`): each READ
+        #: draws its fault (media error, timeout, hiccup) at submit.
         self.injector = None
         self._cmd_proc = Resource(env, capacity=1, name=f"{self.name}.cmdproc")
         self._data_pipe = Resource(env, capacity=1, name=f"{self.name}.data")
@@ -120,20 +122,20 @@ class NVMeDevice:
         #: Observability (null objects until install_observability).
         self.tracer = NULL_TRACER
         self._h_latency = NULL_METRICS.histogram("")
-        #: Analytic path (no injector): completion times are computed in
-        #: closed form at submit and a single timer chain delivers them,
-        #: replacing the per-command service process.  ``perfcheck``
-        #: proves results bit-identical to the process path.
-        #: Next instant each serialized stage is free (closed-form
-        #: mirrors of the _cmd_proc/_data_pipe FIFO resources).
+        #: Closed-form service state (see _time): the next instant each
+        #: serialized stage is free, mirroring the _cmd_proc/_data_pipe
+        #: FIFO resources, which only keep the busy-time integrals.
         self._proc_free = 0.0
         self._pipe_free = 0.0
-        #: Pending analytic completions, (complete_time, cmd), sorted —
-        #: completion times are strictly increasing in submit order
-        #: because both stages are FIFO pipes.
-        self._fp_pending: deque[tuple[float, NVMeCommand]] = deque()
-        self._fp_timer_active = False
-        audit_register(self)
+        self._seq = 0
+        #: Commands on their way to the data pipe, (arrival, seq, cmd).
+        self._arrivals: list[tuple[float, int, NVMeCommand]] = []
+        #: Timed completions, (complete_time, seq, cmd, status).  Not in
+        #: submit order: a media error overtakes commands queued at the
+        #: pipe, and a hiccup reaches it late.
+        self._pending: list[tuple[float, int, NVMeCommand, str]] = []
+        #: Fire times of the posted delivery timers (a heap).
+        self._timers: list[float] = []
 
     def install_observability(self, obs) -> None:
         """Attach an :class:`repro.obs.Observability` bundle."""
@@ -219,10 +221,7 @@ class NVMeDevice:
                 op=op, nbytes=nbytes,
             )
         self._outstanding += 1
-        if self.injector is None:
-            self._fp_submit(cmd)
-        else:
-            self.env.process(self._service(cmd), name=f"{self.name}.cmd")
+        self._time(cmd)
         return cmd
 
     def read(
@@ -243,103 +242,117 @@ class NVMeDevice:
     ) -> NVMeCommand:
         return self.submit(WRITE, offset, nbytes, tag, parent=parent)
 
-    # -- analytic fast path ------------------------------------------------------
-    def _fp_submit(self, cmd: NVMeCommand) -> None:
-        """Closed-form service timing for one healthy command.
+    # -- service timing ---------------------------------------------------------
+    def _time(self, cmd: NVMeCommand) -> None:
+        """Time one command in closed form at submit.
 
-        Mirrors :meth:`_service` stage by stage with the *same float
-        operations in the same order*, so completion times are
-        bit-identical to the process path:
+        The reference is a per-command process (kept as the oracle in
+        ``tests/test_nvme_service.py``); this reproduces its timing with
+        the *same float operations in the same order*, so every
+        completion lands at the bit-identical instant:
 
         1. serialized command processing — FIFO grant of ``_cmd_proc``
            at ``max(now, proc_free)``, released ``cmd_overhead`` later;
         2. media latency — paid concurrently, ``read_latency`` after
-           processing;
-        3. serialized data movement — FIFO grant of ``_data_pipe``.
+           processing (plus the fault's extra delay, see below);
+        3. serialized data movement — FIFO grant of ``_data_pipe`` in
+           arrival order, ties in submit order (a model key, not event
+           insertion order).
 
-        Both stages are capacity-1 FIFO pipes fed in submit order, so
-        grant order equals submit order and each stage's free time is a
-        single scalar.  Busy-time integrals are credited to the same
-        resources with the same per-hold summands in the same (submit ==
-        release) order the process path would accumulate them, keeping
-        ``bandwidth_utilization()`` bit-identical at end of run (the
-        integral is booked at submit, so a mid-flight reading would run
-        slightly ahead of the process path).
-
-        With an injector installed, commands take the process path; the
-        in-repo chaos workloads install injectors before any I/O is
-        submitted, so the two accounting schemes never interleave.
+        A READ on a device with an injector draws its fault here, at
+        submit: a media error completes ``read_latency`` after
+        processing and never uses the pipe, a timeout completes
+        ``read_latency + extra`` after it, and a hiccup reaches the pipe
+        ``extra`` late.  Busy-time integrals get the same per-hold
+        summands in the same (release) order the resources would
+        accumulate, so ``bandwidth_utilization()`` is exact at the end of
+        a run (it is booked ahead of time, so a mid-flight reading runs
+        slightly ahead).
         """
-        env = self.env
-        now = env._now
+        now = self.env._now
+        spec = self.spec
+        fault = None
+        if self.injector is not None and cmd.op == READ:
+            fault = self.injector.nvme_fault(self.name, now)
+            if fault is not None and cmd.span is not None:
+                cmd.span.event("fault_injected", kind=fault[0])
         proc_start = self._proc_free if self._proc_free > now else now
         proc_done = proc_start + self.effective_cmd_overhead
         self._proc_free = proc_done
-        ready = proc_done + self.spec.read_latency
-        pipe_start = self._pipe_free if self._pipe_free > ready else ready
-        complete = pipe_start + self.spec.transfer_time(cmd.nbytes)
-        self._pipe_free = complete
         self._cmd_proc._busy_integral += proc_done - proc_start
-        self._data_pipe._busy_integral += complete - pipe_start
-        self._fp_pending.append((complete, cmd))
-        if not self._fp_timer_active:
-            self._fp_schedule(complete)
-
-    def _fp_schedule(self, when: float) -> None:
-        """Arm the delivery timer for the earliest pending completion."""
-        timer = Event(self.env)
-        timer._value = None
-        timer.callbacks.append(self._fp_deliver)
-        self.env._post_at(timer, when)
-        self._fp_timer_active = True
-
-    def _fp_deliver(self, _timer: Event) -> None:
-        """Complete every command due now; re-arm for the next instant.
-
-        One timer event per completion *instant* — a same-instant burst
-        is drained in submit order under a single event, and the 5+
-        intermediate events per command of the process path (process
-        start, stage grants, stage timeouts, process end) never exist.
-        """
-        pending = self._fp_pending
-        now = self.env._now
-        while pending and pending[0][0] <= now:
-            _, cmd = pending.popleft()
-            self._complete(cmd, STATUS_OK)
-        if pending:
-            self._fp_schedule(pending[0][0])
+        seq = self._seq
+        self._seq = seq + 1
+        # Healthy arrival at the pipe, and the admission frontier: no
+        # later command can reach the pipe before it.
+        ready = proc_done + spec.read_latency
+        if fault is None:
+            heappush(self._arrivals, (ready, seq, cmd))
         else:
-            self._fp_timer_active = False
-
-    # -- service -----------------------------------------------------------------
-    def _service(self, cmd: NVMeCommand) -> Generator[Event, Any, None]:
-        fault = None
-        if self.injector is not None and cmd.op == READ:
-            fault = self.injector.nvme_fault(self.name, self.env.now)
-        if fault is not None and cmd.span is not None:
-            cmd.span.event("fault_injected", kind=fault[0])
-        # 1. command processing (serialized: the IOPS ceiling)
-        yield from self._cmd_proc.hold(self.effective_cmd_overhead)
-        if fault is not None:
             kind, extra = fault
             if kind == "media_error":
                 # The media access fails after its latency; no data moves.
-                yield self.env.timeout(self.spec.read_latency)
-                self._complete(cmd, STATUS_MEDIA_ERROR)
-                return
-            if kind == "timeout":
+                heappush(self._pending, (ready, seq, cmd, STATUS_MEDIA_ERROR))
+            elif kind == "timeout":
                 # The command wedges inside the controller before it
                 # surfaces — far past any sane client deadline.
-                yield self.env.timeout(self.spec.read_latency + extra)
-                self._complete(cmd, STATUS_TIMEOUT)
-                return
-            # Hiccup: a latency spike on an otherwise-healthy read.
-            yield self.env.timeout(extra)
-        # 2. media access latency (paid concurrently across commands)
-        yield self.env.timeout(self.spec.read_latency)
-        # 3. data movement (serialized on the device's bandwidth)
-        yield from self._data_pipe.hold(self.spec.transfer_time(cmd.nbytes))
-        self._complete(cmd, STATUS_OK)
+                heappush(self._pending, (
+                    proc_done + (spec.read_latency + extra), seq, cmd,
+                    STATUS_TIMEOUT,
+                ))
+            else:
+                # Hiccup: a latency spike on an otherwise-healthy read.
+                heappush(self._arrivals, (
+                    (proc_done + extra) + spec.read_latency, seq, cmd,
+                ))
+        self._admit(ready)
+        self._arm()
+
+    def _admit(self, frontier: float) -> None:
+        """Move every pipe arrival at or before ``frontier`` onto the pipe."""
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] <= frontier:
+            arrival, seq, cmd = heappop(arrivals)
+            start = self._pipe_free if self._pipe_free > arrival else arrival
+            complete = start + self.spec.transfer_time(cmd.nbytes)
+            self._pipe_free = complete
+            self._data_pipe._busy_integral += complete - start
+            heappush(self._pending, (complete, seq, cmd, STATUS_OK))
+
+    def _arm(self) -> None:
+        """Post a timer for the earliest need no armed timer covers.
+
+        A need is a pending completion or an arrival not yet on the
+        pipe.  Timers fire in time order and each one serves every need
+        due by then, so a new timer is needed only for a need earlier
+        than every armed one (a media error overtaking commands queued
+        at the pipe, a hiccup's late arrival); an earlier timer is never
+        withdrawn, it serves the next need when it fires.
+        """
+        due = self._pending[0][0] if self._pending else inf
+        if self._arrivals and self._arrivals[0][0] < due:
+            due = self._arrivals[0][0]
+        timers = self._timers
+        if due < (timers[0] if timers else inf):
+            heappush(timers, due)
+            timer = Event(self.env)
+            timer._value = None
+            timer.callbacks.append(self._on_timer)
+            self.env._post_at(timer, due)
+
+    def _on_timer(self, _timer: Event) -> None:
+        """Admit arrivals due now and complete every command due now.
+
+        One timer event per completion *instant*: a same-instant burst
+        is completed in (time, submit) order under a single event.
+        """
+        heappop(self._timers)
+        now = self.env._now
+        self._admit(now)
+        pending = self._pending
+        while pending and pending[0][0] <= now:
+            _, _, cmd, status = heappop(pending)
+            self._complete(cmd, status)
+        self._arm()
 
     def _complete(self, cmd: NVMeCommand, status: str) -> None:
         cmd.status = status

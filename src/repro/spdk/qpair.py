@@ -141,34 +141,24 @@ class IOQPair:
                 attempt=request.attempts,
             )
         self._live[request] = self._generation
-        if (
-            not self.is_remote
-            and self.target.injector is None
-            and self.injector is None
-        ):
-            # Local flight with no injector: submit now and deliver from the
-            # device's completion callback.  The process path submits at
-            # the same sim instant (its Initialize event fires before any
-            # later-time event) and resumes inside the same completion
-            # event this callback rides, so timings are identical — the
-            # per-request Initialize/process-end events simply never
-            # exist.  With an injector installed, the process path keeps
-            # the fault-draw call order bit-identical to the seed.
+        if self.is_remote:
+            self.env.process(
+                self._fly(request, self._generation), name=f"{self.name}.io"
+            )
+        else:
+            # Local flight: submit now and deliver from the device's
+            # completion callback, injected or not.
             cmd = self.target.read(
                 request.offset, request.nbytes, parent=request.span
             )
             cmd.completion.callbacks.append(
                 partial(self._on_device_complete, request, self._generation)
             )
-        else:
-            self.env.process(
-                self._fly(request, self._generation), name=f"{self.name}.io"
-            )
 
     def _on_device_complete(
         self, request: SPDKRequest, generation: int, completion: Event
     ) -> None:
-        """Completion callback for local flights with no injector."""
+        """Completion callback of a local flight."""
         cmd = completion._value
         # Same slot-reclaim contract as _fly's finally block.
         if self._live.get(request) != generation:
@@ -181,21 +171,15 @@ class IOQPair:
     def _fly(
         self, request: SPDKRequest, generation: int
     ) -> Generator[Event, Any, None]:
+        """Remote flight: one NVMe-oF read through the target."""
         status = STATUS_OK
         stale = False
         try:
-            if self.is_remote:
-                status = yield from self.target.serve_read(
-                    self.client_host, request.offset, request.nbytes,
-                    parent=request.span,
-                )
-                status = status or STATUS_OK
-            else:
-                cmd = self.target.read(
-                    request.offset, request.nbytes, parent=request.span
-                )
-                yield cmd.completion
-                status = cmd.status
+            status = yield from self.target.serve_read(
+                self.client_host, request.offset, request.nbytes,
+                parent=request.span,
+            )
+            status = status or STATUS_OK
         finally:
             # Depth accounting must survive faults: whether the service
             # path returned, raised, or was aborted by a reset, this

@@ -1,23 +1,31 @@
 """Kernel and datapath fast-path equivalence tests.
 
-Every optimization — the analytic NVMe completion path, the qpair
-callback flight, tombstoned interrupts, O(N) conditions, fire-and-forget
-store puts — must be *invisible* in simulation results.  These tests
-pin that down at the kernel level (processing-order traces) and at the
-model level (device/qpair timings compared event-for-event between the
-injector-free paths and the reference paths a zero-rate fault injector
-selects).
+Every optimization — the closed-form NVMe service, the qpair callback
+flight, tombstoned interrupts, O(N) conditions, fire-and-forget store
+puts — must be *invisible* in simulation results.  These tests pin that
+down at the kernel level (processing-order traces) and at the model
+level: device and qpair timings are compared with the per-command
+service process and the per-request flight process they replaced,
+which are kept here as oracles (``ProcessNVMe``, ``ProcessFlightQPair``).
 """
 
+import collections
 import random
+import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.perfcheck import zero_rate_injectors
+from repro.bench.workloads import Readers, preset, run_fleet
 from repro.errors import InterruptedProcess, ResourceError, SimulationError
-from repro.faults import ZERO_PLAN, FaultInjector
-from repro.hw import STATUS_OK, NVMeDevice
+from repro.faults import ZERO_PLAN, FaultInjector, FaultPlan, parse_fault_plan
+from repro.hw import (
+    MB, READ, STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK,
+    STATUS_TIMEOUT, NVMeDevice, NVMeSpec,
+)
 from repro.hw.memory import HugePagePool
+from repro.spdk import SPDKRequest
+from repro.spdk.qpair import IOQPair
 from repro.sim import AllOf, AnyOf, Environment, Event, Resource, Store
 from repro.sim import engine as sim_engine
 from repro.sim.engine import Condition, set_tiebreak_factory
@@ -280,37 +288,97 @@ class TestConditionCollectOnce:
 
 
 # ---------------------------------------------------------------------------
-# Model layer: analytic NVMe path vs the generator chain.
+# Model layer: the closed-form NVMe service vs the per-command process.
 # ---------------------------------------------------------------------------
 
-def _device_trace(fast: bool, pattern: list[tuple[float, int]]):
-    """Submit (gap, nbytes) commands; return completion records + stats.
+class ProcessNVMe(NVMeDevice):
+    """Reference device: one service process per command.
 
-    ``fast=False`` installs a zero-rate injector, which routes every
-    command through the per-command service process.
+    This is the generator chain ``NVMeDevice._time`` reproduces in
+    closed form: ``Resource.hold`` on the command processor, the media
+    latency, ``hold`` on the data pipe, with the fault drawn when the
+    process starts.  Pipe arrivals at one instant are granted here in
+    event insertion order, in submit order by the closed form, so the
+    oracle comparisons below keep arrivals from tying.
+    """
+
+    def _time(self, cmd):
+        self.env.process(self._service(cmd), name=f"{self.name}.cmd")
+
+    def _service(self, cmd):
+        fault = None
+        if self.injector is not None and cmd.op == READ:
+            fault = self.injector.nvme_fault(self.name, self.env.now)
+        if fault is not None and cmd.span is not None:
+            cmd.span.event("fault_injected", kind=fault[0])
+        yield from self._cmd_proc.hold(self.effective_cmd_overhead)
+        if fault is not None:
+            kind, extra = fault
+            if kind == "media_error":
+                yield self.env.timeout(self.spec.read_latency)
+                self._complete(cmd, STATUS_MEDIA_ERROR)
+                return
+            if kind == "timeout":
+                yield self.env.timeout(self.spec.read_latency + extra)
+                self._complete(cmd, STATUS_TIMEOUT)
+                return
+            yield self.env.timeout(extra)
+        yield self.env.timeout(self.spec.read_latency)
+        yield from self._data_pipe.hold(self.spec.transfer_time(cmd.nbytes))
+        self._complete(cmd, STATUS_OK)
+
+
+class CountingInjector(FaultInjector):
+    """A fault injector that counts the draws made at each site."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.draws = collections.Counter()
+
+    def _roll(self, site, rate):
+        if rate > 0.0:
+            self.draws[site] += 1
+        return super()._roll(site, rate)
+
+
+def _device_trace(device_cls, pattern, plan=None):
+    """Submit (gap, nbytes) reads; return what the device did.
+
+    -> (per-command (completion time, status) in submit order, the
+    completion order, end time, command-processor and data-pipe busy
+    integrals, outstanding commands, per-site draws, fault trace).
     """
     env = Environment()
-    dev = NVMeDevice(env)
-    if not fast:
-        dev.install_fault_injector(FaultInjector(ZERO_PLAN))
-    records = []
+    dev = device_cls(env, name="nvme0")
+    injector = None
+    if plan is not None:
+        injector = CountingInjector(plan)
+        dev.install_fault_injector(injector)
+    done = {}
+    order = []
 
     def on_done(completion):
         cmd = completion.value
-        records.append((env.now, cmd.nbytes, cmd.status))
+        done[cmd.tag] = (cmd.complete_time, cmd.status)
+        order.append(cmd.tag)
 
     def driver():
         offset = 0
-        for gap, nbytes in pattern:
+        for k, (gap, nbytes) in enumerate(pattern):
             if gap > 0.0:
                 yield env.timeout(gap)
-            cmd = dev.read(offset, nbytes)
-            cmd.completion.callbacks.append(on_done)
+            dev.read(offset, nbytes, tag=k).completion.callbacks.append(on_done)
             offset += nbytes
 
     env.process(driver())
     env.run()
-    return records, env.now, dev.bandwidth_utilization(), dev.outstanding
+    return (
+        [done[k] for k in range(len(pattern))], order, env.now,
+        dev._cmd_proc._busy_integral, dev._data_pipe._busy_integral,
+        dev.outstanding,
+        dict(injector.draws) if injector else {},
+        injector.trace_signature() if injector else [],
+    )
 
 
 class TestAnalyticNVMe:
@@ -324,86 +392,233 @@ class TestAnalyticNVMe:
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_completion_times_bit_identical(self, name):
         pattern = self.PATTERNS[name]
-        ref = _device_trace(False, pattern)
-        opt = _device_trace(True, pattern)
+        ref = _device_trace(ProcessNVMe, pattern)
+        opt = _device_trace(NVMeDevice, pattern)
         assert opt == ref  # exact float equality, by design
-        assert all(status == STATUS_OK for _, _, status in opt[0])
+        assert all(status == STATUS_OK for _, status in opt[0])
         assert len(opt[0]) == len(pattern)
 
     def test_completion_order_is_submit_order(self):
-        records, _, _, _ = _device_trace(True, self.PATTERNS["mixed"])
-        sizes = [nbytes for _, nbytes, _ in records]
-        assert sizes == [nbytes for _, nbytes in self.PATTERNS["mixed"]]
-        times = [t for t, _, _ in records]
+        completions, order, _, _, _, _, _, _ = _device_trace(
+            NVMeDevice, self.PATTERNS["mixed"])
+        assert order == list(range(len(self.PATTERNS["mixed"])))
+        times = [t for t, _ in completions]
         assert times == sorted(times)
 
+    # Gaps are whole command-processor slots and the fault delays sit a
+    # fraction of a slot off that grid, so no two pipe arrivals (and no
+    # fault completion and processing boundary) can fall on one instant.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cmds=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 256)),
+            min_size=1, max_size=60,
+        ),
+        media=st.sampled_from([0.0, 0.1, 0.4]),
+        timeout=st.sampled_from([0.0, 0.05, 0.2]),
+        hiccup=st.sampled_from([0.0, 0.1, 0.5]),
+        hiccup_slots=st.integers(0, 40),
+        stall_slots=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_closed_form_matches_process_model(
+        self, cmds, media, timeout, hiccup, hiccup_slots, stall_slots, seed,
+    ):
+        slot = NVMeDevice(Environment()).effective_cmd_overhead
+        pattern = [(gap * slot, blocks * 512) for gap, blocks in cmds]
+        plan = FaultPlan(
+            seed=seed, media_error_rate=media, timeout_rate=timeout,
+            hiccup_rate=hiccup, hiccup_duration=(hiccup_slots + 0.5) * slot,
+            timeout_stall=(stall_slots + 0.25) * slot,
+        )
+        ref = _device_trace(ProcessNVMe, pattern, plan)
+        opt = _device_trace(NVMeDevice, pattern, plan)
+        assert opt[0] == ref[0]  # per command: completion time and status
+        assert opt[2:] == ref[2:]  # end time, integrals, draws, trace
+        assert opt[5] == 0
 
-def _qpair_burst(fast: bool, requests: int = 64, depth: int = 8):
-    from repro.spdk import SPDKRequest
-    from repro.spdk.qpair import IOQPair
+    def test_media_error_overtakes_commands_queued_at_the_pipe(self):
+        env = Environment()
+        dev = NVMeDevice(env, name="nvme0")
+        dev.install_fault_injector(_ScriptedFaults(
+            [None, None, ("media_error", 0.0)]))
+        cmds = [dev.read(k * MB, MB) for k in range(3)]
+        env.run()
+        assert [c.status for c in cmds] == [
+            STATUS_OK, STATUS_OK, STATUS_MEDIA_ERROR]
+        assert cmds[2].complete_time < cmds[1].complete_time
 
+
+class _ScriptedFaults:
+    """Injector stand-in: hands out a fixed list of NVMe fault draws."""
+
+    def __init__(self, faults):
+        self._faults = list(faults)
+
+    def nvme_fault(self, device, now):
+        return self._faults.pop(0)
+
+
+def test_pipe_arrival_ties_are_served_in_submit_order():
+    """A hiccup's late arrival ties exactly with a later healthy read.
+
+    With dyadic spec values every sum is exact: read A (hiccup of one
+    command slot) and read B (healthy), both submitted at t=0, reach the
+    pipe at the same instant.  The earlier-submitted A moves first.
+    """
+    spec = NVMeSpec(read_bandwidth=2.0 ** 30, cmd_overhead=2.0 ** -20,
+                    read_latency=2.0 ** -17, queue_arbitration_penalty=0.0)
     env = Environment()
-    device = NVMeDevice(env)
-    if not fast:
-        device.install_fault_injector(FaultInjector(ZERO_PLAN))
-    pool = HugePagePool(env, total_bytes=depth * 256 * 1024, chunk_size=256 * 1024)
-    qpair = IOQPair(env, "host", device, queue_depth=depth)
-    nbytes = 128 * 1024
-    finished = []
-
-    def driver():
-        posted = 0
-        while len(finished) < requests:
-            while posted < requests and qpair.free_slots > 0:
-                req = SPDKRequest(offset=posted * nbytes, nbytes=nbytes,
-                                  chunks=[pool.try_alloc()])
-                qpair.post(req)
-                posted += 1
-            req = yield qpair.completion_sink.get()
-            finished.append((env.now, req.status))
-            pool.free(req.chunks[0])
-
-    env.process(driver())
+    dev = NVMeDevice(env, spec=spec, name="nvme0")
+    dev.install_fault_injector(_ScriptedFaults([("hiccup", 2.0 ** -20), None]))
+    a = dev.read(0, 4096)
+    b = dev.read(4096, 4096)
     env.run()
-    return finished, env.now, qpair.completed, qpair.stale_drops
-
-
-def test_qpair_callback_flight_matches_fly_process():
-    ref = _qpair_burst(False)
-    opt = _qpair_burst(True)
-    assert opt == ref
+    arrival = 2.0 ** -19 + 2.0 ** -17
+    transfer = 2.0 ** -18
+    assert (a.complete_time, b.complete_time) == (
+        arrival + transfer, arrival + 2 * transfer)
 
 
 class TestInjectorChoosesPath:
-    """The fault injector is the only switch between the two paths."""
+    """The fault injector is no path switch: every command is timed in
+    closed form, and an injector only decides each READ's fault."""
 
     def test_device_without_injector_takes_analytic_path(self):
         env = Environment()
         dev = NVMeDevice(env)
         dev.read(0, 4096)
-        assert len(dev._fp_pending) == 1
+        assert len(dev._pending) == 1
         env.run()
         assert dev.outstanding == 0
 
-    def test_zero_rate_injector_takes_process_path(self):
+    def test_zero_rate_injector_takes_analytic_path(self):
         env = Environment()
         dev = NVMeDevice(env)
-        dev.install_fault_injector(FaultInjector(ZERO_PLAN))
+        injector = CountingInjector(ZERO_PLAN)
+        dev.install_fault_injector(injector)
         cmd = dev.read(0, 4096)
-        assert not dev._fp_pending
+        assert len(dev._pending) == 1
         env.run()
         assert cmd.status == STATUS_OK
-        assert dev.injector.trace == []  # nothing injected, nothing drawn
+        assert injector.trace == [] and not injector.draws
+        assert injector._streams == {}  # nothing drawn
 
-    def test_zero_rate_injectors_hook_covers_new_devices_only(self):
-        outside = NVMeDevice(Environment())
-        with zero_rate_injectors():
-            inside = NVMeDevice(Environment())
-        after = NVMeDevice(Environment())
-        assert inside.injector is not None
-        assert inside.injector.plan.is_zero
-        assert outside.injector is None and after.injector is None
-        assert sim_engine._LIFECYCLE_AUDIT is None
+
+class ProcessFlightQPair(IOQPair):
+    """Reference qpair: every local request flies as its own process.
+
+    ``post`` starts a flight process for remote targets only; this
+    qpair takes that branch for its local device and flies the request
+    the way the device completion callback reproduces.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.is_remote = True
+
+    def _fly(self, request, generation):
+        status = STATUS_OK
+        stale = False
+        try:
+            cmd = self.target.read(
+                request.offset, request.nbytes, parent=request.span
+            )
+            yield cmd.completion
+            status = cmd.status
+        finally:
+            stale = self._live.get(request) != generation
+            if not stale:
+                del self._live[request]
+                self._inflight -= 1
+        if stale:
+            self.stale_drops += 1
+            return
+        self._deliver(request, generation, status)
+
+
+def _qpair_burst(reference: bool, requests: int = 64, depth: int = 8):
+    """Reads through one qpair under media errors, hiccups, tenant
+    faults and one reset; failed and aborted reads are posted again."""
+    env = Environment()
+    plan = FaultPlan(seed=3, media_error_rate=0.15, hiccup_rate=0.1,
+                     tenant_faults=(("t1", 0.1),))
+    device = (ProcessNVMe if reference else NVMeDevice)(env, name="nvme0")
+    device.install_fault_injector(FaultInjector(plan))
+    pool = HugePagePool(env, total_bytes=requests * 128 * 1024,
+                        chunk_size=128 * 1024)
+    qpair = (ProcessFlightQPair if reference else IOQPair)(
+        env, "host", device, queue_depth=depth)
+    qpair.injector = FaultInjector(plan)
+    nbytes = 128 * 1024
+    todo = collections.deque(
+        SPDKRequest(offset=k * nbytes, nbytes=nbytes, chunks=[pool.try_alloc()],
+                    tag=types.SimpleNamespace(k=k, tenant=f"t{k % 2}"))
+        for k in range(requests)
+    )
+    finished = []
+
+    def resetter():
+        yield env.timeout(150e-6)
+        qpair.reset()
+        yield env.timeout(20e-6)
+        qpair.reconnect()
+        qpair.completion_sink.put_nowait(None)  # wake the driver
+
+    def driver():
+        left = requests
+        while left:
+            while todo and qpair.free_slots > 0:
+                qpair.post(todo.popleft())
+            req = yield qpair.completion_sink.get()
+            if req is None:
+                continue
+            finished.append((env.now, req.tag.k, req.status, req.attempts))
+            if req.status == STATUS_OK:
+                left -= 1
+            else:
+                todo.append(req)
+
+    env.process(resetter())
+    env.process(driver())
+    env.run()
+    return (finished, env.now, qpair.completed, qpair.stale_drops,
+            qpair.inflight, device.injector.trace_signature(),
+            qpair.injector.trace_signature())
+
+
+def test_qpair_callback_flight_matches_fly_process():
+    ref = _qpair_burst(True)
+    opt = _qpair_burst(False)
+    assert opt == ref
+    finished, _, _, stale_drops, inflight, device_faults, tenant_faults = opt
+    statuses = {status for _, _, status, _ in finished}
+    assert {STATUS_MEDIA_ERROR, STATUS_ABORTED_RESET} <= statuses
+    assert stale_drops > 0 and inflight == 0
+    assert {kind for _, _, kind in device_faults} == {"media_error", "hiccup"}
+    assert tenant_faults
+
+
+@pytest.mark.parametrize("batching, bound", [("sample", 8.0), ("chunk", 1.0)])
+def test_faulted_reader_fleet_events_per_sample(monkeypatch, batching, bound):
+    """A fault plan no longer buys a process per NVMe command and per
+    qpair flight: events scheduled per delivered sample stay bounded
+    (16.46 in sample mode and 1.42 in chunk mode with those processes)."""
+    envs = []
+    init = Environment.__init__
+
+    def recording_init(env, *args, **kwargs):
+        init(env, *args, **kwargs)
+        envs.append(env)
+
+    monkeypatch.setattr(Environment, "__init__", recording_init)
+    r = run_fleet(preset(
+        "readers", readers=Readers(reads=1000), num_samples=2000,
+        batching=batching,
+        fault_plan=parse_fault_plan("media=0.02,reset_period=0.002"),
+    ))
+    assert r.delivered + r.failed == 1000
+    assert sum(env._eid for env in envs) / r.delivered <= bound
 
 
 # ---------------------------------------------------------------------------
