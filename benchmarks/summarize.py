@@ -40,7 +40,7 @@ class ArtifactError(Exception):
 #: anything.  Unknown artifact names fall back to the generic
 #: summarizer, whose only contract is the ``ok`` flag.
 REQUIRED_KEYS = {
-    "engine": ("digest_check", "benchmarks"),
+    "engine": ("benchmarks", "fig06"),
     "tenancy": ("ok", "fairness", "isolation"),
     "cluster": ("ok", "scaling", "failover", "isolation"),
     "xform": ("ok", "cells"),
@@ -106,46 +106,29 @@ def _ms(seconds):
 # Each returns (verdict: bool | None, headline: str, detail: list[str]).
 
 def summarize_engine(data):
-    digest = data.get("digest_check", {})
-    verdict = digest.get("ok")
-    fig06 = data.get("fig06", {})
+    """Wall times only: the engine artifact has no pass/fail gate."""
     micro = data.get("benchmarks", {})
-    paired = ", ".join(
-        f"{name} {m['speedup']:.2f}x" for name, m in sorted(micro.items())
-        if isinstance(m, dict) and m.get("speedup")
-    )
-    vs_seed = [case["speedup_vs_recorded_seed"]
-               for case in fig06.get("cases", {}).values()
+    cases = data.get("fig06", {}).get("cases", {})
+    vs_seed = [case["speedup_vs_recorded_seed"] for case in cases.values()
                if isinstance(case, dict) and "speedup_vs_recorded_seed" in case]
+    burst = micro.get("qpair_burst", {})
     headline = (
-        f"analytic device paths over the zero-rate-injector paths: "
-        f"{paired + ', ' if paired else ''}fig06 min "
-        f"{_fmt(fig06.get('min_speedup'), '.2f')}x"
-        f"{f'; fig06 min {min(vs_seed):.2f}x vs the seed tree' if vs_seed else ''}"
-        f", bit-identical"
+        f"wall time only: qpair_burst {_fmt(burst.get('events_per_sec'))} "
+        f"events/s"
+        f"{f', fig06 min {min(vs_seed):.2f}x vs the seed tree' if vs_seed else ''}"
     )
-    # "reference" is the zero-rate-injector path; kernel micros have
-    # only the one scheduler, so their reference and speedup are gaps.
-    detail = ["| case | reference (s) | optimized (s) | speedup |",
-              "|---|---|---|---|"]
+    detail = ["| case | wall time (s) | events/s |", "|---|---|---|"]
     # Sorted so the page is stable across artifact regenerations that
     # merely reorder (or omit) cases.
     for name in sorted(micro):
         m = micro[name]
         detail.append(
-            f"| {name} | {_fmt(m.get('reference_s'), '.3f')} "
-            f"| {_fmt(m.get('optimized_s'), '.3f')} "
-            f"| {_speedup(m.get('speedup'))} |"
+            f"| {name} | {_fmt(m.get('seconds'), '.3f')} "
+            f"| {_fmt(m.get('events_per_sec'))} |"
         )
-    cases = fig06.get("cases", {})
     for name in sorted(cases):
-        case = cases[name]
-        detail.append(
-            f"| fig06 {name} | {_fmt(case.get('reference_s'), '.3f')} "
-            f"| {_fmt(case.get('optimized_s'), '.3f')} "
-            f"| {_speedup(case.get('speedup'))} |"
-        )
-    return verdict, headline, detail
+        detail.append(f"| fig06 {name} | {_fmt(cases[name].get('seconds'), '.3f')} | — |")
+    return None, headline, detail
 
 
 def summarize_tenancy(data):
@@ -313,6 +296,10 @@ def analysis_stats():
     return verdict, headline, detail
 
 
+#: Verdict column; ``None`` is an artifact with no pass/fail gate.
+MARK = {True: "PASS", False: "FAIL", None: "—"}
+
+
 def render(root):
     """The full markdown page for every artifact under ``root``."""
     paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
@@ -331,7 +318,6 @@ def render(root):
         rows.append(("static-analysis", verdict, headline))
         sections.append(("static-analysis", detail))
 
-    mark = {True: "PASS", False: "FAIL", None: "?"}
     lines = [
         "# Benchmark trajectory",
         "",
@@ -343,7 +329,7 @@ def render(root):
         "|---|---|---|",
     ]
     for name, verdict, headline in rows:
-        lines.append(f"| {name} | {mark[verdict]} | {headline} |")
+        lines.append(f"| {name} | {MARK[verdict]} | {headline} |")
     for name, detail in sections:
         lines += ["", f"## {name}", ""] + detail
     return "\n".join(lines) + "\n", rows
@@ -366,7 +352,7 @@ def main(argv=None):
     with open(out, "w") as fh:
         fh.write(page)
     for name, verdict, _ in rows:
-        print(f"  {name}: {'PASS' if verdict else '?' if verdict is None else 'FAIL'}")
+        print(f"  {name}: {MARK[verdict]}")
     bench_rows = [r for r in rows if r[0] != "static-analysis"]
     print(f"wrote {out} ({len(bench_rows)} artifact(s))")
     if not bench_rows:

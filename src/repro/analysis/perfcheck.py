@@ -1,87 +1,54 @@
-"""perfcheck — prove the injector-free datapath changes nothing observable.
+"""perfcheck — the datapath's gate workloads and their witnesses.
 
-Two hot paths carry two implementations, and the fault injector alone
-picks between them: an NVMe device with no injector computes completion
-times in closed form (:meth:`NVMeDevice._fp_submit`) and a local qpair
-delivers from the device's completion callback
-(:meth:`IOQPair._on_device_complete`); with an injector installed — even
-one that can never inject — both run the *reference* form, one process
-per command and per flight, which is where faults are drawn.  The
-optimizations are only admissible if they are invisible to the
-simulation: ``python -m repro perfcheck`` runs six gate workloads
-(:func:`default_workloads`: fig06, fig08 and the fleet presets) twice —
-once as built, once under :func:`zero_rate_injectors`, which hands every
-NVMe device a zero-rate injector at construction — and asserts the
-*witnesses* are bit-identical:
+``python -m repro perfcheck`` runs six gate workloads
+(:func:`default_workloads`: fig06, fig08 and the fleet presets) and
+reports each one's *witness*:
 
-* final ``sim_time`` (exact float equality);
+* final ``sim_time`` (exact float);
 * the delivered sample-order digest (sha1 over ``samples_read``);
 * delivered/failed counts;
 * the full metrics-registry snapshot (sha1 over the canonical JSON of
   ``MetricsRegistry.dump()``), minus the one counter that *measures the
-  kernel itself* — ``sim.events_processed`` counts processed events, and
-  processing fewer events is the entire point of the analytic paths.
+  kernel itself* — ``sim.events_processed`` counts processed events,
+  which a cheaper scheduling of the same model changes.
 
 This is the same witness the SimSanitizer uses for its tiebreak sweeps
 (:func:`repro.analysis.sanitizer._witness`), extended with the metrics
-digest.  Timing (wall-clock) is deliberately *not* compared here — that
-is ``benchmarks/bench_engine.py``'s job; perfcheck must never fail on
-timing noise.
+digest.  tier-1 pins the ``--quick`` witnesses
+(``tests/test_perfcheck.py``), so a host-side optimization that moves
+any simulated output fails there, and the CLI's JSON lets a branch's
+witnesses be diffed against another's.  The transform tier's
+pay-for-use gate checks an identity inside the workload, and a mismatch
+fails the run.
+
+Each gate used to run twice, once as built and once with a zero-rate
+fault injector on every NVMe device, because the injector picked
+between the closed-form device timing and a per-command process.  NVMe
+devices now have one service model, so both runs executed the same
+code; the process forms survive as oracles in
+``tests/test_engine_fastpath.py``.  Timing (wall-clock) is deliberately
+*not* compared here — that is ``benchmarks/bench_engine.py``'s job;
+perfcheck must never fail on timing noise.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from ..faults import ZERO_PLAN, FaultInjector
-from ..hw import NVMeDevice
-from ..sim import engine as _engine
 from .sanitizer import _witness
 
 __all__ = [
     "PerfCheckReport",
     "run_perfcheck",
     "default_workloads",
-    "zero_rate_injectors",
 ]
 
 #: Metrics-dump keys that describe the kernel, not the simulation.
-#: ``counters.sim.events_processed`` is the engine's own step counter;
-#: the analytic paths process fewer events by design.
+#: ``counters.sim.events_processed`` is the engine's own step counter.
 KERNEL_META_COUNTERS = ("sim.events_processed",)
-
-
-class _ZeroRateInjectors:
-    """Construction hook: every new NVMe device gets a zero-rate injector.
-
-    Installed through the engine's lifecycle-registration hook, which
-    devices call from their constructor — before any command is
-    submitted, so no device ever mixes the two timing schemes.  A
-    zero-rate injector draws no randomness and injects nothing; it only
-    routes the device and its local qpairs onto the reference paths.
-    """
-
-    def __init__(self) -> None:
-        self._injector = FaultInjector(ZERO_PLAN)
-
-    def register(self, obj: Any) -> None:
-        if isinstance(obj, NVMeDevice):
-            obj.install_fault_injector(self._injector)
-
-
-@contextmanager
-def zero_rate_injectors() -> Iterator[None]:
-    """Build every NVMe device inside the block on the reference paths."""
-    previous = _engine._LIFECYCLE_AUDIT
-    _engine.set_lifecycle_audit(_ZeroRateInjectors())
-    try:
-        yield
-    finally:
-        _engine.set_lifecycle_audit(previous)
 
 
 def _metrics_digest(result: Any) -> Optional[str]:
@@ -116,8 +83,7 @@ def _xform_pay_for_use(num_samples: int, horizon: float) -> Dict[str, Any]:
     Runs the xform workload with *no* stages and the flat cluster
     datapath it claims to be, and diffs their full witnesses inside the
     workload; any mismatch lands in ``self_divergences``, which
-    :func:`run_perfcheck` surfaces as a failure.  On top of that, the
-    pair runs on both paths like every other gate.
+    :func:`run_perfcheck` surfaces as a failure.
     """
     from ..bench.workloads import preset, run_fleet
 
@@ -146,15 +112,14 @@ def default_workloads(quick: bool = False) -> Dict[str, Callable[[], Any]]:
     is part of the witness.
     ``quick`` shrinks the sample counts for CI smoke use; the datapath
     coverage (client → reactor → qpair → device → fabric) is the same.
-    The fleet gates extend the proof to the fair-queued datapath
+    The fleet gates extend the coverage to the fair-queued datapath
     (admission, SFQ lanes, cache partition), a full cluster
     crash/failover/rejoin cycle (lane teardown, re-routing, the handoff
     copy loop), the transform tier's pushdown datapath, and its
     pay-for-use identity (no stages ⇒ bit-identical to the flat cluster
     datapath, checked inside the workload via ``self_divergences``).
     ``cluster_crash_rejoin`` schedules node crashes, so its fault plan
-    puts both runs on the reference paths; it still proves the run is
-    reproducible.
+    installs an injector on every NVMe device.
     """
     from ..bench.workloads import dlfs_observed, preset, run_fleet
 
@@ -194,10 +159,10 @@ def default_workloads(quick: bool = False) -> Dict[str, Callable[[], Any]]:
 
 @dataclass
 class PerfCheckReport:
-    """Outcome of one reference-vs-optimized equivalence check."""
+    """Witnesses of one perfcheck run and any self-check divergences."""
 
     workloads: List[str]
-    witnesses: Dict[str, Dict[str, Dict[str, Any]]] = field(default_factory=dict)
+    witnesses: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     divergences: List[str] = field(default_factory=list)
 
     @property
@@ -218,15 +183,9 @@ class PerfCheckReport:
     def render(self) -> str:
         lines = [f"perfcheck: {len(self.workloads)} workload(s)"]
         for name in self.workloads:
-            pair = self.witnesses.get(name, {})
-            ref = pair.get("reference", {})
-            status = (
-                "bit-identical"
-                if not [d for d in self.divergences if d.startswith(name)]
-                else "DIVERGED"
-            )
-            lines.append(f"  {name}: {status}")
-            for key, value in sorted(ref.items()):
+            diverged = any(d.startswith(f"{name}:") for d in self.divergences)
+            lines.append(f"  {name}: {'DIVERGED' if diverged else 'ok'}")
+            for key, value in sorted(self.witnesses.get(name, {}).items()):
                 lines.append(f"    {key}={value}")
         for d in self.divergences:
             lines.append(f"  divergence: {d}")
@@ -239,32 +198,19 @@ def run_perfcheck(
     quick: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> PerfCheckReport:
-    """Run each workload on both device paths and compare witnesses.
+    """Run each workload once and collect its witness.
 
-    The reference run builds under :func:`zero_rate_injectors`; the
-    optimized run builds as production does, with no injector.
+    A workload can self-check an internal identity (the xform
+    pay-for-use gate) and report the diffs in ``self_divergences``;
+    they fail the run.
     """
     workloads = workloads or default_workloads(quick=quick)
     report = PerfCheckReport(workloads=list(workloads))
     for name, workload in workloads.items():
         if progress:
-            progress(f"{name}: reference paths (zero-rate injectors)")
-        with zero_rate_injectors():
-            pair = {"reference": _full_witness(workload())}
-        if progress:
-            progress(f"{name}: optimized paths")
-        pair["optimized"] = _full_witness(workload())
-        # A workload can self-check an internal identity (e.g. the
-        # xform pay-for-use gate) and report the diffs out-of-band;
-        # they fail the run but are excluded from the ref/opt diff.
-        for label, witness in pair.items():
-            for d in witness.pop("self_divergences", ()):
-                report.divergences.append(f"{name}[{label}]: {d}")
-        report.witnesses[name] = pair
-        ref, opt = pair["reference"], pair["optimized"]
-        for key in sorted(set(ref) | set(opt)):
-            if ref.get(key) != opt.get(key):
-                report.divergences.append(
-                    f"{name}: {key} {ref.get(key)!r} != {opt.get(key)!r}"
-                )
+            progress(name)
+        witness = _full_witness(workload())
+        for d in witness.pop("self_divergences", ()):
+            report.divergences.append(f"{name}: {d}")
+        report.witnesses[name] = witness
     return report

@@ -45,12 +45,11 @@ __all__ = [
 PENDING = object()
 
 # --------------------------------------------------------------------------
-# Harness hooks (repro.analysis.sanitizer, repro.analysis.perfcheck).
+# Harness hooks (repro.analysis.sanitizer).
 #
 # Both default to None and cost the hot path a single falsy check.  They
 # are *harness* knobs: production code must never set them — the
-# sanitizer and perfcheck install them around a run and restore None
-# afterwards.
+# sanitizer installs them around a run and restores None afterwards.
 # --------------------------------------------------------------------------
 
 #: When set, every new Environment calls the factory once and uses the
@@ -61,10 +60,10 @@ PENDING = object()
 #: is how the sanitizer falsifies that claim.
 _TIEBREAK_FACTORY: Optional[Callable[[], Any]] = None
 
-#: When set, Resources/Stores/qpairs/NVMe devices register themselves
-#: here at construction so the sanitizer can check lifecycle invariants
-#: (leak-on-stop, stale completions) after a run, and perfcheck can put
-#: new devices on their reference paths.  Must expose ``register(obj)``.
+#: When set, Resources/Stores/qpairs register themselves here at
+#: construction so the sanitizer can check lifecycle invariants
+#: (leak-on-stop, stale completions) after a run.  Must expose
+#: ``register(obj)``.
 _LIFECYCLE_AUDIT: Optional[Any] = None
 
 

@@ -618,9 +618,14 @@ class TestDeterminism:
         assert report.ok, report.render()
 
     def test_perfcheck_tenancy_bit_identity(self):
-        report = run_perfcheck(workloads={
+        # Two perfcheck runs of one tenancy workload: identical witnesses,
+        # metrics snapshot digest included.
+        workloads = {
             "tenancy": lambda: dlfs_tenancy(
                 horizon=0.01, warmup=0.002, metrics=True,
             ),
-        })
-        assert report.ok, report.render()
+        }
+        first, second = (run_perfcheck(workloads=workloads) for _ in range(2))
+        assert first.ok and second.ok, first.render()
+        assert "metrics_sha1" in first.witnesses["tenancy"]
+        assert first.witnesses == second.witnesses
