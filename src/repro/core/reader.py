@@ -796,7 +796,7 @@ class Reactor:
                     # waste a queue slot on it.
                     self._req_failed(req, req.tag.failed)
                     continue
-                if self._already_settled(req):
+                if req.tag.done_parts is not None and self._already_settled(req):
                     continue  # hedge twin whose part already landed
                 qp.post(req)
                 queues.on_posted(req.tag.tenant, shard)
@@ -844,9 +844,10 @@ class Reactor:
         if self.recovery is not None and req.status != STATUS_OK:
             self._recover(req)
             return
-        if self._already_settled(req):
-            return  # hedge twin: the other copy of this part landed first
-        self._settle_part(req)
+        if fetch.done_parts is not None:
+            if self._already_settled(req):
+                return  # hedge twin: the other copy of this part landed first
+            fetch.done_parts.add(req.rel)
         fetch.parts_remaining -= 1
         if fetch.failed is not None:
             if fetch.parts_remaining == 0:
@@ -876,7 +877,8 @@ class Reactor:
 
         Each layout part settles — lands or terminally fails — exactly
         once; the losing copy of a hedged pair is dropped here.  Always
-        False outside cluster mode (``done_parts`` is None).
+        False outside cluster mode (``done_parts`` is None), so the
+        per-part post and completion paths test ``done_parts`` first.
         """
         fetch: _PendingFetch = req.tag
         if fetch.done_parts is None or req.rel not in fetch.done_parts:

@@ -201,15 +201,18 @@ class HugePagePool:
         return chunks
 
     def try_alloc(self) -> Optional[HugePageChunk]:
-        """Non-blocking allocation; ``None`` when the pool is empty."""
+        """Non-blocking allocation; ``None`` when the pool is empty.
+
+        Pops the free list directly: a ``get`` on a non-empty store
+        succeeds at once, so its event would be queue load nobody waits
+        on (no getter can be blocked while chunks are free).
+        """
         if self._fresh < self.num_chunks:
             self._materialize()
-        elif len(self._free) == 0:
+        elif not self._free._items:
             return None
         self._outstanding += 1
-        event = self._free.get()
-        assert event.triggered
-        return event.value
+        return self._free._items.popleft()
 
     def free(self, chunk: HugePageChunk) -> None:
         """Return a chunk to the pool."""
