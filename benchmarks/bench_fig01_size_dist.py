@@ -7,7 +7,7 @@ from repro.hw import KB
 
 
 def test_fig01_size_distribution(benchmark, emit):
-    result = run_once(benchmark, fig01_size_distribution, num_samples=500_000)
+    result = run_once(benchmark, fig01_size_distribution, num_samples=200_000)
     emit(result)
     # Paper landmarks: 75% of ImageNet samples below 147 KB, 75% of
     # IMDB samples below 1.6 KB.
