@@ -246,8 +246,9 @@ class NVMeDevice:
     def _time(self, cmd: NVMeCommand) -> None:
         """Time one command in closed form at submit.
 
-        The reference is a per-command process (kept as the oracle in
-        ``tests/test_nvme_service.py``); this reproduces its timing with
+        The reference is a per-command process (kept as the oracle
+        ``ProcessNVMe`` in ``tests/test_engine_fastpath.py``); this
+        reproduces its timing with
         the *same float operations in the same order*, so every
         completion lands at the bit-identical instant:
 
@@ -324,9 +325,9 @@ class NVMeDevice:
         A need is a pending completion or an arrival not yet on the
         pipe.  Timers fire in time order and each one serves every need
         due by then, so a new timer is needed only for a need earlier
-        than every armed one (a media error overtaking commands queued
-        at the pipe, a hiccup's late arrival); an earlier timer is never
-        withdrawn, it serves the next need when it fires.
+        than every armed one (a media error overtaking reads queued at
+        the pipe, a healthy read overtaking a hiccup); an earlier timer
+        is never withdrawn, it serves the next need when it fires.
         """
         due = self._pending[0][0] if self._pending else inf
         if self._arrivals and self._arrivals[0][0] < due:
