@@ -21,14 +21,11 @@ witnesses be diffed against another's.  The transform tier's
 pay-for-use gate checks an identity inside the workload, and a mismatch
 fails the run.
 
-Each gate used to run twice, once as built and once with a zero-rate
-fault injector on every NVMe device, because the injector picked
-between the closed-form device timing and a per-command process.  NVMe
-devices now have one service model, so both runs executed the same
-code; the process forms survive as oracles in
-``tests/test_engine_fastpath.py``.  Timing (wall-clock) is deliberately
-*not* compared here — that is ``benchmarks/bench_engine.py``'s job;
-perfcheck must never fail on timing noise.
+The closed-form NVMe timing is checked against the per-command service
+process it reproduces in ``tests/test_engine_fastpath.py``, not here.
+Timing (wall-clock) is deliberately *not* reported here — that is
+``benchmarks/bench_engine.py``'s job; perfcheck must never fail on
+timing noise.
 """
 
 from __future__ import annotations
