@@ -3,7 +3,6 @@
 from conftest import run_once
 
 from repro.bench import fig01_size_distribution
-from repro.hw import KB
 
 
 def test_fig01_size_distribution(benchmark, emit):
