@@ -40,9 +40,9 @@ from repro.spdk.request import SPDKRequest  # noqa: E402
 
 #: Seed-tree wall-clock (seconds) for the fig06 cases below: the tree at
 #: commit 1352006, before the kernel fast paths, running
-#: ``dlfs_single_node(sample_bytes=..., batches=40)`` best-of-4 on the
-#: machine that produced the committed BENCH_engine.json.
-RECORDED_SEED_FIG06_S = {"4KiB": 0.0429, "128KiB": 0.0932}
+#: ``dlfs_single_node(sample_bytes=..., batches=40)``, best of 12 runs
+#: on the machine that produced the committed BENCH_engine.json.
+RECORDED_SEED_FIG06_S = {"4KiB": 0.0547, "128KiB": 0.0845}
 
 KiB = 1024
 
