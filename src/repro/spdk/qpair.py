@@ -146,8 +146,8 @@ class IOQPair:
                 self._fly(request, self._generation), name=f"{self.name}.io"
             )
         else:
-            # Local flight: submit now and deliver from the device's
-            # completion callback, injected or not.
+            # Local flight: nothing happens between submit and device
+            # completion, so the completion event calls back directly.
             cmd = self.target.read(
                 request.offset, request.nbytes, parent=request.span
             )
