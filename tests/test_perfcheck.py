@@ -10,7 +10,7 @@ reference on the fleets that carry a fault plan (the cluster crash
 gate installs an injector on every device).
 """
 
-from repro.analysis.perfcheck import _full_witness, default_workloads
+from repro.analysis.perfcheck import _full_witness, default_workloads, run_perfcheck
 
 #: name -> (sim_time hex, samples_sha1, delivered, failed, metrics_sha1)
 PINNED = {
@@ -46,3 +46,15 @@ def test_quick_gate_witnesses_pinned():
         got[name] = (w["sim_time"].hex(), w["samples_sha1"], w["delivered"],
                      w["failed"], w["metrics_sha1"])
     assert got == PINNED
+
+
+def test_self_divergence_fails_the_run():
+    """A gate's internal identity check (the xform pay-for-use gate)
+    fails perfcheck; the witness is still reported."""
+    report = run_perfcheck(workloads={
+        "gate": lambda: {"sim_time": 1.0, "self_divergences": ("x != y",)},
+    })
+    assert not report.ok
+    assert report.divergences == ["gate: x != y"]
+    assert report.witnesses == {"gate": {"sim_time": 1.0}}
+    assert "gate: DIVERGED" in report.render()
