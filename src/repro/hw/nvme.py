@@ -305,33 +305,31 @@ class NVMeDevice:
                 heappush(self._arrivals, (
                     (proc_done + extra) + spec.read_latency, seq, cmd,
                 ))
-        self._admit(ready)
-        self._arm()
+        self._advance(ready)
 
-    def _admit(self, frontier: float) -> None:
-        """Move every pipe arrival at or before ``frontier`` onto the pipe."""
+    def _advance(self, frontier: float) -> None:
+        """Move pipe arrivals at or before ``frontier`` onto the pipe, then
+        post a timer for the earliest need no posted timer covers.
+
+        A need is a pending completion or an arrival not yet on the
+        pipe.  Timers fire in time order and each one serves every need
+        due by then, so a new timer is needed only for a need earlier
+        than every posted one (a media error overtaking reads queued at
+        the pipe, a healthy read overtaking a hiccup); an earlier timer
+        is never withdrawn, it serves the next need when it fires.
+        """
         arrivals = self._arrivals
+        pending = self._pending
         while arrivals and arrivals[0][0] <= frontier:
             arrival, seq, cmd = heappop(arrivals)
             start = self._pipe_free if self._pipe_free > arrival else arrival
             complete = start + self.spec.transfer_time(cmd.nbytes)
             self._pipe_free = complete
             self._data_pipe._busy_integral += complete - start
-            heappush(self._pending, (complete, seq, cmd, STATUS_OK))
-
-    def _arm(self) -> None:
-        """Post a timer for the earliest need no armed timer covers.
-
-        A need is a pending completion or an arrival not yet on the
-        pipe.  Timers fire in time order and each one serves every need
-        due by then, so a new timer is needed only for a need earlier
-        than every armed one (a media error overtaking reads queued at
-        the pipe, a healthy read overtaking a hiccup); an earlier timer
-        is never withdrawn, it serves the next need when it fires.
-        """
-        due = self._pending[0][0] if self._pending else inf
-        if self._arrivals and self._arrivals[0][0] < due:
-            due = self._arrivals[0][0]
+            heappush(pending, (complete, seq, cmd, STATUS_OK))
+        due = pending[0][0] if pending else inf
+        if arrivals and arrivals[0][0] < due:
+            due = arrivals[0][0]
         timers = self._timers
         if due < (timers[0] if timers else inf):
             heappush(timers, due)
@@ -341,19 +339,20 @@ class NVMeDevice:
             self.env._post_at(timer, due)
 
     def _on_timer(self, _timer: Event) -> None:
-        """Admit arrivals due now and complete every command due now.
+        """Complete every command due now, then admit arrivals due now.
 
         One timer event per completion *instant*: a same-instant burst
-        is completed in (time, submit) order under a single event.
+        is completed in (time, submit) order under a single event.  An
+        arrival admitted now completes a transfer later, so completing
+        first changes nothing.
         """
         heappop(self._timers)
         now = self.env._now
-        self._admit(now)
         pending = self._pending
         while pending and pending[0][0] <= now:
             _, _, cmd, status = heappop(pending)
             self._complete(cmd, status)
-        self._arm()
+        self._advance(now)
 
     def _complete(self, cmd: NVMeCommand, status: str) -> None:
         cmd.status = status
