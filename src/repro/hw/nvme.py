@@ -248,9 +248,9 @@ class NVMeDevice:
 
         The reference is a per-command process (kept as the oracle
         ``ProcessNVMe`` in ``tests/test_engine_fastpath.py``); this
-        reproduces its timing with
-        the *same float operations in the same order*, so every
-        completion lands at the bit-identical instant:
+        reproduces its timing with the *same float operations in the
+        same order*, so every completion lands at the bit-identical
+        instant:
 
         1. serialized command processing — FIFO grant of ``_cmd_proc``
            at ``max(now, proc_free)``, released ``cmd_overhead`` later;
