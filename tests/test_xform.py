@@ -7,10 +7,12 @@ and the end-to-end gates: pay-for-use bit-identity with the flat
 cluster datapath, crash/redispatch delivery, and repeat determinism.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.bench.workloads import dlfs_cluster, dlfs_xform
+from repro.bench.workloads import dlfs_cluster, dlfs_xform, preset, run_fleet
 from repro.errors import ConfigError
 from repro.xform import (
     PushdownPolicy,
@@ -196,3 +198,64 @@ class TestXformEndToEnd:
     def test_crashes_require_stages(self):
         with pytest.raises(ConfigError):
             dlfs_xform(spec=None, xform_crashes=((0, 0.0005, 0.001),))
+
+
+#: (src, dst) -> (bytes, chunks, transfers, credit_wait hex, busy hex).
+MULTI_GROUP_LINKS = {
+    ("node2", "node6"): (1703936, 8, 4, "0x0.0p+0", "0x1.2021fa0fd8b1bp-11"),
+    ("node2", "node7"): (3997696, 19, 8, "0x0.0p+0", "0x1.63e071a89d26cp-10"),
+    ("node3", "node6"): (2490368, 12, 4, "0x0.0p+0", "0x1.987bda23aa1dcp-11"),
+    ("node3", "node7"): (4390912, 21, 8, "0x0.0p+0", "0x1.950e6f11e9f18p-10"),
+    ("node4", "node6"): (2621440, 14, 10, "0x0.0p+0", "0x1.0d329968aa9a0p-11"),
+    ("node4", "node7"): (4521984, 24, 17, "0x0.0p+0", "0x1.dd5e8d5410fe0p-11"),
+    ("node5", "node6"): (2621440, 14, 10, "0x0.0p+0", "0x1.9057e7d6ccb70p-11"),
+    ("node5", "node7"): (4390912, 23, 17, "0x0.0p+0", "0x1.590b417ca2188p-10"),
+    ("node6", "node0"): (4193280, 16, 13, "0x0.0p+0", "0x1.6bb690c7aa960p-11"),
+    ("node7", "node0"): (1048320, 4, 2, "0x0.0p+0", "0x1.61d539b888700p-13"),
+    ("node7", "node1"): (7600320, 29, 23, "0x0.0p+0", "0x1.4599e7d6ccbcap-10"),
+}
+
+#: (tier, node) -> (cores, cpu hex).
+MULTI_GROUP_UTILIZATION = {
+    ("storage", "node2"): (1, "0x0.0p+0"),
+    ("storage", "node3"): (1, "0x0.0p+0"),
+    ("storage", "node4"): (1, "0x0.0p+0"),
+    ("storage", "node5"): (1, "0x0.0p+0"),
+    ("xform", "node6"): (2, "0x1.8fd1c5caf2486p-2"),
+    ("xform", "node7"): (2, "0x1.9c5053f949da8p-1"),
+}
+
+
+def test_multi_group_run_pinned():
+    """A run whose every job spans two storage nodes, so each job ships
+    two boundary groups (every other committed xform run ships one).
+
+    It is the one check of the fan-out ship path, and it cannot be a
+    sanitizer target: its ``sim_time`` moves under perturbed tiebreaks
+    (DESIGN, "Fetch/transform disaggregation").  The values were
+    recorded before the transform tier's event-free claims went in.
+    """
+    r = run_fleet(preset(
+        "xform", num_storage=4, num_clients=2, num_samples=512,
+        horizon=0.004, xform_crashes=((0, 0.002, 0.005),),
+    ))
+    assert r.sim_time.hex() == "0x1.6c353f0bb0692p-6"
+    assert hashlib.sha1(r.samples_read.tobytes()).hexdigest() == \
+        "cb37b72b46d9262328b852aa1cda94371b4883b1"
+    assert (r.delivered, r.failed, r.jobs) == (392, 0, 38)
+    assert r.tier == {
+        "tasks": 38, "direct_ships": 0, "redispatches": 1, "crashes": 1,
+        "rejoins": 1, "boundary": 0, "stages": 2,
+    }
+    assert {
+        (row["src"], row["dst"]): (
+            row["bytes"], row["chunks"], row["transfers"],
+            row["credit_wait"].hex(), row["busy"].hex(),
+        )
+        for row in r.links
+    } == MULTI_GROUP_LINKS
+    assert {
+        (row["tier"], row["node"]): (row["cores"], row["cpu"].hex())
+        for row in r.utilization
+    } == MULTI_GROUP_UTILIZATION
+    assert r.routed == {0: 14, 1: 25}
