@@ -35,7 +35,7 @@ method, else stale device completions resurrect as fresh.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..rules import FLOW_RULES_BY_ID, Finding

@@ -237,8 +237,6 @@ class Ext4FileSystem:
         a real Ext4 effect the page-granular read path then amplifies).
         Returns {sample index -> file}.
         """
-        import numpy as np
-
         if start_offset % PAGE_SIZE:
             raise ConfigError("start_offset must be page-aligned")
         if sample_indices is None:

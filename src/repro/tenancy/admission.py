@@ -17,7 +17,7 @@ generators never wedge.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import AdmissionRejected
 

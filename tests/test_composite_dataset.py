@@ -1,6 +1,5 @@
 """Tests for multi-dataset mounts (CompositeDataset)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import Cluster

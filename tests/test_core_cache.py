@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SampleCache
-from repro.core.cache import FILLING, RESIDENT
+from repro.core.cache import FILLING
 from repro.errors import AllocationError, DirectoryError
 from repro.hw import HugePagePool, KB
 from repro.sim import Environment

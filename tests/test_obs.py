@@ -23,8 +23,6 @@ from repro.obs import (
     OBS_OFF,
     Histogram,
     MetricsRegistry,
-    Observability,
-    Span,
     Tracer,
     breakdown_rows,
     chrome_trace,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InterruptedProcess, SimulationError
-from repro.sim import AnyOf, Environment, Event, Process, Timeout
+from repro.sim import Environment
 
 
 @pytest.fixture

@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 
 from repro.cluster import Cluster
 from repro.errors import ConfigError, QueueFullError
-from repro.hw import KB, MB, NVMeSpec, Testbed
+from repro.hw import KB, Testbed
 from repro.sim import Environment, Store
 from repro.spdk import (
-    IOQPair,
     NVMeoFTarget,
     SPDKDriver,
     SPDKRequest,

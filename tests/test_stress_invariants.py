@@ -1,7 +1,6 @@
 """Stress and property tests: end-to-end invariants under random
 workloads, memory back-pressure, and failure paths."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

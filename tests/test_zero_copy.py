@@ -1,7 +1,5 @@
 """Tests for the zero-copy extension (the paper's §III-C2 future work)."""
 
-import numpy as np
-
 from repro.cluster import Cluster
 from repro.core import DLFS, DLFSConfig
 from repro.data import Dataset
