@@ -21,7 +21,9 @@ runs a small intraprocedural abstract interpretation per function:
 Branches are analyzed on copies and merged; only branches that fall
 through contribute.  A branch that releases under an ``if handle:`` /
 ``if handle is not None:`` guard counts as a release, matching the
-conditional-acquire idiom for optional tracers.
+conditional-acquire idiom for optional tracers.  The branch where
+``handle is None`` holds nothing: ``Resource.try_request`` returns
+``None`` when it grants no slot.
 
 Known limitation (kept deliberately to control false positives): we do
 not model the implicit exception edge at every ``yield`` — a process
@@ -99,14 +101,14 @@ LIFECYCLE_PROTOCOLS: Tuple[HandleProtocol, ...] = (
     HandleProtocol(
         rule_id="SF302",
         label="transfer credit",
-        acquire_methods=frozenset({"request"}),
+        acquire_methods=frozenset({"request", "try_request"}),
         receiver_hints=("credit",),
         release_as_arg=frozenset({"release", "cancel"}),
     ),
     HandleProtocol(
         rule_id="SF300",
         label="resource slot",
-        acquire_methods=frozenset({"request"}),
+        acquire_methods=frozenset({"request", "try_request"}),
         release_as_arg=frozenset({"release", "cancel"}),
     ),
     HandleProtocol(
@@ -243,6 +245,22 @@ class ProtocolAnalysis:
                     ))
 
 
+def _none_tested(test: ast.expr) -> Tuple[Optional[str], ...]:
+    """For ``if name is None`` / ``if name is not None``: the name that is
+    ``None`` in the body and in the else branch, respectively."""
+    if (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    ):
+        name = test.left.id
+        return (name, None) if isinstance(test.ops[0], ast.Is) else (None, name)
+    return ()
+
+
 def _self_attrs(cls: ast.ClassDef) -> Set[str]:
     out: Set[str] = set()
     for node in ast.walk(cls):
@@ -352,7 +370,8 @@ class _ProtocolWalker:
             return True
         if isinstance(node, ast.If):
             return self._branch([node.body, node.orelse],
-                                test_names=_names_in(node.test))
+                                test_names=_names_in(node.test),
+                                unheld=_none_tested(node.test))
         if isinstance(node, (ast.For, ast.AsyncFor)):
             self._scan_stmt_effects(node, header_only=True)
             self._branch([list(node.body), []])
@@ -388,13 +407,19 @@ class _ProtocolWalker:
         return False
 
     def _branch(self, blocks: List[Sequence[ast.stmt]],
-                test_names: Optional[Set[str]] = None) -> bool:
+                test_names: Optional[Set[str]] = None,
+                unheld: Tuple[Optional[str], ...] = ()) -> bool:
+        """Walk each block on a copy of the obligations and merge the
+        ones that fall through; ``unheld[i]`` names a handle that is
+        ``None``, so not held, throughout ``blocks[i]``."""
         base = {k: _Obligation(**vars(ob)) for k, ob in
                 self.obligations.items()}
         results: List[Tuple[Dict[str, _Obligation], bool]] = []
-        for block in blocks:
+        for i, block in enumerate(blocks):
             self.obligations = {k: _Obligation(**vars(ob))
                                 for k, ob in base.items()}
+            if i < len(unheld) and unheld[i] is not None:
+                self.obligations.pop(unheld[i], None)
             terminated = self._walk_block(block)
             results.append((self.obligations, terminated))
         merged: Dict[str, _Obligation] = {}

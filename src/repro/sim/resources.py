@@ -92,6 +92,24 @@ class Resource:
             self._waiters.append(req)
         return req
 
+    def try_request(self) -> Optional[Request]:
+        """Claim a slot now if one is free and nobody waits, else ``None``.
+
+        The returned request already holds its slot, with the busy
+        accounting :meth:`request` would book, but no event is scheduled:
+        the caller goes on without suspending, where ``request()`` plus
+        ``yield`` resumes it later in the same instant.  Pass it to
+        :meth:`release` as usual.
+        """
+        if len(self._users) >= self.capacity or self._waiters:
+            return None
+        req = Request(self)
+        req._value = req
+        req.callbacks = None
+        self._account()
+        self._users.add(req)
+        return req
+
     def release(self, request: Request) -> None:
         """Return a previously granted slot."""
         if request not in self._users:

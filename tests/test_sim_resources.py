@@ -1,7 +1,9 @@
 """Unit tests for Resource / Store."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitizer import LifecycleAudit, perturbed_tiebreaks
 from repro.errors import ResourceError
 from repro.sim import Environment, Resource, Store
 
@@ -146,6 +148,115 @@ class TestResource:
         env.process(crasher(env)).defuse()
         p = env.process(follower(env))
         assert env.run(until=p) == 1.0
+
+
+class TestTryRequest:
+    def test_grants_free_slots_without_an_event(self, env):
+        res = Resource(env, capacity=2)
+        eid = env._eid
+        a, b = res.try_request(), res.try_request()
+        assert a is not None and b is not None
+        assert a.processed and a.value is a
+        assert res.count == 2
+        assert res.try_request() is None  # full
+        res.release(a)
+        assert res.count == 1
+        assert env._eid == eid  # nothing was scheduled
+
+    def test_refuses_while_the_slot_is_held_or_handed_on(self, env):
+        res = Resource(env, capacity=1)
+        held = res.try_request()
+        waiting = res.request()
+        assert not waiting.triggered
+        assert res.try_request() is None
+        res.release(held)  # hands the slot to the waiter
+        assert waiting.triggered and res.count == 1
+        assert res.try_request() is None
+        res.release(waiting)
+
+    def test_yielding_a_granted_claim_does_not_suspend(self, env):
+        res = Resource(env, capacity=1)
+
+        def proc(env):
+            req = res.try_request()
+            got = yield req
+            assert got is req
+            yield env.timeout(1.0)
+            res.release(req)
+            return env.now
+
+        p = env.process(proc(env))
+        assert env.run(until=p) == 1.0
+        assert env._eid == 3  # start, timeout, end: no grant event
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 3),
+        procs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       min_size=1, max_size=12),
+    )
+    def test_matches_request_then_yield(self, capacity, procs):
+        """Random arrivals and holds, in quarter seconds so that grants
+        and releases tie: claiming with try_request (falling back to
+        request) gives every process the grant and release times of
+        request() plus yield, the same busy integral, and fewer events.
+        try_request refuses exactly when request() would queue."""
+
+        def requested(res):
+            req = res.request()
+            yield req
+            return req
+
+        def tried(res):
+            free = res.count < res.capacity and not res.queue_length
+            req = res.try_request()
+            assert (req is not None) == free
+            if req is None:
+                req = res.request()
+                assert not req.triggered
+                yield req
+            return req
+
+        def run(claim):
+            env = Environment()
+            res = Resource(env, capacity=capacity)
+            log = {}
+
+            def proc(tag, start, hold):
+                yield env.timeout(start / 4)
+                req = yield from claim(res)
+                granted = env.now
+                yield env.timeout(hold / 4)
+                res.release(req)
+                log[tag] = (granted, env.now)
+
+            for tag, (start, hold) in enumerate(procs):
+                env.process(proc(tag, start, hold))
+            env.run()
+            return log, res.utilization(), res._busy_integral, env._eid
+
+        *want, want_events = run(requested)
+        *got, got_events = run(tried)
+        assert got == want
+        assert got_events < want_events
+
+    def test_lifecycle_audit_sees_its_claims(self):
+        audit = LifecycleAudit()
+        with perturbed_tiebreaks(None, audit):
+            env = Environment()
+            res = Resource(env, capacity=1, name="core")
+
+            def proc(env):
+                req = res.try_request()
+                yield env.timeout(1.0)
+                res.release(req)
+
+            env.process(proc(env))
+            env.run()
+            Resource(env, capacity=1, name="leaky").try_request()
+        assert audit.finish() == [
+            "leaky: 1 resource slot(s) still held at end of run"
+        ]
 
 
 class TestStore:

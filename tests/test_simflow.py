@@ -216,6 +216,41 @@ def test_guarded_release_of_conditional_span(tmp_path):
     assert flow_ids(tmp_path, src) == []
 
 
+def test_none_branch_of_a_conditional_claim_holds_nothing(tmp_path):
+    """``try_request`` returns None when it grants nothing: the branch
+    that raises on None, or re-binds the handle to a waiting request,
+    leaks nothing, while a claim kept only on the non-None branch does."""
+    src = """
+    import repro.sim as sim
+
+    def serve(env, core):
+        req = core.try_request()
+        if req is None:
+            raise RuntimeError("busy")
+        try:
+            yield env.timeout(1.0)
+        finally:
+            core.release(req)
+
+    def move(env, credit):
+        req = credit.try_request()
+        if req is None:
+            req = credit.request()
+            yield req
+        try:
+            yield env.timeout(1.0)
+        finally:
+            credit.release(req)
+
+    def leak(env, res):
+        req = res.try_request()
+        if req is not None:
+            yield env.timeout(1.0)
+        return True
+    """
+    assert flow_ids(tmp_path, src) == [(24, "SF300")]
+
+
 def test_handle_returned_is_ownership_transfer(tmp_path):
     src = """
     import repro.sim as sim
