@@ -154,6 +154,8 @@ class SampleDirectory:
         )
         self._trees: list[Optional[ShardTree]] = [None] * self.num_shards
         self._built_shards: set[int] = set()
+        #: sample index -> its lookup, kept from the first search.
+        self._resolved: dict[int, LookupResult] = {}
         # Batched-file entries (§III-B1: "there is also an entry taken by
         # the batched file for file-oriented access"):
         # name -> (shard, offset, length, key, check).
@@ -180,6 +182,7 @@ class SampleDirectory:
         tree = ShardTree(keys, ids, checks)
         self._trees[shard] = tree
         self._built_shards.add(shard)
+        self._resolved.clear()
         return tree
 
     def build_all_shards(self) -> None:
@@ -216,8 +219,14 @@ class SampleDirectory:
         """Directory lookup by sample index (the common fast path).
 
         Resolves through the owning shard's tree so the returned
-        ``visits`` reflects the true descent cost.
+        ``visits`` reflects the true descent cost.  A built tree never
+        changes (a rebuild drops every kept result), so each sample's
+        result is kept from its first search and returned again, shared:
+        callers must not modify it.
         """
+        result = self._resolved.get(sample_index)
+        if result is not None:
+            return result
         if not 0 <= sample_index < self.dataset.num_samples:
             raise FileNotFound(f"sample index {sample_index}")
         unit1 = int(self.unit1[sample_index])
@@ -228,9 +237,10 @@ class SampleDirectory:
         for j in found:
             if tree.ids[j] == sample_index:
                 unit2 = int(self.unit2[sample_index])
-                return LookupResult(
+                result = self._resolved[sample_index] = LookupResult(
                     sample_index, shard, offset_of(unit2), len_of(unit2), visits
                 )
+                return result
         raise DirectoryError(
             f"directory corrupt: sample {sample_index} missing from its tree"
         )

@@ -41,7 +41,11 @@ shared across clients, and the pushdown boundary is an analytic
 decision made once per run.  Fetch completion times are already
 tiebreak-invariant, so every tier decision is a pure function of run
 configuration and absolute crash times — nothing rides on
-same-timestamp event ordering.
+same-timestamp event ordering.  That invariance is what lets a free
+transfer credit or worker core be claimed without an event.  A job
+whose records span several storage nodes is the exception: its groups'
+chunks meet at the worker's NIC at the same instant, so its timing
+follows the tiebreak (DESIGN, "Determinism under the sanitizer").
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..obs import NULL_METRICS
 from ..sim import Store
 from .stages import pipeline_bytes, pipeline_cost, stages_with_packing
@@ -241,7 +245,19 @@ class TransformWorker:
                 )
             slice_cost = task.worker_cost / self.tier.spec.worker_cores
             if slice_cost > 0:
-                yield from core.execute(slice_cost)
+                # The core is this loop's alone (worker nodes run nothing
+                # else), so it is always free here and the claim posts
+                # no event.
+                req = core.try_request()
+                if req is None:
+                    raise SimulationError(
+                        f"{self.node.name} {core.name} is busy at a serve "
+                        "loop's claim; a lane's cores are private to it"
+                    )
+                try:
+                    yield self.env.timeout(slice_cost)
+                finally:
+                    core.release(req)
                 self.tier.layers.add("xform.worker", slice_cost)
             if attempt.lost:
                 continue  # crashed mid-service: work is sunk cost
@@ -339,6 +355,10 @@ class XformTier:
         self.boundary = self.policy.boundary(
             self.stages, self._scaled(mean_bytes)
         )
+        #: Device record size -> that record's plan (see plan_job).
+        self._records: dict[int, tuple] = {}
+        self._sizes: list[int] = sizes.tolist()
+        self._shards: list[int] = fs.layout.shard_ids.tolist()
         self.workers = [
             TransformWorker(self, i, node)
             for i, node in enumerate(worker_nodes)
@@ -404,6 +424,23 @@ class XformTier:
             ev.succeed(True)
 
     # -- job planning ---------------------------------------------------------
+    def _plan_record(self, nbytes: int) -> tuple:
+        """``(pushdown_cost, ship_bytes, worker_cost, out_bytes)`` of one
+        record of ``nbytes`` device bytes, computed once per size.
+
+        Stage costs and byte cuts are pure functions of the record size,
+        so a record read from this table carries the very floats a
+        per-sample evaluation would.
+        """
+        scaled = self._scaled(nbytes)
+        cut_sizes = pipeline_bytes(self.stages, scaled)
+        costs = pipeline_cost(self.stages, scaled)
+        k = self.boundary
+        record = self._records[nbytes] = (
+            sum(costs[:k]), cut_sizes[k], sum(costs[k:]), cut_sizes[-1],
+        )
+        return record
+
     def plan_job(self, job) -> list[tuple]:
         """Aggregate a fetched job into per-storage-node groups.
 
@@ -411,32 +448,29 @@ class XformTier:
         out_bytes, n_samples)`` tuples in shard order — each group is
         the job's records resident on one storage node.  Samples that
         failed their fetch are excluded — there is nothing to
-        transform.
+        transform.  Each group's sums run over its samples in job
+        order, one record's terms at a time.
         """
         failed = set()
         for exc in job.errors:
             key = getattr(exc, "key", None)
             if isinstance(key, tuple) and len(key) == 2 and key[0] == "s":
                 failed.add(int(key[1]))
-        layout = self.fs.layout
-        sizes = self.fs.dataset.sizes
-        k = self.boundary
+        records, sizes, shards = self._records, self._sizes, self._shards
         groups: dict[int, list[float]] = {}
-        for idx in job.samples:
-            idx = int(idx)
+        for idx in job.samples.tolist():
             if idx in failed:
                 continue
-            shard = layout.shard_of(idx)
+            shard = shards[idx]
             acc = groups.get(shard)
             if acc is None:
                 acc = groups[shard] = [0.0, 0, 0.0, 0, 0]
-            nbytes = self._scaled(int(sizes[idx]))
-            cut_sizes = pipeline_bytes(self.stages, nbytes)
-            costs = pipeline_cost(self.stages, nbytes)
-            acc[0] += sum(costs[:k])
-            acc[1] += cut_sizes[k]
-            acc[2] += sum(costs[k:])
-            acc[3] += cut_sizes[-1]
+            nbytes = sizes[idx]
+            record = records.get(nbytes) or self._plan_record(nbytes)
+            acc[0] += record[0]
+            acc[1] += record[1]
+            acc[2] += record[2]
+            acc[3] += record[3]
             acc[4] += 1
         plans = []
         for shard in sorted(groups):
@@ -460,6 +494,25 @@ class XformTier:
 
     def _ship_proc(self, src, nbytes: int, dst: str):
         yield from self.engine.move(src.name, dst, nbytes)
+
+    def _ship_groups(self, groups: list, dst: str):
+        """Process helper: ship every group's boundary bytes to ``dst``.
+
+        The first group ships from the calling process and every other
+        one from a process of its own, started before it; the barrier
+        joins the others.
+        """
+        rest = [
+            self.env.process(
+                self._ship_proc(src, ship, dst),
+                name=f"xform.ship.{src.name}",
+            )
+            for src, _pd, ship, _wc, _out, _n in groups[1:]
+        ]
+        src, _pd, ship, _wc, _out, _n = groups[0]
+        yield from self.engine.move(src.name, dst, ship)
+        if rest:
+            yield self.env.all_of(rest)
 
     def process_job(self, job, dst: str, key: int, accounting=None):
         """Process helper: pushdown -> ship -> transform -> deliver.
@@ -488,14 +541,7 @@ class XformTier:
         if self.boundary == len(self.stages):
             # Full pushdown: transformed bytes ship straight to the
             # trainer; the worker pool is not involved.
-            ships = [
-                self.env.process(
-                    self._ship_proc(src, ship, dst),
-                    name=f"xform.ship.{src.name}",
-                )
-                for src, _pd, ship, _wc, _out, _n in groups
-            ]
-            yield self.env.all_of(ships)
+            yield from self._ship_groups(groups, dst)
             self.direct_ships += len(groups)
             self.record_wait(tenant, 0.0, accounting)
             return
@@ -517,14 +563,7 @@ class XformTier:
                 tries += 1
                 continue
             w.routed += 1
-            ships = [
-                self.env.process(
-                    self._ship_proc(src, ship, w.node.name),
-                    name=f"xform.ship.{src.name}",
-                )
-                for src, _pd, ship, _wc, _out, _n in groups
-            ]
-            yield self.env.all_of(ships)
+            yield from self._ship_groups(groups, w.node.name)
             if not w.alive:
                 # Crashed while the bytes were on the wire; the crash
                 # reset the slot accounting, so just re-route.

@@ -127,10 +127,14 @@ class TransferEngine:
         remaining = int(nbytes)
         while remaining > 0:
             chunk = min(remaining, self.chunk_bytes)
-            req = credit.request()
-            wait0 = self.env.now
-            yield req
-            stats.credit_wait += self.env.now - wait0
+            # A free credit is taken on the spot (its wait is 0.0); only
+            # a destination out of credits parks the chunk.
+            req = credit.try_request()
+            if req is None:
+                req = credit.request()
+                wait0 = self.env.now
+                yield req
+                stats.credit_wait += self.env.now - wait0
             try:
                 yield from self.fabric.transfer(src, dst, chunk, parent=parent)
             finally:

@@ -112,6 +112,25 @@ class TestLookup:
         for i in range(ds.num_samples):
             assert directory.lookup_index(i).sample_index == i
 
+    def test_repeated_lookups_match_fresh_searches(self, rig):
+        """A sample's lookup is kept from its first search; every repeat,
+        before and after its shard's tree is rebuilt, must say what a
+        search of a fresh directory's tree says."""
+        ds, layout, directory = rig
+        fresh = SampleDirectory(ds, layout)
+        fresh.build_all_shards()
+        order = np.random.default_rng(5).permutation(np.repeat(np.arange(400), 3))
+        for n, i in enumerate(order.tolist()):
+            if n == 600:
+                directory.build_shard(2)
+            got = directory.lookup_index(i)
+            loc = layout.location(i)
+            tree = fresh.tree(loc.shard)
+            found, visits = tree.search(int(fresh.keys[i]))
+            assert i in [tree.ids[j] for j in found]
+            assert (got.sample_index, got.shard, got.offset, got.length,
+                    got.visits) == (i, loc.shard, loc.offset, loc.length, visits)
+
 
 class TestValidBits:
     def test_initially_all_invalid(self, rig):

@@ -7,16 +7,25 @@ and the end-to-end gates: pay-for-use bit-identity with the flat
 cluster datapath, crash/redispatch delivery, and repeat determinism.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import dlfs_cluster, dlfs_xform, preset, run_fleet
-from repro.errors import ConfigError
+from repro.cluster import Cluster
+from repro.core import DLFS
+from repro.core.reader import ReadJob
+from repro.data import Dataset
+from repro.errors import ConfigError, SampleReadError
+from repro.hw import Testbed
+from repro.sim import Environment
 from repro.xform import (
     PushdownPolicy,
     XformSpec,
+    XformTier,
     augment,
     decompress,
     parse_stages,
@@ -139,6 +148,116 @@ class TestXformSpec:
 
 
 # ---------------------------------------------------------------------------
+# Job planning
+# ---------------------------------------------------------------------------
+
+def _tier(sizes, stages, packed_ratio=1.0, placement="cost", num_storage=3):
+    """A transform tier over a mounted dataset of ``sizes``, one worker."""
+    env = Environment()
+    cluster = Cluster(env, Testbed.paper_emulated(),
+                      num_nodes=1 + num_storage + 1, devices_per_node=0)
+    storage = [cluster.node(1 + d) for d in range(num_storage)]
+    for node in storage:
+        node.add_device()
+    fs = DLFS.mount(cluster, Dataset("plan", sizes),
+                    placement=[(node.index, 0) for node in storage])
+    spec = XformSpec(stages=stages, workers=1, packed_ratio=packed_ratio,
+                     placement=placement)
+    return XformTier(env, spec, fs, [cluster.node(1 + num_storage)])
+
+
+def _reference_plan(tier, job):
+    """The per-sample arithmetic plan_job must reproduce: each record
+    priced from scratch with pipeline_bytes/pipeline_cost and summed into
+    its storage node's group in job order."""
+    failed = {int(e.key[1]) for e in job.errors
+              if isinstance(e.key, tuple) and e.key[0] == "s"}
+    ratio, k = tier.spec.packed_ratio, tier.boundary
+    groups = {}
+    for idx in job.samples:
+        idx = int(idx)
+        if idx in failed:
+            continue
+        acc = groups.setdefault(tier.fs.layout.shard_of(idx), [0.0, 0, 0.0, 0, 0])
+        nbytes = int(tier.fs.dataset.sizes[idx])
+        if ratio != 1.0:
+            nbytes = int(round(nbytes / ratio))
+        cut_sizes = pipeline_bytes(tier.stages, nbytes)
+        costs = pipeline_cost(tier.stages, nbytes)
+        acc[0] += sum(costs[:k])
+        acc[1] += cut_sizes[k]
+        acc[2] += sum(costs[k:])
+        acc[3] += cut_sizes[-1]
+        acc[4] += 1
+    return [
+        (tier.fs.cluster.node(tier.fs.placement[shard][0]), pd, int(ship), wc,
+         int(out), n)
+        for shard, (pd, ship, wc, out, n) in sorted(groups.items())
+    ]
+
+
+_STAGE = st.one_of(
+    st.integers(1, 1 << 17).map(lambda p: tfrecord_parse(payload_bytes=p)),
+    st.floats(1.0, 4.0).map(lambda r: decompress(ratio=r)),
+    st.floats(0.0, 1.0).map(lambda s: augment(selectivity=s)),
+)
+
+
+class TestPlanJob:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.sampled_from([1, 17, 4096, 65536, 100_003])
+                       | st.integers(1, 1 << 20), min_size=3, max_size=40),
+        stages=st.lists(_STAGE, min_size=1, max_size=3),
+        packed_ratio=st.sampled_from([1.0, 1.5, 2.0, 3.7]),
+        placement=st.sampled_from(["worker", "storage", "cost"]),
+        data=st.data(),
+    )
+    def test_matches_per_sample_arithmetic(self, sizes, stages, packed_ratio,
+                                           placement, data):
+        """Records priced from the per-size table sum to the very floats
+        of per-sample pricing, for duplicate and failed samples, packed
+        records and every legal boundary (pinning the stages before a
+        drawn cut to storage and the rest to workers forces it)."""
+        cut = data.draw(st.integers(0, len(stages)), label="cut")
+        pinned = tuple(
+            dataclasses.replace(s, placement="storage" if i < cut else "worker")
+            for i, s in enumerate(stages)
+        )
+        tier = _tier(sizes, pinned, packed_ratio, placement)
+        shift = len(tier.stages) - len(pinned)  # the unpack stage, if packed
+        assert tier.boundary in ((cut + shift,) if cut else range(shift + 1))
+        index = st.integers(0, len(sizes) - 1)
+        for _ in range(3):  # later jobs read a warm table
+            samples = data.draw(st.lists(index, max_size=30), label="samples")
+            failed = data.draw(st.lists(index, max_size=4), label="failed")
+            job = ReadJob(
+                samples=np.array(samples, dtype=np.int64), done=None,
+                errors=[SampleReadError("lost", key=("s", i)) for i in failed]
+                + [SampleReadError("chunk", key=("c", 0))],
+            )
+            assert tier.plan_job(job) == _reference_plan(tier, job)
+
+    def test_prices_each_record_size_once(self, monkeypatch):
+        import repro.xform.tier as tier_module
+
+        priced = []
+        real = tier_module.pipeline_cost
+
+        def counting(stages, nbytes):
+            priced.append(nbytes)
+            return real(stages, nbytes)
+
+        tier = _tier([4096, 8192, 4096, 4096, 8192, 12288],
+                     parse_stages("parse,augment:0.5"))
+        monkeypatch.setattr(tier_module, "pipeline_cost", counting)
+        for samples in ([0, 1, 2], [3, 4, 0, 0], [5, 1]):
+            job = ReadJob(samples=np.array(samples, dtype=np.int64), done=None)
+            assert tier.plan_job(job) == _reference_plan(tier, job)
+        assert sorted(priced) == [4096, 8192, 12288]
+
+
+# ---------------------------------------------------------------------------
 # End-to-end gates
 # ---------------------------------------------------------------------------
 
@@ -232,7 +351,7 @@ def test_multi_group_run_pinned():
 
     It is the one check of the fan-out ship path, and it cannot be a
     sanitizer target: its ``sim_time`` moves under perturbed tiebreaks
-    (DESIGN, "Fetch/transform disaggregation").  The values were
+    (DESIGN, "Determinism under the sanitizer").  The values were
     recorded before the transform tier's event-free claims went in.
     """
     r = run_fleet(preset(
