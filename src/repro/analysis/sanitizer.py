@@ -294,8 +294,13 @@ SWEEPS: Dict[str, Callable[[], Any]] = {
     # A transform worker crashes and rejoins while tasks are queued, in
     # service, and mid-ship: re-dispatch, the slot-waiter bounce, the
     # transfer-engine credit release, and affinity-failover re-routing.
+    # Two clients' jobs meet at the storage NICs and, while worker 0 is
+    # down, at worker 1's inbox, cores and transfer credits, so the
+    # perturbed tiebreak orders their same-instant claims, event-free
+    # ones included.  With two storage nodes each tenant's samples, and
+    # so each job's records, sit on one node: one boundary group per job.
     "xform": functools.partial(fleet_witness, preset(
-        "xform", num_storage=2, num_clients=1, num_samples=512,
+        "xform", num_storage=2, num_clients=2, num_samples=512,
         horizon=0.004, xform_crashes=((0, 0.002, 0.005),),
     )),
     "scale": scale_hybrid_workload,
