@@ -492,9 +492,6 @@ class XformTier:
         yield from core.execute(cost)
         self.layers.add("xform.pushdown", cost)
 
-    def _ship_proc(self, src, nbytes: int, dst: str):
-        yield from self.engine.move(src.name, dst, nbytes)
-
     def _ship_groups(self, groups: list, dst: str):
         """Process helper: ship every group's boundary bytes to ``dst``.
 
@@ -504,7 +501,7 @@ class XformTier:
         """
         rest = [
             self.env.process(
-                self._ship_proc(src, ship, dst),
+                self.engine.move(src.name, dst, ship),
                 name=f"xform.ship.{src.name}",
             )
             for src, _pd, ship, _wc, _out, _n in groups[1:]
