@@ -168,7 +168,7 @@ def _tier(sizes, stages, packed_ratio=1.0, placement="cost", num_storage=3):
 
 def _reference_plan(tier, job):
     """The per-sample arithmetic plan_job must reproduce: each record
-    priced from scratch with pipeline_bytes/pipeline_cost and summed into
+    priced anew with pipeline_bytes/pipeline_cost and summed into
     its storage node's group in job order."""
     failed = {int(e.key[1]) for e in job.errors
               if isinstance(e.key, tuple) and e.key[0] == "s"}
