@@ -27,6 +27,7 @@ samples; :meth:`SampleDirectory.entry_bytes` reports exactly that.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Any, Generator, Optional
 
@@ -50,6 +51,14 @@ __all__ = [
 ENTRY_BYTES = 16
 
 
+def _column(code: str, values: np.ndarray) -> array:
+    """``values`` as an ``array.array`` of ``code``: one machine word per
+    entry instead of one Python int object each."""
+    col = array(code)
+    col.frombytes(np.ascontiguousarray(values, dtype=np.dtype(code)).tobytes())
+    return col
+
+
 def _midpoint_depths(n: int) -> np.ndarray:
     """Depth (root = 1) of each of ``n`` sorted positions in the tree
     whose subtree over positions ``[lo, hi)`` is rooted at
@@ -67,15 +76,18 @@ def _midpoint_depths(n: int) -> np.ndarray:
 
 
 class ShardTree:
-    """One shard's balanced search tree, held as sorted lists.
+    """One shard's balanced search tree, held as sorted columns.
 
     The tree is the perfectly balanced one a bulk build from sorted keys
     gives: the subtree over sorted distinct keys ``[lo, hi)`` is rooted
     at ``(lo + hi) // 2``.  Nothing inserts into or rebalances a built
     tree, so no node objects are kept: only the distinct keys in order,
     each key's payloads — positions in the aligned ``ids`` and
-    ``checks`` lists (equal keys chain, in input order) — and each key's
-    depth, the nodes a descent to it visits.
+    ``checks`` columns (equal keys chain, in input order) — and each
+    key's depth, the nodes a descent to it visits.  The columns are
+    ``array.array``s, which ``bisect_left`` and indexing read as they
+    would lists; a depth fits a byte, since ``n`` keys make a tree
+    ``ceil(log2(n + 1))`` deep.
     """
 
     __slots__ = ("keys", "depths", "ids", "checks", "_starts")
@@ -85,11 +97,11 @@ class ShardTree:
         ``checks[i]`` form the payload of ``keys[i]``."""
         order = np.argsort(keys, kind="stable")
         distinct, starts = np.unique(keys[order], return_index=True)
-        self.keys: list[int] = distinct.tolist()
-        self.depths: list[int] = _midpoint_depths(len(distinct)).tolist()
-        self._starts: list[int] = starts.tolist() + [len(order)]
-        self.ids: list[int] = ids[order].tolist()
-        self.checks: list[int] = checks[order].tolist()
+        self.keys = _column("Q", distinct)
+        self.depths = _column("B", _midpoint_depths(len(distinct)))
+        self._starts = _column("q", np.append(starts, len(order)))
+        self.ids = _column("q", ids[order])
+        self.checks = _column("Q", checks[order])
 
     def __len__(self) -> int:
         """Payload count (>= the number of distinct keys)."""

@@ -32,6 +32,15 @@ arrivals at the mid-riser grid ``t_k = start + (k + 0.5) * gap``.  Both
 modes share :class:`ArrivalSchedule`, so per-epoch counts split exactly
 at any boundary (``index_at`` is the shared inverse of the grid).
 
+Tagged requests are still offered one at a time, in kernel order.  In
+all-event mode each tagged flow is a kernel process
+(:func:`_tagged_process`) among the bulk emitters.  In hybrid mode
+nothing else is an event, so one sweep (:class:`_TaggedSweep`) replays
+those processes from a small heap of (fire time, kernel key) entries: it
+offers every request at the same float instant and in the same order,
+and takes each key from the kernel's own numbering, so
+``events_scheduled`` and the sanitizer's perturbed ranks are unchanged.
+
 Fluid code never reads ``env.now``: epoch bodies take the epoch bounds
 ``(t0, t1)`` as arguments (lint rule SL111 enforces this), so the math
 cannot silently couple to event-processing order.
@@ -41,10 +50,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import heapq
 import math
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +87,9 @@ EQUIVALENCE_EPSILON = 1e-9
 #: Most arrivals one schedule segment may realize: the fluid charge
 #: forms ``n * (n - 1)`` in int64, so ``n`` must stay below 2**31.
 MAX_SEGMENT_ARRIVALS = (1 << 31) - 1
+
+#: Unit exponentials one numpy call draws for :func:`flow_arrival_times`.
+EXPONENTIAL_BLOCK = 1024
 
 #: An extra epoch cut this fraction of a :class:`ScaleSpec` day after each
 #: fault/churn edge.  Every cut re-bases the lane anchors that tagged
@@ -444,14 +457,20 @@ class FluidLane:
         mass).  Tagged offers are impulses: their bytes enter the
         backlog and delay everything behind them, in both modes.
         """
-        lat = self.wait_at(t) + self.base_latency(nbytes)
         if tagged:
-            net = self._marks[-1][2]
-            self._append_anchor(t, self.backlog_at(t) + nbytes, net)
+            # One backlog read prices the wait (as wait_at does) and
+            # re-anchors the lane with the request's bytes on top.
+            backlog = self.backlog_at(t)
+            wait = backlog / self.mu
+            if t < self.outage_until:
+                wait += self.outage_until - t
+            lat = wait + self.base_latency(nbytes)
+            self._append_anchor(t, backlog + nbytes, self._marks[-1][2])
             self.tagged_requests += 1
             self.tagged_bytes += nbytes
             self.tagged_latency_sum += lat
         else:
+            lat = self.wait_at(t) + self.base_latency(nbytes)
             self.requests += 1
             self.bytes += nbytes
             self.latency_sum += lat
@@ -539,8 +558,7 @@ class FluidLane:
 # Tagged flows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaggedRecord:
+class TaggedRecord(NamedTuple):
     """One event-accurate tagged request, as observed."""
 
     tenant: str
@@ -592,7 +610,10 @@ def flow_arrival_times(
     Standard inversion: unit-exponential increments consumed against the
     per-flow rate ``segment.rate / flows``, carrying unused mass across
     segment edges.  A pure function of the substream, so hybrid and
-    all-event runs see bit-identical tagged timelines.
+    all-event runs see bit-identical tagged timelines.  The increments
+    are drawn :data:`EXPONENTIAL_BLOCK` at a time: a block holds the
+    values, in order, that one ``stream.exponential(1.0)`` call each
+    would return.
     """
     if flows <= 0:
         raise ConfigError(f"flow_arrival_times: flows={flows} <= 0")
@@ -601,7 +622,8 @@ def flow_arrival_times(
         [seed, zlib.crc32(tenant.encode("utf-8")), flow_id],
     )
     times: List[float] = []
-    pending = float(stream.exponential(1.0))
+    draws = stream.exponential(1.0, size=EXPONENTIAL_BLOCK).tolist()
+    pending, used = draws[0], 1
     for seg in envelope.segments:
         rate = seg.rate / flows
         if rate <= 0.0:
@@ -614,21 +636,38 @@ def flow_arrival_times(
                 break
             t += dt
             times.append(t)
-            pending = float(stream.exponential(1.0))
+            if used == len(draws):
+                draws = stream.exponential(1.0, size=EXPONENTIAL_BLOCK).tolist()
+                used = 0
+            pending = draws[used]
+            used += 1
     return tuple(times)
+
+
+def _order_digest(records: Sequence[TaggedRecord]) -> str:
+    """sha1 of the tagged sample order: tenant, flow, seq and lane."""
+    h = hashlib.sha1()
+    for r in records:
+        h.update(f"{r.tenant}:{r.flow}:{r.seq}:{r.lane}\n".encode("utf-8"))
+    return h.hexdigest()
+
+
+def _latency_digest(records: Sequence[TaggedRecord]) -> str:
+    """sha1 of the tagged arrival instants and latencies, via ``float.hex``
+    (bit-exact, no repr rounding)."""
+    h = hashlib.sha1()
+    for r in records:
+        h.update(f"{r.t.hex()}:{r.latency.hex()}\n".encode("utf-8"))
+    return h.hexdigest()
 
 
 def tagged_digests(records: Sequence[TaggedRecord]) -> Tuple[str, str]:
     """(sample-order sha1, latency sha1) over the tagged record stream.
 
-    Latencies hash via ``float.hex`` — bit-exact, no repr rounding.
+    Each digest hashes only its own fields, so the pair costs one hash of
+    the stream whether it is built here or read one digest at a time.
     """
-    order = hashlib.sha1()
-    lat = hashlib.sha1()
-    for r in records:
-        order.update(f"{r.tenant}:{r.flow}:{r.seq}:{r.lane}\n".encode("utf-8"))
-        lat.update(f"{r.t.hex()}:{r.latency.hex()}\n".encode("utf-8"))
-    return order.hexdigest(), lat.hexdigest()
+    return _order_digest(records), _latency_digest(records)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +733,10 @@ class ScaleReport:
     mode: str
     spec: ScaleSpec
     sim_time: float
+    #: Kernel keys the run took.  In event mode these are the events it
+    #: scheduled.  In hybrid mode they are the keys the tagged sweep took
+    #: in place of the per-flow processes' events (a start, one timeout
+    #: per request that waits, an end), though none reached the heap.
     events_scheduled: int
     bulk_requests: int = 0
     bulk_bytes: int = 0
@@ -704,13 +747,15 @@ class ScaleReport:
     lanes: List[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
+    # Each digest hashes only its own fields of ``tagged``, on every read:
+    # reading both hashes the stream once, and nothing cached can go stale.
     @property
     def order_digest(self) -> str:
-        return tagged_digests(self.tagged)[0]
+        return _order_digest(self.tagged)
 
     @property
     def latency_digest(self) -> str:
-        return tagged_digests(self.tagged)[1]
+        return _latency_digest(self.tagged)
 
     @property
     def elide_ratio(self) -> float:
@@ -787,7 +832,12 @@ def _bulk_emitter(env, lane: FluidLane, sched: ArrivalSchedule, end: float):
 
 def _tagged_process(env, lane: FluidLane, flow: TaggedFlow,
                     records: List[TaggedRecord]):
-    """One tagged flow: every request is a real, traced kernel event."""
+    """One tagged flow as a kernel process: a timeout per request.
+
+    Tagged requests are offered one at a time in kernel order: by these
+    processes in all-event mode, and by :class:`_TaggedSweep` in hybrid
+    mode, which replays them and is tested against them.
+    """
     seq = 0
     for t in flow.times:
         delay = t - env.now
@@ -799,6 +849,76 @@ def _tagged_process(env, lane: FluidLane, flow: TaggedFlow,
             lane=lane.name, t=t, latency=lat,
         ))
         seq += 1
+
+
+class _TaggedSweep:
+    """Hybrid mode's tagged flows: one heap in place of a process each.
+
+    It does what one :func:`_tagged_process` per flow does in a kernel
+    that runs nothing else.  A heap entry ``(fire, key, lane, flow, i,
+    due)`` resumes ``flow`` at ``fire``; ``due`` says that its timeout
+    for ``flow.times[i]`` fired.  The first resume (``due`` false) is
+    the process's start event.  Entries pop in the kernel's ``(time,
+    key)`` order, each fire time is the kernel's ``now + (t - now)``,
+    and keys come from the kernel's numbering (``env._eid``, plus a
+    sanitizer rank under a tiebreak factory) where a process takes one:
+    its start, each timeout and its end.  So every request is offered
+    at the same instant and in the same order as by the processes, and
+    ``env._eid`` and the ranks drawn come out the same.
+    """
+
+    def __init__(self, env, records: List[TaggedRecord]) -> None:
+        self._env = env
+        self._records = records
+        self._heap: list = []
+
+    def _key(self):
+        """The next kernel key, as ``Environment._post_at`` takes it."""
+        env = self._env
+        env._eid += 1
+        return env._eid if env._tiebreak is None else env._ranked_key()
+
+    def add(self, lane: FluidLane, flow: TaggedFlow) -> None:
+        """Start ``flow`` on ``lane`` now, as ``env.process`` would."""
+        heapq.heappush(
+            self._heap, (self._env.now, self._key(), lane, flow, 0, False)
+        )
+
+    def run(self, until: float) -> Optional[float]:
+        """Resume every flow due at or before ``until``, as the kernel's
+        ``run(until)`` would; returns the last fire time resumed."""
+        heap = self._heap
+        records = self._records
+        env = self._env
+        now = None
+        while heap and heap[0][0] <= until:
+            now, _, lane, flow, i, due = heapq.heappop(heap)
+            times = flow.times
+            n = len(times)
+            while i < n:
+                t = times[i]
+                if not due and t - now > 0.0:
+                    # The process's next timeout (key taken inline, as
+                    # the kernel's own post sites do).
+                    env._eid += 1
+                    key = env._eid if env._tiebreak is None else env._ranked_key()
+                    heapq.heappush(heap, (now + (t - now), key, lane, flow, i, True))
+                    break
+                due = False
+                records.append(TaggedRecord(
+                    flow.tenant, flow.flow_id, i, lane.name, t,
+                    lane.offer(t, flow.size, True),
+                ))
+                i += 1
+            else:
+                self._key()  # the process's end event
+        return now
+
+    def drain(self) -> None:
+        """Resume every remaining flow, as ``env.run()`` would after the
+        last epoch, leaving ``env.now`` at the last fire time."""
+        if self._heap:
+            self._env._now = self.run(math.inf)
 
 
 def _boundaries(spec: ScaleSpec, cohorts=None) -> List[float]:
@@ -834,11 +954,12 @@ def run_scale(
     """Simulate the fleet-scale day at the requested fidelity.
 
     ``mode="hybrid"`` charges every bulk arrival analytically at epoch
-    boundaries, so only tagged flows run as kernel events;
-    ``mode="event"`` emits every bulk arrival as a kernel event.  Both
-    share the epoch cuts, anchor trajectory, schedules, and tagged
-    substreams, so tagged results are bit-identical (see
-    :func:`equivalence_check`).
+    boundaries and offers the tagged requests from one sweep
+    (:class:`_TaggedSweep`), so the kernel processes no event;
+    ``mode="event"`` runs every bulk arrival and tagged request as a
+    kernel event.  Both share the epoch cuts, anchor trajectory,
+    schedules, and tagged substreams, so tagged results are
+    bit-identical (see :func:`equivalence_check`).
 
     ``envelopes`` overrides the built-in diurnal cohort envelopes with
     explicit ``(name, RateEnvelope, flows)`` triples — the scenario DSL
@@ -868,6 +989,9 @@ def run_scale(
     ]
     cohorts = list(envelopes) if envelopes is not None else _cohort_envelopes(spec)
     records: List[TaggedRecord] = []
+    # Hybrid mode runs no other event, so one sweep replays the tagged
+    # flows' processes; event mode interleaves them with the bulk.
+    sweep = _TaggedSweep(env, records) if mode == "hybrid" else None
 
     # Bulk schedules: each cohort's non-tagged mass, split evenly over
     # lanes (the front-end balancer's fluid share).
@@ -895,10 +1019,13 @@ def run_scale(
                 ),
             )
             lane = lanes[flow.lane_index]
-            env.process(
-                _tagged_process(env, lane, flow, records),
-                name=f"tagged.{name}.{flow_id}",
-            )
+            if sweep is not None:
+                sweep.add(lane, flow)
+            else:
+                env.process(
+                    _tagged_process(env, lane, flow, records),
+                    name=f"tagged.{name}.{flow_id}",
+                )
 
     if mode == "event":
         for lane in lanes:
@@ -924,8 +1051,12 @@ def run_scale(
                     envelope.bytes_rate_at(a) * ((flows - k) / flows) * shares[li]
                 )
             lane.set_inflow(a, inflow)
+        if sweep is not None:
+            sweep.run(b)
         env.run_epoch(until=b)
     env.run()
+    if sweep is not None:
+        sweep.drain()
 
     report = ScaleReport(
         mode=mode,

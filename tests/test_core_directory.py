@@ -61,7 +61,7 @@ class TestConstruction:
         _, _, directory = rig
         for s in range(4):
             tree = directory.tree(s)
-            assert tree.keys == sorted(set(tree.keys))
+            assert list(tree.keys) == sorted(set(tree.keys))
             assert tree.height == math.ceil(math.log2(len(tree.keys) + 1))
 
     def test_entry_memory_accounting(self, rig):
@@ -306,7 +306,7 @@ class TestShardTree:
 
         tree = ShardTree(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
                          np.empty(0, dtype=np.uint64))
-        assert tree.keys == [] and tree.depths == [] and len(tree) == 0
+        assert list(tree.keys) == [] and list(tree.depths) == [] and len(tree) == 0
         assert _search(tree, 0) == ([], 0)
         assert _search(tree, 2**64 - 1) == ([], 0)
 
@@ -318,12 +318,12 @@ class TestShardTree:
 
     def test_duplicate_keys_chain(self):
         tree = _tree([5, 1, 5])
-        assert len(tree) == 3 and tree.keys == [1, 5]
+        assert len(tree) == 3 and list(tree.keys) == [1, 5]
         assert _search(tree, 5)[0] == [(0, 0), (2, 14)]
 
     def test_sorted_duplicates_share_one_node(self):
         tree = _tree([1, 1, 2])
-        assert tree.keys == [1, 2] and len(tree.depths) == 2
+        assert list(tree.keys) == [1, 2] and len(tree.depths) == 2
         # Root is key 2 (sorted position (0 + 2) // 2); key 1 is its child.
         assert _search(tree, 1) == ([(0, 0), (1, 7)], 2)
         assert _search(tree, 2) == ([(2, 14)], 1)
@@ -354,7 +354,7 @@ class TestShardTree:
         payload kept, and the AVL balance invariant at every node."""
         tree = _tree(keys)
         assert len(tree) == len(keys)
-        assert tree.keys == sorted(set(keys))
+        assert list(tree.keys) == sorted(set(keys))
 
         def subtree_height(lo, hi, depth):
             if lo >= hi:

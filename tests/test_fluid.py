@@ -10,6 +10,7 @@ and the event sum are then the same dyadic arithmetic.
 """
 
 import math
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
+from repro.sim.engine import set_tiebreak_factory
 from repro.sim.fluid import (
     EQUIVALENCE_EPSILON,
     ArrivalSchedule,
@@ -26,11 +28,16 @@ from repro.sim.fluid import (
     RateEnvelope,
     ScaleSpec,
     Segment,
+    TaggedFlow,
+    _tagged_process,
+    _TaggedSweep,
     equivalence_check,
     flow_arrival_times,
     run_scale,
     tag_flows,
+    tagged_digests,
 )
+from repro.sim.rng import rng as sim_rng
 
 SMALL = ScaleSpec(users=2000, day=600.0)
 
@@ -269,19 +276,24 @@ _instant = st.floats(min_value=0.01, max_value=_DAY - 0.01,
 
 
 @st.composite
-def _troughy_schedule(draw):
-    """A multi-segment schedule over [0, _DAY) with zero-rate troughs."""
+def _troughy_envelope(draw):
+    """A multi-segment envelope over [0, _DAY) with zero-rate troughs."""
     edges = sorted({0.0, *draw(st.lists(_instant, max_size=5)), _DAY})
     rates = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=400.0)),
         min_size=len(edges) - 1, max_size=len(edges) - 1,
     ))
     size = draw(st.sampled_from([4096, 65536, 262144]))
-    envelope = RateEnvelope(tuple(
+    return RateEnvelope(tuple(
         Segment(a, b, rate, size)
         for a, b, rate in zip(edges, edges[1:], rates)
     ))
-    return ArrivalSchedule(envelope, fraction=draw(
+
+
+@st.composite
+def _troughy_schedule(draw):
+    """A multi-segment schedule over [0, _DAY) with zero-rate troughs."""
+    return ArrivalSchedule(draw(_troughy_envelope()), fraction=draw(
         st.floats(min_value=0.05, max_value=1.0)))
 
 
@@ -534,7 +546,44 @@ class TestLaneRegistry:
 # Tagged flows
 # ---------------------------------------------------------------------------
 
+def _scalar_flow_arrival_times(envelope, flows, tenant, flow_id, seed):
+    """Reference oracle: the inversion with one numpy draw per increment,
+    which ``flow_arrival_times``' block draws replaced."""
+    stream = sim_rng(
+        f"fluid.flow.{tenant}.{flow_id}",
+        [seed, zlib.crc32(tenant.encode("utf-8")), flow_id],
+    )
+    times = []
+    pending = float(stream.exponential(1.0))
+    for seg in envelope.segments:
+        rate = seg.rate / flows
+        if rate <= 0.0:
+            continue
+        t = seg.start
+        while True:
+            dt = pending / rate
+            if t + dt >= seg.end:
+                pending -= (seg.end - t) * rate
+                break
+            t += dt
+            times.append(t)
+            pending = float(stream.exponential(1.0))
+    return tuple(times)
+
+
 class TestTaggedFlows:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        envelope=_troughy_envelope(),
+        flows=st.integers(min_value=1, max_value=3),
+        flow_id=st.integers(min_value=0, max_value=10_000),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_block_draws_match_scalar_draws(self, envelope, flows, flow_id, seed):
+        # Up to 400/s over 8 s: one flow can use several blocks.
+        args = (envelope, flows, "c0", flow_id, seed)
+        assert flow_arrival_times(*args) == _scalar_flow_arrival_times(*args)
+
     def test_tag_flows_deterministic_and_sorted(self):
         a = tag_flows("cohort0", 1000, 4, seed=42)
         b = tag_flows("cohort0", 1000, 4, seed=42)
@@ -549,6 +598,155 @@ class TestTaggedFlows:
         assert t1 == t2
         assert list(t1) == sorted(t1)
         assert all(0.0 <= t < 10.0 for t in t1)
+
+
+# ---------------------------------------------------------------------------
+# The hybrid tagged sweep against the per-flow kernel processes
+# ---------------------------------------------------------------------------
+
+_SWEEP_STAGES = (("nvme", 1e6), ("fabric", 3.7e6))
+_SWEEP_BULK = ArrivalSchedule(_const_envelope(40.0, 65536, end=_DAY))
+
+
+class _CountedRanks:
+    """Seeded sanitizer-style tiebreak ranks that count their draws."""
+
+    def __init__(self, seed):
+        self._stream = sim_rng("test.fluid.tiebreak", seed)
+        self.drawn = 0
+
+    def random(self):
+        self.drawn += 1
+        return float(self._stream.random())
+
+
+def _drive_tagged(flows, lanes, cuts, inflows, sweep):
+    """Run ``flows`` over ``lanes`` fluid lanes, epoch by epoch, as
+    ``run_scale`` does: by :class:`_TaggedSweep` (``sweep``) or by one
+    :func:`_tagged_process` each (the reference)."""
+    env = Environment()
+    lane_objs = [FluidLane(env, f"lane{i}", _SWEEP_STAGES) for i in range(lanes)]
+    for lane in lane_objs:
+        lane.schedules.append(_SWEEP_BULK)
+    records = []
+    tagged = _TaggedSweep(env, records) if sweep else None
+    for flow in flows:
+        lane = lane_objs[flow.lane_index]
+        if tagged is not None:
+            tagged.add(lane, flow)
+        else:
+            env.process(_tagged_process(env, lane, flow, records))
+    for (a, b), inflow in zip(zip(cuts, cuts[1:]), inflows):
+        for lane in lane_objs:
+            lane.set_inflow(a, inflow)
+        if tagged is not None:
+            tagged.run(b)
+        env.run_epoch(until=b)
+    env.run()
+    if tagged is not None:
+        tagged.drain()
+    state = [{k: v for k, v in vars(lane).items() if k != "env"}
+             for lane in lane_objs]
+    return records, state, env
+
+
+def _compare_sweep(flows, lanes, cuts, inflows, rank_seed=None):
+    """Drive both forms, under a counted tiebreak factory when
+    ``rank_seed`` is set; assert they agree; return the sweep's records."""
+    drawn = []
+
+    def factory():
+        drawn.append(_CountedRanks(rank_seed))
+        return drawn[-1]
+
+    runs = []
+    for sweep in (False, True):
+        set_tiebreak_factory(factory if rank_seed is not None else None)
+        try:
+            runs.append(_drive_tagged(flows, lanes, cuts, inflows, sweep))
+        finally:
+            set_tiebreak_factory(None)
+    (ref, ref_lanes, ref_env), (got, got_lanes, got_env) = runs
+    assert got == ref
+    assert tagged_digests(got) == tagged_digests(ref)
+    assert got_lanes == ref_lanes
+    assert got_env._eid == ref_env._eid
+    assert got_env.now == ref_env.now
+    assert got_env._queue == []
+    if rank_seed is not None:
+        assert drawn[0].drawn == drawn[1].drawn == ref_env._eid
+    return got
+
+
+def _flow(j, lane, times, size=1 << 18):
+    return TaggedFlow(tenant="c", flow_id=j, lane_index=lane, size=size,
+                      times=tuple(times))
+
+
+#: Tagged instants: quarter-second grid points (exact fire times, so
+#: flows tie often) or any float (fire times round off ``t``).
+_tagged_instant = st.one_of(
+    st.integers(min_value=0, max_value=4 * int(_DAY)).map(lambda k: k / 4),
+    st.floats(min_value=0.0, max_value=_DAY, allow_nan=False),
+)
+
+
+class TestTaggedSweep:
+    """The sweep replays the per-flow processes: same offers in the same
+    order, same lane state, same kernel keys and tiebreak draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        timelines=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2),
+                      st.lists(_tagged_instant, max_size=12).map(sorted)),
+            min_size=1, max_size=6,
+        ),
+        lanes=st.integers(min_value=1, max_value=3),
+        cuts=st.lists(
+            st.integers(min_value=1, max_value=4 * int(_DAY)).map(lambda k: k / 4),
+            max_size=8,
+        ),
+        inflows=st.lists(st.floats(min_value=0.0, max_value=2.5e6),
+                         min_size=9, max_size=9),
+        rank_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32)),
+    )
+    def test_matches_the_kernel_processes(
+        self, timelines, lanes, cuts, inflows, rank_seed
+    ):
+        # Cuts sit on the grid, so fire times land exactly on epoch
+        # edges; instants past the last cut run in the final drain.
+        flows = [_flow(j, lane % lanes, times)
+                 for j, (lane, times) in enumerate(timelines)]
+        _compare_sweep(flows, lanes, sorted({0.0, *cuts}), inflows, rank_seed)
+
+    def test_ties_follow_kernel_keys_not_flow_order(self):
+        # Both flows fire at exactly 3.0 on one lane.  Flow 1 took its
+        # timeout's key at 1.0, flow 0 at 2.0, so the kernel offers flow
+        # 1's request first; flow order would offer flow 0's first and
+        # shift both requests' latencies.
+        flows = [_flow(0, 0, (2.0, 3.0)), _flow(1, 0, (1.0, 3.0))]
+        got = _compare_sweep(flows, 1, [0.0, 2.5, 8.0], [1.5e6, 0.5e6])
+        assert [(r.flow, r.t) for r in got] == [(1, 1.0), (0, 2.0), (1, 3.0), (0, 3.0)]
+
+    def test_fire_times_round_as_the_kernel_does(self):
+        # A timeout fires at ``now + (t - now)``: for flow 1's second
+        # request that is one ulp past ``b``, exactly flow 0's instant,
+        # where flow 0's older key offers first.  Both run in the final
+        # drain, which leaves env.now at that instant.
+        a, b = 0.3033685109329176, 5.113064243004916
+        late = a + (b - a)
+        assert late != b
+        flows = [_flow(0, 0, (late,)), _flow(1, 0, (a, b))]
+        got = _compare_sweep(flows, 1, [0.0, 0.25], [0.5e6])
+        assert [r.flow for r in got] == [1, 0, 1]
+
+    def test_zero_delay_requests_take_no_key(self):
+        # A request at the start instant or at its flow's previous
+        # instant is offered at once, as the process offers it.
+        flows = [_flow(0, 0, (0.0, 0.0, 1.5, 1.5)), _flow(1, 0, ())]
+        got = _compare_sweep(flows, 1, [0.0, 1.0], [0.0], rank_seed=5)
+        assert [(r.flow, r.seq) for r in got] == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +769,7 @@ class TestScale:
 
     def test_hybrid_elides_most_events(self):
         # SMALL has churn and an outage, and still no bulk request
-        # becomes an event: the kernel sees only the tagged flows (one
+        # becomes an event: only the tagged sweep takes kernel keys (one
         # start and one exit per flow, one timeout per request).
         r = run_scale(SMALL, mode="hybrid")
         assert r.fluid_requests > 0
@@ -617,6 +815,8 @@ class TestScale:
         summary = r.summary()
         assert summary["mode"] == "hybrid"
         assert summary["elide_ratio"] == r.elide_ratio
+        assert ((summary["order_digest"], summary["latency_digest"])
+                == tagged_digests(r.tagged))
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
