@@ -135,6 +135,16 @@ RULES: Tuple[Rule, ...] = (
             "take the epoch bounds (t0, t1) as arguments instead"
         ),
     ),
+    Rule(
+        id="SL112",
+        name="env-now-write",
+        summary="write to an environment's .now outside the kernel",
+        hint=(
+            "only sim/engine.py advances the clock: post an event or a "
+            "timed call (env.call_at) at the instant instead; a replay "
+            "that stands in for kernel steps needs a reasoned suppression"
+        ),
+    ),
 )
 
 RULES_BY_ID = {r.id: r for r in RULES}

@@ -17,6 +17,7 @@ engine (:func:`repro.sim.engine.set_lifecycle_audit`) and checks
 resource hygiene at the end of every run:
 
 * ``Resource`` slots still held after the run → leak-on-stop;
+* NIC pipes (``repro.hw.network.Pipe``) still busy → the same leak;
 * ``Store`` putters still blocked → a producer wedged at teardown;
 * qpairs with in-flight requests after shutdown → leaked I/O;
 * completions delivered after a qpair reset bumped the generation →
@@ -106,6 +107,11 @@ class LifecycleAudit:
                     self.violations.append(
                         f"{name}: {obj._inflight} request(s) still in flight "
                         "at end of run"
+                    )
+            elif hasattr(obj, "busy"):
+                if obj.busy:
+                    self.violations.append(
+                        f"{name}: pipe still busy at end of run"
                     )
         return self.violations
 

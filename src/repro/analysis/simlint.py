@@ -30,6 +30,10 @@ Scope rules (see :mod:`repro.analysis.rules` for the table):
   a closed interval the caller fixed — reading the live clock couples
   the charge to when the epoch happens to run, which breaks the
   hybrid/event equivalence obligation.
+* SL112 — a write to an environment's ``.now`` (``env.now``,
+  ``self._env.now``, ...) outside ``sim/engine.py``.  ``now`` is a
+  plain attribute, so nothing but this rule stops code from moving
+  the clock under the event queue.
 
 Suppressions are per-line and must carry a reason::
 
@@ -175,6 +179,17 @@ def _scan_suppressions(
 # ---------------------------------------------------------------------------
 # The AST pass
 # ---------------------------------------------------------------------------
+
+def _names_environment(node: ast.AST) -> bool:
+    """``env``, ``self._env``, ``ref_env``, ...: an environment by name."""
+    name = (
+        node.attr if isinstance(node, ast.Attribute)
+        else node.id if isinstance(node, ast.Name) else None
+    )
+    return name is not None and (
+        name.lstrip("_") == "env" or name.endswith("_env")
+    )
+
 
 def _dotted(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -424,6 +439,16 @@ class _Linter(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            node.attr == "now"
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and _names_environment(node.value)
+            and not Path(self.path).as_posix().endswith("sim/engine.py")
+        ):
+            self._emit(
+                node, "SL112",
+                "write to an environment's .now outside sim/engine.py",
+            )
         if node.attr == "now" and self._epoch_depth > 0:
             owner = node.value
             owner_name = (

@@ -138,7 +138,7 @@ class NodeReadCache:
     LRU over served ``(device_offset, nbytes)`` spans; capacity is
     accounted in a :class:`ChunkLedger` so a crash demonstrably resets
     the ledger (the rejoin-from-empty-ledger case) and re-warm recharges
-    it.  A hit lets :meth:`NVMeoFTarget.serve_read` skip the device
+    it.  A hit lets :meth:`NVMeoFTarget.serve` skip the device
     read entirely.
     """
 

@@ -122,7 +122,7 @@ class _TimerLane:
         self.armed = False
 
     def arm(self, req: SPDKRequest) -> None:
-        fire_at = self.env._now + self.delay
+        fire_at = self.env.now + self.delay
         self.entries.append((fire_at, req, req.attempts))
         if not self.armed:
             self._schedule(fire_at)
@@ -136,7 +136,7 @@ class _TimerLane:
 
     def _fire(self, _timer: Event) -> None:
         entries = self.entries
-        now = self.env._now
+        now = self.env.now
         while entries:
             fire_at, req, attempt = entries[0]
             live = req.status is None and req.attempts == attempt

@@ -7,21 +7,74 @@ pipe for ``nbytes / bandwidth`` seconds and completes one propagation
 latency later — a cut-through model that matches RDMA behaviour at the
 microsecond scale the paper cares about.
 
-The one-sided primitives (``rdma_read`` / ``rdma_write``) move payload
-without involving remote CPU; ``rpc`` models a two-sided message pair
-with server-side processing, which is what Octopus metadata lookups pay.
+One-sided primitives move payload without involving remote CPU: a
+write is a plain transfer, ``rdma_read`` adds the request's one-way
+latency.  ``rpc`` models a two-sided message pair with server-side
+processing, which is what Octopus metadata lookups pay.
+
+A transfer runs as a chain of timed calls (:meth:`Fabric.send`), not as
+a process: each step runs at the ``(time, key)`` where the process form
+resumed, and takes the key its event took, so event counts, sanitizer
+ranks and every outcome are those of the process form.  The process
+helper :meth:`Fabric.transfer` starts the same chain and resumes on its
+propagation event.  The process form is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Optional, Union
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ResourceError
 from ..obs import NULL_METRICS, NULL_TRACER
-from ..sim import Environment, Event, Resource, ThroughputMeter
+from ..sim import Environment, Event, ThroughputMeter
+from ..sim.engine import audit_register
 from .platform import NetworkSpec
 
-__all__ = ["NIC", "Fabric"]
+__all__ = ["NIC", "Fabric", "Pipe"]
+
+
+class Pipe:
+    """One NIC direction: a one-slot FIFO whose grants are timed calls.
+
+    :meth:`acquire` hands the pipe to ``then`` (a zero-argument callable)
+    at once if it is idle, or when every earlier claimant has released
+    it.  A grant is :meth:`Environment.call_at` at the granting instant,
+    so it takes the key that a capacity-1 ``Resource``'s grant event
+    took, in the same FIFO order.
+    """
+
+    __slots__ = ("env", "name", "busy", "_waiters")
+
+    def __init__(self, env: Environment, name: str) -> None:
+        self.env = env
+        self.name = name
+        #: True from a grant to its release (the lifecycle audit reports
+        #: a pipe still busy at the end of a run).
+        self.busy = False
+        self._waiters: Deque[Callable[[], None]] = deque()
+        audit_register(self)
+
+    def acquire(self, then: Callable[[], None]) -> None:
+        """Claim the pipe; ``then()`` runs at the grant."""
+        if self.busy:
+            self._waiters.append(then)
+        else:
+            self.busy = True
+            self.env.call_at(self.env.now, then)
+
+    def release(self) -> None:
+        """Hand the pipe to the next claimant, or leave it idle."""
+        if not self.busy:
+            raise ResourceError(f"release of idle pipe {self.name}")
+        if self._waiters:
+            self.env.call_at(self.env.now, self._waiters.popleft())
+        else:
+            self.busy = False
+
+    def __repr__(self) -> str:
+        state = "busy" if self.busy else "idle"
+        return f"<Pipe {self.name!r} {state} ({len(self._waiters)} waiting)>"
 
 
 class NIC:
@@ -31,8 +84,8 @@ class NIC:
         self.env = env
         self.spec = spec
         self.name = name
-        self.tx = Resource(env, capacity=1, name=f"{name}.tx")
-        self.rx = Resource(env, capacity=1, name=f"{name}.rx")
+        self.tx = Pipe(env, name=f"{name}.tx")
+        self.rx = Pipe(env, name=f"{name}.rx")
         self.tx_meter = ThroughputMeter(env, name=f"{name}.tx")
         self.rx_meter = ThroughputMeter(env, name=f"{name}.rx")
 
@@ -83,54 +136,43 @@ class Fabric:
         return len(self._nics)
 
     # -- data movement -------------------------------------------------------
+    def send(
+        self, src: str, dst: str, nbytes: int,
+        then: Union[Callable[[], None], Event],
+        parent: Optional[object] = None,
+    ) -> Optional["_Transfer"]:
+        """Move ``nbytes`` from ``src`` to ``dst`` as a callback chain.
+
+        ``then()`` runs once the payload has landed: at once for a local
+        (``src == dst``) or empty transfer, which does not touch the
+        fabric, since RDMA to self is served from memory, as the paper
+        treats node-local NVMe access.  A process caller passes an
+        untriggered :class:`Event` instead; it is posted at the landing
+        instant, and after resuming on it the caller books the transfer
+        with the returned chain's :meth:`_Transfer.finish`.
+        """
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        if src == dst or nbytes == 0:
+            then()
+            return None
+        return _Transfer(self, src, dst, nbytes, parent, then)
+
     def transfer(
         self, src: str, dst: str, nbytes: int, parent: Optional[object] = None
     ) -> Generator[Event, Any, None]:
         """Move ``nbytes`` from ``src`` to ``dst`` (process helper).
 
-        Local transfers (``src == dst``) do not touch the fabric: RDMA to
-        self is served from memory, consistent with how the paper treats
-        node-local NVMe access.
+        Runs :meth:`send`'s chain and resumes on its propagation event.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
         if src == dst or nbytes == 0:
             return
-        t0 = self.env.now
-        span = None
-        if self.tracer.enabled:
-            span = self.tracer.start(
-                "fabric.transfer", track=f"link:{src}->{dst}", parent=parent,
-                cat="fabric", nbytes=nbytes,
-            )
-        if self.injector is not None:
-            # A dropped transfer is re-driven after a detection stall
-            # (go-back-N at the reliable-connection layer).
-            stall = self.injector.link_fault(src, dst, self.env.now)
-            if stall is not None:
-                if span is not None:
-                    span.event("retransmit_stall", stall=stall)
-                yield self.env.timeout(stall)
-        src_nic, dst_nic = self.nic(src), self.nic(dst)
-        wire_time = self.spec.transfer_time(nbytes)
-        # Cut-through: both endpoint pipes are busy for the wire time.
-        # Acquire TX first, then RX (uniform order; the two pools are
-        # disjoint so no deadlock is possible).
-        tx_req = src_nic.tx.request()
-        yield tx_req
-        rx_req = dst_nic.rx.request()
-        yield rx_req
-        try:
-            yield self.env.timeout(wire_time)
-        finally:
-            src_nic.tx.release(tx_req)
-            dst_nic.rx.release(rx_req)
-        yield self.env.timeout(self.spec.propagation_latency)
-        src_nic.tx_meter.record(nbytes=nbytes)
-        dst_nic.rx_meter.record(nbytes=nbytes)
-        self._h_latency.observe(self.env.now - t0)
-        if span is not None:
-            span.finish()
+        landed = Event(self.env)
+        xfer = self.send(src, dst, nbytes, landed, parent)
+        yield landed
+        xfer.finish()
 
     def rdma_read(
         self, reader: str, target: str, nbytes: int,
@@ -146,13 +188,6 @@ class Fabric:
             # Request message travels to the target first.
             yield self.env.timeout(self.spec.propagation_latency)
         yield from self.transfer(target, reader, nbytes, parent=parent)
-
-    def rdma_write(
-        self, writer: str, target: str, nbytes: int,
-        parent: Optional[object] = None,
-    ) -> Generator[Event, Any, None]:
-        """One-sided write: payload flows ``writer -> target``."""
-        yield from self.transfer(writer, target, nbytes, parent=parent)
 
     def rpc(
         self,
@@ -178,3 +213,92 @@ class Fabric:
             result = yield from server_work()
         yield from self.transfer(server, client, response_bytes)
         return result
+
+
+class _Transfer:
+    """One fabric transfer as a chain of timed calls.
+
+    The process form waited on, in turn: a retransmit stall (faulted
+    links only), the TX grant, the RX grant, the wire time and the
+    propagation latency.  Each step here runs where that process
+    resumed and takes the key its event took.  Cut-through: both
+    endpoint pipes are busy for the wire time.  TX is claimed before
+    RX (one order everywhere, and the two pools are disjoint, so no
+    deadlock is possible).
+    """
+
+    __slots__ = ("fabric", "src_nic", "dst_nic", "nbytes", "t0", "span", "then")
+
+    def __init__(self, fabric: Fabric, src: str, dst: str, nbytes: int,
+                 parent: Optional[object], then) -> None:
+        """Start the transfer now."""
+        env = fabric.env
+        self.fabric = fabric
+        self.nbytes = nbytes
+        self.t0 = env.now
+        self.then = then
+        span = None
+        if fabric.tracer.enabled:
+            span = fabric.tracer.start(
+                "fabric.transfer", track=f"link:{src}->{dst}", parent=parent,
+                cat="fabric", nbytes=nbytes,
+            )
+        self.span = span
+        if fabric.injector is not None:
+            # A dropped transfer is re-driven after a detection stall
+            # (go-back-N at the reliable-connection layer).
+            stall = fabric.injector.link_fault(src, dst, env.now)
+        else:
+            stall = None
+        try:
+            self.src_nic = fabric._nics[src]
+            self.dst_nic = fabric._nics[dst]
+        except KeyError as missing:
+            raise ConfigError(
+                f"host {missing.args[0]!r} is not attached to fabric"
+            ) from None
+        if stall is not None:
+            if span is not None:
+                span.event("retransmit_stall", stall=stall)
+            env.call_at(env.now + stall, self._claim_tx)
+        else:
+            self.src_nic.tx.acquire(self._claim_rx)
+
+    def _claim_tx(self) -> None:
+        self.src_nic.tx.acquire(self._claim_rx)
+
+    def _claim_rx(self) -> None:
+        self.dst_nic.rx.acquire(self._wire)
+
+    def _wire(self) -> None:
+        env = self.fabric.env
+        env.call_at(
+            env.now + self.fabric.spec.transfer_time(self.nbytes),
+            self._wire_end,
+        )
+
+    def _wire_end(self) -> None:
+        self.src_nic.tx.release()
+        self.dst_nic.rx.release()
+        env = self.fabric.env
+        then = self.then
+        if isinstance(then, Event):
+            # A process resumes here, on the propagation event itself.
+            then._value = None
+            env._post_at(then, env.now + self.fabric.spec.propagation_latency)
+        else:
+            env.call_at(
+                env.now + self.fabric.spec.propagation_latency, self.finish
+            )
+
+    def finish(self) -> None:
+        """Book the landed payload (meters, latency and span) and run a
+        callback ``then``; a process caller calls this once it resumed."""
+        nbytes = self.nbytes
+        self.src_nic.tx_meter.record(nbytes=nbytes)
+        self.dst_nic.rx_meter.record(nbytes=nbytes)
+        self.fabric._h_latency.observe(self.fabric.env.now - self.t0)
+        if self.span is not None:
+            self.span.finish()
+        if not isinstance(self.then, Event):
+            self.then()

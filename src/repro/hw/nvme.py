@@ -270,7 +270,7 @@ class NVMeDevice:
         a run (it is booked ahead of time, so a mid-flight reading runs
         slightly ahead).
         """
-        now = self.env._now
+        now = self.env.now
         spec = self.spec
         fault = None
         if self.injector is not None and cmd.op == READ:
@@ -347,7 +347,7 @@ class NVMeDevice:
         first changes nothing.
         """
         heappop(self._timers)
-        now = self.env._now
+        now = self.env.now
         pending = self._pending
         while pending and pending[0][0] <= now:
             _, _, cmd, status = heappop(pending)

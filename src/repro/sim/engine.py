@@ -24,6 +24,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError, InterruptedProcess
@@ -43,6 +44,10 @@ __all__ = [
 
 #: Sentinel for an event value that has not been set yet.
 PENDING = object()
+
+#: Allocates an instance without running ``__init__``: event
+#: constructors below fill every slot in their own frame.
+_new = object.__new__
 
 # --------------------------------------------------------------------------
 # Harness hooks (repro.analysis.sanitizer).
@@ -137,7 +142,7 @@ class Event:
         env = self.env
         env._eid += 1
         key = env._eid if env._tiebreak is None else env._ranked_key()
-        heapq.heappush(env._queue, (env._now, key, self))
+        heapq.heappush(env._queue, (env.now, key, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -193,20 +198,38 @@ class Timeout(Event):
         # Inlined _post.
         env._eid += 1
         key = env._eid if env._tiebreak is None else env._ranked_key()
-        heapq.heappush(env._queue, (env._now + delay, key, self))
+        heapq.heappush(env._queue, (env.now + delay, key, self))
 
 
 class Initialize(Event):
-    """Internal event used to start a freshly created process."""
+    """Internal event used to start a freshly created process.
+
+    Built by :class:`Process` in its own frame; it has no constructor.
+    """
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self.callbacks.append(process._resume)
-        env._post(self)
+
+class _Call(Event):
+    """A timed call (:meth:`Environment.call_at`) that went to the heap:
+    its one callback calls ``fn``."""
+
+    __slots__ = ("fn",)
+
+
+def _fire_call(event: _Call) -> None:
+    event.fn()
+
+
+def _call_event(env: "Environment", fn: Callable[[], None]) -> _Call:
+    event = _new(_Call)
+    event.env = env
+    event.callbacks = [_fire_call]
+    event._value = None
+    event._ok = True
+    event._defused = False
+    event.fn = fn
+    return event
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -219,7 +242,7 @@ class Process(Event):
     raises, the process fails with that exception (propagated to waiters).
     """
 
-    __slots__ = ("_generator", "_target", "name", "_stale")
+    __slots__ = ("_generator", "_target", "name", "_stale", "_resume_cb")
 
     def __init__(
         self,
@@ -229,7 +252,11 @@ class Process(Event):
     ) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on (None when running).
@@ -238,7 +265,18 @@ class Process(Event):
         #: _resume drops them instead of paying an O(n) callbacks.remove
         #: at interrupt time.  None (no check at all) in the common case.
         self._stale: Optional[list[Event]] = None
-        Initialize(env, self)
+        #: ``_resume`` bound once: every wait subscribes this object.
+        self._resume_cb = self._resume
+        # The start event (an Initialize), built and posted inline.
+        init = _new(Initialize)
+        init.env = env
+        init.callbacks = [self._resume_cb]
+        init._value = None
+        init._ok = True
+        init._defused = False
+        env._eid += 1
+        key = env._eid if env._tiebreak is None else env._ranked_key()
+        heapq.heappush(env._queue, (env.now, key, init))
 
     @property
     def is_alive(self) -> bool:
@@ -269,7 +307,7 @@ class Process(Event):
         interrupt_event._ok = False
         interrupt_event._value = InterruptedProcess(cause)
         interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
+        interrupt_event.callbacks.append(self._resume_cb)
         self.env._post(interrupt_event)
 
     def _resume(self, event: Event) -> None:
@@ -293,9 +331,11 @@ class Process(Event):
                     next_event = self._generator.throw(payload)
             except StopIteration as stop:
                 self._target = None
-                self._ok = True
                 self._value = stop.value
-                self.env._post(self)
+                env = self.env
+                env._eid += 1
+                key = env._eid if env._tiebreak is None else env._ranked_key()
+                heapq.heappush(env._queue, (env.now, key, self))
                 break
             except BaseException as exc:
                 self._target = None
@@ -318,7 +358,7 @@ class Process(Event):
 
             if next_event.callbacks is not None:
                 # Event still pending: subscribe and suspend.
-                next_event.callbacks.append(self._resume)
+                next_event.callbacks.append(self._resume_cb)
                 self._target = next_event
                 break
             # Event already processed: continue synchronously.
@@ -337,7 +377,11 @@ class Condition(Event):
     __slots__ = ("_events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._events = list(events)
         fired = None
         remaining = 0
@@ -361,6 +405,10 @@ class Condition(Event):
         if fired is not None:
             for event in fired:
                 self._child_fired(event, immediate=True)
+        # Nothing left to wait for (an AllOf over fired children, or an
+        # empty condition, where any-of-nothing is vacuous): fire now.
+        if self._value is PENDING and remaining == 0:
+            self.succeed(self._collect())
 
     def _collect(self) -> dict[Event, Any]:
         # Only *processed* children count as fired: a Timeout carries its
@@ -380,11 +428,6 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, events)
-        if self._value is PENDING and self._remaining == 0:
-            self.succeed(self._collect())
-
     def _child_fired(self, event: Event, immediate: bool = False) -> None:
         if self._value is not PENDING:
             return
@@ -402,13 +445,6 @@ class AnyOf(Condition):
     """Fires when *any* child event fires; value maps fired events -> values."""
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, events)
-        # An empty AnyOf fires immediately (any-of-nothing is vacuous);
-        # non-empty already-fired children were handled by _child_fired.
-        if self._value is PENDING and not self._events:
-            self.succeed({})
 
     def _child_fired(self, event: Event, immediate: bool = False) -> None:
         if self._value is not PENDING:
@@ -428,7 +464,8 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time in seconds.  Only the kernel writes it.
+        self.now = float(initial_time)
         #: One heap of (time, tiebreak key, event); events fire in
         #: (time, key) order.  The key is the insertion id in normal
         #: runs, so ties fall back to insertion order; under the
@@ -441,26 +478,46 @@ class Environment:
             _TIEBREAK_FACTORY() if _TIEBREAK_FACTORY is not None else None
         )
         #: Observability hooks called after each processed event; ``None``
-        #: (the default) keeps step() at a single falsy check.
+        #: (the default) keeps the run loop at a single falsy check.
         self._step_listeners: Optional[list[Callable[[float, Event], None]]] = None
         #: Fluid lanes registered for epoch stepping (repro.sim.fluid);
         #: ``None`` (the default) keeps run_epoch() pay-for-use.
         self._lanes: Optional[list[Any]] = None
-
-    # -- time --------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        #: The timed-call slot: ``None`` while :meth:`run` runs with it
+        #: empty, a ``(time, key, fn)`` call waiting ahead of the heap,
+        #: or ``False`` outside ``run``, where every call is posted.
+        self._slot: Any = False
 
     # -- event construction -------------------------------------------------
     def event(self) -> Event:
         """A fresh, untriggered event."""
-        return Event(self)
+        event = _new(Event)
+        event.env = self
+        event.callbacks = []
+        event._value = PENDING
+        event._ok = True
+        event._defused = False
+        return event
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+        """An event firing ``delay`` simulated seconds from now.
+
+        Built and posted here, as :class:`Timeout` does: one frame per
+        compute charge in the datapath.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay!r}")
+        event = _new(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._defused = False
+        event.delay = delay
+        event._ok = True
+        event._value = value
+        self._eid += 1
+        key = self._eid if self._tiebreak is None else self._ranked_key()
+        heapq.heappush(self._queue, (self.now + delay, key, event))
+        return event
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
@@ -481,7 +538,7 @@ class Environment:
 
     def _post(self, event: Event, delay: float = 0.0) -> None:
         """Schedule ``event`` for processing ``delay`` seconds from now."""
-        self._post_at(event, self._now + delay)
+        self._post_at(event, self.now + delay)
 
     def _post_at(self, event: Event, time: float) -> None:
         """Schedule ``event`` at the *absolute* time ``time``.
@@ -495,28 +552,55 @@ class Environment:
         key = self._eid if self._tiebreak is None else self._ranked_key()
         heapq.heappush(self._queue, (time, key, event))
 
+    def call_at(self, time: float, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` at the absolute time ``time``, as an event would.
+
+        The call takes the key a post takes (the next insertion id, and
+        a sanitizer rank under a tiebreak factory), so it runs exactly
+        where an event posted here would be processed.  While
+        :meth:`run` runs, the first call of a step waits in a one-entry
+        slot ahead of the heap: once the step's callbacks have returned,
+        the run loop calls it directly if it is still the earliest
+        ``(time, key)``, and posts it as an event otherwise.  Any other
+        call, and every call outside ``run``, is posted at once.
+        """
+        self._eid += 1
+        key = self._eid if self._tiebreak is None else self._ranked_key()
+        if self._slot is None:
+            self._slot = (time, key, fn)
+        else:
+            heapq.heappush(self._queue, (time, key, _call_event(self, fn)))
+
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next scheduled event or call, or ``inf`` if none."""
+        head = self._queue[0][0] if self._queue else math.inf
+        slot = self._slot
+        return slot[0] if slot and slot[0] < head else head
 
     def add_step_listener(self, listener: Callable[[float, Event], None]) -> None:
         """Register an observability hook run after every processed event.
 
         Listeners must be purely observational: they see ``(now, event)``
         and must not create, trigger, or cancel simulation events, so a
-        monitored run stays bit-identical to an unmonitored one.
+        monitored run stays bit-identical to an unmonitored one.  A
+        timed call the run loop makes directly is a step too; listeners
+        see it as a processed :class:`_Call` event.
         """
         if self._step_listeners is None:
             self._step_listeners = []
         self._step_listeners.append(listener)
 
     def step(self) -> None:
-        """Process exactly one event: the minimum by (time, key)."""
+        """Process exactly one event: the minimum by (time, key).
+
+        :meth:`run` does not call this; it processes events in its own
+        loop.  Outside ``run`` every timed call is a posted event, so
+        stepping by hand sees every call as an event.
+        """
         try:
-            self._now, _, event = heapq.heappop(self._queue)
+            self.now, _, event = heapq.heappop(self._queue)
         except IndexError:
             raise SimulationError("step() on an empty event queue") from None
-        # Inlined Event._resolve — this is the hottest loop in the repo.
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
@@ -526,7 +610,7 @@ class Environment:
             raise event._value
         if self._step_listeners is not None:
             for listener in self._step_listeners:
-                listener(self._now, event)
+                listener(self.now, event)
 
     # -- epoch stepping (hybrid-fidelity lanes) ------------------------------
     def register_lane(self, lane: Any) -> None:
@@ -553,11 +637,11 @@ class Environment:
         full event fidelity; the epoch hook then lets each registered
         lane charge its bulk traffic for the window analytically.
         """
-        t0 = self._now
+        t0 = self.now
         self.run(until=float(until))
         if self._lanes is not None:
             for lane in self._lanes:
-                lane.epoch_end(t0, self._now)
+                lane.epoch_end(t0, self.now)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -566,19 +650,63 @@ class Environment:
         (run until simulated time reaches it), or an :class:`Event` (run
         until that event is processed, returning its value).
         """
-        step = self.step
-        if until is None:
-            while self._queue:
-                step()
-            return None
-
+        stop = None
+        horizon = math.inf
         if isinstance(until, Event):
             stop = until
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self.now:
+                raise ValueError(
+                    f"until={horizon!r} is in the past (now={self.now!r})"
+                )
+        queue = self._queue
+        heappop = heapq.heappop
+        self._slot = None
+        try:
             # `stop.callbacks is None` is `stop.processed` without the
-            # property descriptor — this loop brackets every driver run.
-            while stop.callbacks is not None and self._queue:
-                step()
-            if not stop.triggered:
+            # property descriptor.
+            while stop is None or stop.callbacks is not None:
+                slot = self._slot
+                if slot:
+                    # A timed call from the last step: call it now if
+                    # nothing in the heap comes first, else post it.
+                    self._slot = None
+                    t, key, fn = slot
+                    if t <= horizon and (
+                        not queue or t < queue[0][0]
+                        or (t == queue[0][0] and key < queue[0][1])
+                    ):
+                        self.now = t
+                        fn()
+                        if self._step_listeners is not None:
+                            event = _call_event(self, fn)
+                            event.callbacks = None
+                            for listener in self._step_listeners:
+                                listener(t, event)
+                        continue
+                    heapq.heappush(queue, (t, key, _call_event(self, fn)))
+                if not queue or queue[0][0] > horizon:
+                    break
+                self.now, _, event = heappop(queue)
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    # A failure nobody waited on must not pass silently.
+                    raise event._value
+                if self._step_listeners is not None:
+                    for listener in self._step_listeners:
+                        listener(self.now, event)
+        finally:
+            slot = self._slot
+            if slot:
+                heapq.heappush(queue, (slot[0], slot[1], _call_event(self, slot[2])))
+            self._slot = False
+
+        if stop is not None:
+            if stop._value is PENDING:
                 raise DeadlockError(
                     "run(until=event): event queue drained before the "
                     "target event fired (deadlock?)"
@@ -587,11 +715,6 @@ class Environment:
                 stop._defused = True
                 raise stop._value
             return stop._value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon!r} is in the past (now={self._now!r})")
-        while self.peek() <= horizon:
-            step()
-        self._now = horizon
+        if until is not None:
+            self.now = horizon
         return None

@@ -391,6 +391,9 @@ class FluidLane:
         self._marks: List[Tuple[float, float, float]] = [
             (float(start), 0.0, -self.mu)
         ]
+        #: Request size -> its no-queue latency (:meth:`base_latency`),
+        #: priced once per size: the stages never change.
+        self._prices: dict[int, float] = {}
         self._registry = registry
         if registry is not None and registry.enabled:
             prefix = f"fluid.lane.{name}."
@@ -414,9 +417,12 @@ class FluidLane:
 
     def base_latency(self, nbytes: int) -> float:
         """No-queue pipeline latency for one request of ``nbytes``."""
-        total = self.overhead
-        for _, rate in self.stages:
-            total += nbytes / rate
+        total = self._prices.get(nbytes)
+        if total is None:
+            total = self.overhead
+            for _, rate in self.stages:
+                total += nbytes / rate
+            self._prices[nbytes] = total
         return total
 
     # -- anchor transitions (epoch boundaries + tagged impulses) -----------
@@ -464,7 +470,10 @@ class FluidLane:
             wait = backlog / self.mu
             if t < self.outage_until:
                 wait += self.outage_until - t
-            lat = wait + self.base_latency(nbytes)
+            base = self._prices.get(nbytes)
+            if base is None:
+                base = self.base_latency(nbytes)
+            lat = wait + base
             self._append_anchor(t, backlog + nbytes, self._marks[-1][2])
             self.tagged_requests += 1
             self.tagged_bytes += nbytes
@@ -918,7 +927,7 @@ class _TaggedSweep:
         """Resume every remaining flow, as ``env.run()`` would after the
         last epoch, leaving ``env.now`` at the last fire time."""
         if self._heap:
-            self._env._now = self.run(math.inf)
+            self._env.now = self.run(math.inf)  # simlint: disable=SL112 -- replays kernel steps, so sets the clock their run would
 
 
 def _boundaries(spec: ScaleSpec, cohorts=None) -> List[float]:

@@ -12,11 +12,16 @@ Two primitives cover every contention point in the simulated testbed:
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque, Generator, Iterable, Optional
 
 from ..errors import ResourceError
-from .engine import Environment, Event, audit_register
+from .engine import PENDING, Environment, Event, audit_register
+
+#: Allocates an event without running ``__init__``: the methods below
+#: fill every slot in their own frame.
+_new = object.__new__
 
 __all__ = ["Resource", "Request", "Store"]
 
@@ -31,7 +36,11 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
 
 
@@ -83,12 +92,29 @@ class Resource:
         return self._busy_integral / (elapsed * self.capacity)
 
     # -- protocol --------------------------------------------------------------
+    # The busy accounting (``_account``) and the grant are inlined below:
+    # these run for every CPU slice and transfer credit.
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
-        req = Request(self)
-        if len(self._users) < self.capacity and not self._waiters:
-            self._grant(req)
+        env = self.env
+        req = _new(Request)
+        req.env = env
+        req.callbacks = []
+        req._ok = True
+        req._defused = False
+        req.resource = self
+        users = self._users
+        if len(users) < self.capacity and not self._waiters:
+            now = env.now
+            self._busy_integral += len(users) * (now - self._last_change)
+            self._last_change = now
+            users.add(req)
+            req._value = req
+            env._eid += 1
+            key = env._eid if env._tiebreak is None else env._ranked_key()
+            heapq.heappush(env._queue, (now, key, req))
         else:
+            req._value = PENDING
             self._waiters.append(req)
         return req
 
@@ -101,24 +127,36 @@ class Resource:
         ``yield`` resumes it later in the same instant.  Pass it to
         :meth:`release` as usual.
         """
-        if len(self._users) >= self.capacity or self._waiters:
+        users = self._users
+        if len(users) >= self.capacity or self._waiters:
             return None
-        req = Request(self)
-        req._value = req
+        env = self.env
+        req = _new(Request)
+        req.env = env
         req.callbacks = None
-        self._account()
-        self._users.add(req)
+        req._value = req
+        req._ok = True
+        req._defused = False
+        req.resource = self
+        now = env.now
+        self._busy_integral += len(users) * (now - self._last_change)
+        self._last_change = now
+        users.add(req)
         return req
 
     def release(self, request: Request) -> None:
         """Return a previously granted slot."""
-        if request not in self._users:
+        users = self._users
+        if request not in users:
             raise ResourceError(
                 f"release of a request not holding {self.name or 'resource'}"
             )
-        self._account()
-        self._users.discard(request)
-        self._dispatch()
+        now = self.env.now
+        self._busy_integral += len(users) * (now - self._last_change)
+        self._last_change = now
+        users.discard(request)
+        if self._waiters:
+            self._dispatch()
 
     def cancel(self, request: Request) -> None:
         """Withdraw a request that has not been granted yet."""
@@ -130,7 +168,7 @@ class Resource:
             raise ResourceError("request is not waiting") from None
 
     def _grant(self, req: Request) -> None:
-        if req in self._users or req.triggered:
+        if req in self._users or req._value is not PENDING:
             # Double-acquire: a request granted twice corrupts the slot
             # accounting (SimSanitizer lifecycle invariant).
             raise ResourceError(
@@ -173,7 +211,11 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, env: Environment, item: Any) -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.item = item
 
 
@@ -248,7 +290,8 @@ class Store:
         """
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            self._serve_getters()
+            if self._getters:
+                self._serve_getters()
         else:
             self.put(item)
 
@@ -265,18 +308,30 @@ class Store:
 
     def get(self) -> StoreGet:
         """Remove the oldest item; the event's value is the item."""
-        event = StoreGet(self.env)
+        env = self.env
+        event = _new(StoreGet)
+        event.env = env
+        event.callbacks = []
+        event._ok = True
+        event._defused = False
         if self._items:
-            event.succeed(self._items.popleft())
-            self._serve_putters()
+            # Inlined succeed(): a get on a filled inbox fires at once.
+            event._value = self._items.popleft()
+            env._eid += 1
+            key = env._eid if env._tiebreak is None else env._ranked_key()
+            heapq.heappush(env._queue, (env.now, key, event))
+            if self._putters:
+                self._serve_putters()
         else:
+            event._value = PENDING
             self._getters.append(event)
         return event
 
     def _serve_getters(self) -> None:
         while self._getters and self._items:
             self._getters.popleft().succeed(self._items.popleft())
-            self._serve_putters()
+            if self._putters:
+                self._serve_putters()
 
     def _serve_putters(self) -> None:
         while self._putters and (

@@ -11,12 +11,17 @@ The sink is a :class:`~repro.sim.Store`; a busy-polling reactor that
 holds its core and blocks on ``sink.get()`` is observationally
 equivalent to SPDK's poll loop (core pegged, completion seen
 immediately) without simulating every empty poll iteration.
+
+No flight is a process.  A local flight rides the device completion
+callback; a remote one starts with a timed call at the key its process
+start took, runs the target's service chain, and takes its process end
+key after delivering.  The process forms are kept as test oracles.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Callable, Optional, Union
 
 from ..errors import ConfigError, QPairResetError, QueueFullError
 from ..hw import NVMeDevice, STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK
@@ -142,9 +147,7 @@ class IOQPair:
             )
         self._live[request] = self._generation
         if self.is_remote:
-            self.env.process(
-                self._fly(request, self._generation), name=f"{self.name}.io"
-            )
+            self._launch(request, self._generation)
         else:
             # Local flight: nothing happens between submit and device
             # completion, so the completion event calls back directly.
@@ -168,34 +171,38 @@ class IOQPair:
         self._inflight -= 1
         self._deliver(request, generation, cmd.status)
 
-    def _fly(
-        self, request: SPDKRequest, generation: int
-    ) -> Generator[Event, Any, None]:
+    def _launch(self, request: SPDKRequest, generation: int) -> None:
+        """Start a remote flight now, at the key its process start took."""
+        env = self.env
+        env.call_at(env.now, partial(self._fly, request, generation))
+
+    def _fly(self, request: SPDKRequest, generation: int) -> None:
         """Remote flight: one NVMe-oF read through the target."""
-        status = STATUS_OK
-        stale = False
-        try:
-            status = yield from self.target.serve_read(
-                self.client_host, request.offset, request.nbytes,
-                parent=request.span,
-            )
-            status = status or STATUS_OK
-        finally:
-            # Depth accounting must survive faults: whether the service
-            # path returned, raised, or was aborted by a reset, this
-            # request's queue slot is reclaimed exactly once.  A reset
-            # reclaims it eagerly (generation mismatch marks this
-            # completion stale) — and if the request was *re-posted* by
-            # then, the live entry belongs to the new attempt, so only a
-            # generation match may remove it.
-            stale = self._live.get(request) != generation
-            if not stale:
-                del self._live[request]
-                self._inflight -= 1
-        if stale:
-            self.stale_drops += 1
-            return  # reset already delivered ABORTED_RESET for it
-        self._deliver(request, generation, status)
+        self.target.serve(
+            self.client_host, request.offset, request.nbytes,
+            partial(self._landed, request, generation), parent=request.span,
+        )
+
+    def _landed(
+        self, request: SPDKRequest, generation: int, status: str
+    ) -> None:
+        """End of a remote flight (a wedged one never gets here)."""
+        status = status or STATUS_OK
+        # A reset reclaims the slot eagerly (generation mismatch marks
+        # this completion stale) — and if the request was *re-posted* by
+        # then, the live entry belongs to the new attempt, so only a
+        # generation match may remove it.
+        if self._live.get(request) != generation:
+            self.stale_drops += 1  # reset already delivered ABORTED_RESET
+        else:
+            del self._live[request]
+            self._inflight -= 1
+            self._deliver(request, generation, status)
+        # The flight process's end event: its key, with nothing to run.
+        env = self.env
+        env._eid += 1
+        if env._tiebreak is not None:
+            env._ranked_key()
 
     def _deliver(
         self, request: SPDKRequest, generation: int, status: str

@@ -16,9 +16,23 @@ throttled at admission sees that delay in its own tail, not hidden.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["TenantAccounting"]
+
+
+class _Tenant(NamedTuple):
+    """One tenant's spec and instruments, looked up once."""
+
+    spec: Any
+    jobs_completed: Any
+    jobs_rejected: Any
+    samples_delivered: Any
+    samples_failed: Any
+    bytes_delivered: Any
+    slo_violations: Any
+    job_latency: Any
+    xform_wait: Any
 
 
 class TenantAccounting:
@@ -36,30 +50,38 @@ class TenantAccounting:
         #: multi-client rows need more than whole-run histograms.
         self.records: list[tuple] = []
         self._specs = {}
+        #: tenant -> its spec and instruments: names are formatted and
+        #: looked up once per tenant, not once per job.
+        self._tenants: dict[str, _Tenant] = {}
         for spec in specs:
             self._specs[spec.name] = spec
             self._ensure(spec.name)
 
-    def _ensure(self, name: str) -> None:
+    def _ensure(self, name: str) -> _Tenant:
         r = self.registry
-        r.counter(f"tenant.{name}.jobs_completed")
-        r.counter(f"tenant.{name}.jobs_rejected")
-        r.counter(f"tenant.{name}.samples_delivered")
-        r.counter(f"tenant.{name}.samples_failed")
-        r.counter(f"tenant.{name}.bytes_delivered")
-        r.counter(f"tenant.{name}.slo_violations")
-        r.histogram(f"tenant.{name}.job_latency")
-        r.histogram(f"tenant.{name}.xform_wait")
+        entry = _Tenant(
+            self._specs[name],
+            r.counter(f"tenant.{name}.jobs_completed"),
+            r.counter(f"tenant.{name}.jobs_rejected"),
+            r.counter(f"tenant.{name}.samples_delivered"),
+            r.counter(f"tenant.{name}.samples_failed"),
+            r.counter(f"tenant.{name}.bytes_delivered"),
+            r.counter(f"tenant.{name}.slo_violations"),
+            r.histogram(f"tenant.{name}.job_latency"),
+            r.histogram(f"tenant.{name}.xform_wait"),
+        )
+        self._tenants[name] = entry
+        return entry
 
-    def _spec(self, name: str):
-        spec = self._specs.get(name)
-        if spec is None:
+    def _tenant(self, name: str) -> _Tenant:
+        """The tenant's spec and instruments, made on first sight."""
+        entry = self._tenants.get(name)
+        if entry is None:
             from .scheduler import TenantSpec
 
-            spec = TenantSpec(name=name)
-            self._specs[name] = spec
-            self._ensure(name)
-        return spec
+            self._specs[name] = TenantSpec(name=name)
+            entry = self._ensure(name)
+        return entry
 
     # -- recording ------------------------------------------------------------
     def on_job_done(
@@ -70,28 +92,25 @@ class TenantAccounting:
         failed: int,
         nbytes: int,
     ) -> None:
-        spec = self._spec(tenant)
+        t = self._tenant(tenant)
         self.records.append((self.env.now, tenant, latency, delivered, failed))
-        r = self.registry
-        r.counter(f"tenant.{tenant}.jobs_completed").incr()
-        r.counter(f"tenant.{tenant}.samples_delivered").incr(delivered)
+        t.jobs_completed.incr()
+        t.samples_delivered.incr(delivered)
         if failed:
-            r.counter(f"tenant.{tenant}.samples_failed").incr(failed)
-        r.counter(f"tenant.{tenant}.bytes_delivered").incr(nbytes)
-        r.histogram(f"tenant.{tenant}.job_latency").observe(latency)
-        if spec.slo_latency > 0.0 and latency > spec.slo_latency:
-            r.counter(f"tenant.{tenant}.slo_violations").incr()
+            t.samples_failed.incr(failed)
+        t.bytes_delivered.incr(nbytes)
+        t.job_latency.observe(latency)
+        if t.spec.slo_latency > 0.0 and latency > t.spec.slo_latency:
+            t.slo_violations.incr()
 
     def on_rejected(self, tenant: str, samples: int) -> None:
-        self._spec(tenant)
-        self.registry.counter(f"tenant.{tenant}.jobs_rejected").incr()
+        self._tenant(tenant).jobs_rejected.incr()
 
     def on_xform_wait(self, tenant: str, wait: float) -> None:
         """Transform-queue wait for one task (zero when the transform
         tier is off or a job ships direct) — tenancy accounting covers
         both tiers."""
-        self._spec(tenant)
-        self.registry.histogram(f"tenant.{tenant}.xform_wait").observe(wait)
+        self._tenant(tenant).xform_wait.observe(wait)
 
     # -- reporting ------------------------------------------------------------
     def rows(self) -> list[dict]:

@@ -14,6 +14,11 @@ every storage→worker and worker→trainer movement goes through a
 * attributes bytes, chunk counts, queue (credit) wait, and wire+credit
   latency to every ``(src, dst)`` link, for the obs per-tier panels.
 
+A move's chunk loop is a callback chain (:class:`_Move`) on the
+fabric's timed-call transfers: only the calling process's last wait,
+the last chunk's propagation event, is an event it resumes on.  The
+generator loop it replaces is kept as a test oracle.
+
 The engine is pay-for-use: it is only constructed when the transform
 tier is configured, and it creates metrics instruments only on an
 enabled registry.
@@ -25,7 +30,7 @@ from typing import Any, Generator, Optional
 
 from ..errors import ConfigError
 from ..obs import NULL_METRICS
-from ..sim import Resource
+from ..sim import Event, Resource
 
 __all__ = ["TransferEngine", "fabric_fluid_rate"]
 
@@ -122,31 +127,10 @@ class TransferEngine:
         stats.transfers += 1
         if nbytes <= 0 or src == dst:
             return
-        t0 = self.env.now
-        credit = self._credit(dst)
-        remaining = int(nbytes)
-        while remaining > 0:
-            chunk = min(remaining, self.chunk_bytes)
-            # A free credit is taken on the spot (its wait is 0.0); only
-            # a destination out of credits parks the chunk.
-            req = credit.try_request()
-            if req is None:
-                req = credit.request()
-                wait0 = self.env.now
-                yield req
-                stats.credit_wait += self.env.now - wait0
-            try:
-                yield from self.fabric.transfer(src, dst, chunk, parent=parent)
-            finally:
-                credit.release(req)
-            stats.chunks += 1
-            self._c_chunks.incr()
-            remaining -= chunk
-        elapsed = self.env.now - t0
-        stats.nbytes += int(nbytes)
-        stats.busy += elapsed
-        self._c_bytes.incr(int(nbytes))
-        self._h_latency.observe(elapsed)
+        move = _Move(self, src, dst, int(nbytes), parent, stats)
+        move.next_chunk()
+        yield move.landed
+        move.finish()
 
     # -- reporting ------------------------------------------------------------
     def link_rows(self) -> list[dict]:
@@ -174,3 +158,84 @@ class TransferEngine:
             f"<TransferEngine links={len(self._links)} "
             f"bytes={self.total_bytes}>"
         )
+
+
+class _Move:
+    """One :meth:`TransferEngine.move` as a chain of callbacks.
+
+    Chunks go out in turn, each under one destination credit: a free
+    credit is taken on the spot, otherwise the chunk waits for the
+    credit's grant event.  Every chunk but the last lands through a
+    timed call that releases its credit and starts the next one; the
+    last posts :attr:`landed`, which the calling process resumes on
+    before :meth:`finish` books the move.
+    """
+
+    __slots__ = (
+        "engine", "src", "dst", "nbytes", "parent", "stats", "credit",
+        "remaining", "chunk", "req", "wait0", "t0", "landed", "xfer",
+    )
+
+    def __init__(self, engine: TransferEngine, src: str, dst: str,
+                 nbytes: int, parent, stats: _LinkStats) -> None:
+        self.engine = engine
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.parent = parent
+        self.stats = stats
+        self.credit = engine._credit(dst)
+        self.remaining = nbytes
+        self.chunk = 0
+        self.req = None
+        self.wait0 = 0.0
+        self.t0 = engine.env.now
+        self.landed = Event(engine.env)
+        self.xfer = None
+
+    def next_chunk(self) -> None:
+        self.chunk = min(self.remaining, self.engine.chunk_bytes)
+        req = self.credit.try_request()
+        if req is None:
+            # Out of credits: the chunk waits for the grant event, and
+            # this chain owns the claim from here on.
+            req = self.credit.request()
+            self.req = req
+            self.wait0 = self.engine.env.now
+            req.callbacks.append(self._granted)
+            return
+        self._send(req)
+
+    def _granted(self, req) -> None:
+        self.stats.credit_wait += self.engine.env.now - self.wait0
+        self._send(req)
+
+    def _send(self, req) -> None:
+        self.req = req
+        last = self.chunk == self.remaining
+        self.xfer = self.engine.fabric.send(
+            self.src, self.dst, self.chunk,
+            self.landed if last else self._landed, parent=self.parent,
+        )
+
+    def _chunk_done(self) -> None:
+        self.credit.release(self.req)
+        self.stats.chunks += 1
+        self.engine._c_chunks.incr()
+        self.remaining -= self.chunk
+
+    def _landed(self) -> None:
+        self._chunk_done()
+        self.next_chunk()
+
+    def finish(self) -> None:
+        """Book the last chunk and the whole move (in the process)."""
+        self.xfer.finish()
+        self._chunk_done()
+        engine = self.engine
+        elapsed = engine.env.now - self.t0
+        stats = self.stats
+        stats.nbytes += self.nbytes
+        stats.busy += elapsed
+        engine._c_bytes.incr(self.nbytes)
+        engine._h_latency.observe(elapsed)

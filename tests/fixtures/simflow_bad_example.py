@@ -94,3 +94,9 @@ class FlakyQPair:
     def abort_inflight(self):
         self._live.clear()                      # line 95: SF304 (no bump)
         self.connected = False
+
+
+# -- timed calls are event posts too (SF200) ---------------------------------
+
+def chained_wait(env, step):
+    env.call_at(env.now + measured_jitter(), step)  # line 102: SF200 (timed call)

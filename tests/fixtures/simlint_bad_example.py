@@ -59,3 +59,7 @@ def unguarded_obs(self):
 
 def fluid_epoch_body(env, t0, t1):
     return (t1 - t0) * env.now            # SL111 (epoch bodies take bounds)
+
+
+def skip_ahead(env, delay):
+    env.now += delay                      # SL112 (only the kernel moves time)

@@ -543,19 +543,26 @@ class TestEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# The GC-pin regression: wedged service must survive garbage collection
+# A wedged flight is resolved by the qpair teardown, never by GC
 # ---------------------------------------------------------------------------
 
-class TestBlackHolePinning:
-    def test_wedge_events_are_pinned_on_the_target(self):
-        """A black-holed service process suspends on an event that only
-        the process references back — an unreachable cycle unless the
-        target pins it.  GC closing the generator would run the client
-        qpair's ``finally`` slot-reclaim and silently drop the request
-        at nondeterministic times (the deadlock this PR debugged)."""
+class TestWedgedFlight:
+    def test_wedged_flight_is_resolved_by_teardown_only(self):
+        """A read posted to a dead node stops in the target's service
+        chain, holding nothing, and stays in flight: no garbage
+        collection and no further run delivers or drops it.  The client
+        qpair's teardown is what resolves it, exactly like a real dead
+        host.  (The process form parked a generator on an event the
+        target had to pin: GC closing it ran the qpair's slot reclaim
+        and dropped the request at nondeterministic times.)"""
         import gc
 
-        from repro.hw import Fabric, NetworkSpec, NVMeDevice, NVMeSpec
+        from repro.hw import (
+            STATUS_ABORTED_RESET, Fabric, NetworkSpec, NVMeDevice, NVMeSpec,
+        )
+        from repro.hw.memory import HugePagePool
+        from repro.spdk import SPDKRequest
+        from repro.spdk.qpair import IOQPair
         from repro.spdk.target import NVMeoFTarget
 
         env = Environment()
@@ -564,12 +571,17 @@ class TestBlackHolePinning:
         fabric.attach("server")
         device = NVMeDevice(env, NVMeSpec(), name="nvme0")
         target = NVMeoFTarget(env, "server", device, fabric)
+        qpair = IOQPair(env, "client", target, queue_depth=4)
+        pool = HugePagePool(env, total_bytes=4096, chunk_size=4096)
         target.fail()
-        env.process(target.serve_read("client", 0, 4096))
-        env.run()  # queue drains; the wedged process never completes
-        assert len(target._wedged) == 1
-        before = target._wedged[0]
+        request = SPDKRequest(offset=0, nbytes=4096, chunks=[pool.try_alloc()])
+        qpair.post(request)
+        env.run()  # queue drains; the wedged flight never completes
         gc.collect()
-        # Still pinned and still pending after a full collection.
-        assert target._wedged[0] is before
-        assert not before.triggered
+        env.run()
+        assert qpair.inflight == 1 and len(qpair.completion_sink) == 0
+        assert not fabric.nic("client").tx.busy
+        assert qpair.teardown() == [request]
+        assert request.status == STATUS_ABORTED_RESET
+        assert list(qpair.completion_sink.items) == [request]
+        assert qpair.inflight == 0

@@ -508,14 +508,17 @@ class TestInjectorChoosesPath:
 class ProcessFlightQPair(IOQPair):
     """Reference qpair: every local request flies as its own process.
 
-    ``post`` starts a flight process for remote targets only; this
-    qpair takes that branch for its local device and flies the request
-    the way the device completion callback reproduces.
+    ``post`` launches remote flights only from ``_launch``; this qpair
+    takes that branch for its local device and flies the request as a
+    process, the way the device completion callback reproduces.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.is_remote = True
+
+    def _launch(self, request, generation):
+        self.env.process(self._fly(request, generation), name=f"{self.name}.io")
 
     def _fly(self, request, generation):
         status = STATUS_OK

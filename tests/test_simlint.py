@@ -502,10 +502,54 @@ def test_sl111_suppressed_with_reason():
 
 
 # ---------------------------------------------------------------------------
+# SL112 — writes to an environment's clock outside the kernel
+# ---------------------------------------------------------------------------
+
+def test_sl112_env_now_writes():
+    src = """
+    def jump(env, t, box):
+        env.now = t
+        box._env.now += 1.0
+        (env.now, t) = (t, 0.0)
+    """
+    assert ids(src) == ["SL112", "SL112", "SL112"]
+
+
+def test_sl112_applies_outside_sim_coupled_modules():
+    found = lint_source("def jump(ref_env, t):\n    ref_env.now = t\n", "x.py")
+    assert [f.rule_id for f in found] == ["SL112"]
+
+
+def test_sl112_reads_and_other_clocks_are_fine():
+    src = """
+    from repro.sim import Environment
+    def proc(env, tracer, delay):
+        tracer.now = env.now + delay
+        return env.now
+    """
+    assert ids(src) == []
+
+
+def test_sl112_kernel_is_exempt():
+    src = "class Environment:\n    def run(self, env):\n        env.now = 1.0\n"
+    assert lint_source(src, "src/repro/sim/engine.py") == []
+    assert [f.rule_id for f in lint_source(src, "src/repro/sim/fluid.py")] == [
+        "SL112"]
+
+
+def test_sl112_suppressed_with_reason():
+    src = """
+    def drain(self):
+        self._env.now = 2.0  # simlint: disable=SL112 -- replay of kernel steps
+    """
+    assert ids(src) == []
+
+
+# ---------------------------------------------------------------------------
 # Whole-tree and fixture acceptance
 # ---------------------------------------------------------------------------
 
-ALL_RULE_IDS = [f"SL10{i}" for i in range(10)] + ["SL110", "SL111"]
+ALL_RULE_IDS = [f"SL10{i}" for i in range(10)] + ["SL110", "SL111", "SL112"]
 
 
 def test_rule_table_is_complete_and_stable():
