@@ -662,6 +662,10 @@ class Environment:
                 )
         queue = self._queue
         heappop = heapq.heappop
+        slot = self._slot
+        if slot:
+            # run() from inside a step: the outer step's call goes first.
+            heapq.heappush(queue, (slot[0], slot[1], _call_event(self, slot[2])))
         self._slot = None
         try:
             # `stop.callbacks is None` is `stop.processed` without the

@@ -177,6 +177,21 @@ def test_a_call_behind_an_earlier_event_is_posted():
     assert env._eid == 5  # start, call, two timeouts, process end
 
 
+def test_run_from_inside_a_step_keeps_the_pending_call():
+    env = Environment()
+    seen = []
+
+    def outer():
+        env.call_at(1.0, lambda: seen.append(("call", env.now)))
+        env.timeout(0.5).callbacks.append(lambda _e: seen.append(("inner", env.now)))
+        env.run(until=2.0)
+
+    env.call_at(0.0, outer)
+    env.run()
+    assert seen == [("inner", 0.5), ("call", 1.0)]
+    assert env._queue == [] and env._eid == 3
+
+
 def test_peek_sees_the_slot():
     env = Environment()
     peeks = []
