@@ -442,7 +442,7 @@ WORLDS = st.fixed_dictionaries({
     "nvmf_drop": st.sampled_from((0.0, 0.15)),
     "media": st.sampled_from((0.0, 0.15)),
     "cache": st.booleans(),
-    # (fail at, tear down at, rejoin at) on the grid, for server s0
+    # server s0: (fail at, teardown delay, rejoin delay), in grid steps
     "crash": st.none() | st.tuples(st.integers(2, 20), st.integers(0, 10),
                                    st.integers(1, 30)),
     "credits": st.integers(1, 2),
