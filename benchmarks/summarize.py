@@ -1,7 +1,7 @@
 """Render every BENCH_*.json artifact into one trajectory table.
 
-Each benchmark writes a JSON artifact at the repo root (``bench_engine``
--> ``BENCH_engine.json`` and so on).  This script collects them all and
+Each benchmark writes a JSON artifact at the repo root (``bench_cluster``
+-> ``BENCH_cluster.json`` and so on).  This script collects them all and
 renders ``BENCHMARKS.md`` — a single markdown page with a verdict/
 headline row per benchmark plus a short detail section each — so the
 repo's perf trajectory is readable at a glance without replaying the
@@ -40,7 +40,6 @@ class ArtifactError(Exception):
 #: anything.  Unknown artifact names fall back to the generic
 #: summarizer, whose only contract is the ``ok`` flag.
 REQUIRED_KEYS = {
-    "engine": ("benchmarks", "fig06"),
     "tenancy": ("ok", "fairness", "isolation"),
     "cluster": ("ok", "scaling", "failover", "isolation"),
     "xform": ("ok", "cells"),
@@ -94,42 +93,12 @@ def _fmt(value, spec=",.0f"):
         return str(value)
 
 
-def _speedup(value):
-    return "—" if value is None else f"{_fmt(value, '.2f')}x"
-
-
 def _ms(seconds):
     return None if seconds is None else seconds * 1e3
 
 
 # -- per-artifact summarizers -------------------------------------------------
 # Each returns (verdict: bool | None, headline: str, detail: list[str]).
-
-def summarize_engine(data):
-    """Wall times only: the engine artifact has no pass/fail gate."""
-    micro = data.get("benchmarks", {})
-    cases = data.get("fig06", {}).get("cases", {})
-    vs_seed = [case["speedup_vs_recorded_seed"] for case in cases.values()
-               if isinstance(case, dict) and "speedup_vs_recorded_seed" in case]
-    burst = micro.get("qpair_burst", {})
-    headline = (
-        f"wall time only: qpair_burst {_fmt(burst.get('events_per_sec'))} "
-        f"events/s"
-        f"{f', fig06 min {min(vs_seed):.2f}x vs the seed tree' if vs_seed else ''}"
-    )
-    detail = ["| case | wall time (s) | events/s |", "|---|---|---|"]
-    # Sorted so the page is stable across artifact regenerations that
-    # merely reorder (or omit) cases.
-    for name in sorted(micro):
-        m = micro[name]
-        detail.append(
-            f"| {name} | {_fmt(m.get('seconds'), '.3f')} "
-            f"| {_fmt(m.get('events_per_sec'))} |"
-        )
-    for name in sorted(cases):
-        detail.append(f"| fig06 {name} | {_fmt(cases[name].get('seconds'), '.3f')} | — |")
-    return None, headline, detail
-
 
 def summarize_tenancy(data):
     errs = [t.get("err", 0.0)
@@ -239,7 +208,6 @@ def summarize_generic(data):
 
 
 SUMMARIZERS = {
-    "engine": summarize_engine,
     "tenancy": summarize_tenancy,
     "cluster": summarize_cluster,
     "xform": summarize_xform,

@@ -23,9 +23,9 @@ fails the run.
 
 The closed-form NVMe timing is checked against the per-command service
 process it reproduces in ``tests/test_engine_fastpath.py``, not here.
-Timing (wall-clock) is deliberately *not* reported here — that is
-``benchmarks/bench_engine.py``'s job; perfcheck must never fail on
-timing noise.
+Timing (wall-clock) is deliberately *not* reported here — host time
+per workload and per layer is ``benchmarks/e2e/run.py``'s job;
+perfcheck must never fail on timing noise.
 """
 
 from __future__ import annotations

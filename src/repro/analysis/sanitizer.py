@@ -18,7 +18,6 @@ resource hygiene at the end of every run:
 
 * ``Resource`` slots still held after the run → leak-on-stop;
 * NIC pipes (``repro.hw.network.Pipe``) still busy → the same leak;
-* ``Store`` putters still blocked → a producer wedged at teardown;
 * qpairs with in-flight requests after shutdown → leaked I/O;
 * completions delivered after a qpair reset bumped the generation →
   stale delivery (the reset path's core invariant).
@@ -71,7 +70,7 @@ class LifecycleAudit:
         self.tracked: List[Any] = []
         self.violations: List[str] = []
 
-    # Called by the engine for every Resource/Store/IOQPair
+    # Called by the engine for every Resource, NIC Pipe and IOQPair
     # constructed while this audit is installed.
     def register(self, obj: Any) -> None:
         self.tracked.append(obj)
@@ -95,12 +94,6 @@ class LifecycleAudit:
                 if held:
                     self.violations.append(
                         f"{name}: {held} resource slot(s) still held at end of run"
-                    )
-            elif hasattr(obj, "_putters"):
-                blocked = len(obj._putters)
-                if blocked:
-                    self.violations.append(
-                        f"{name}: {blocked} put(s) still blocked at end of run"
                     )
             elif hasattr(obj, "_live"):
                 if obj._inflight or obj._live:

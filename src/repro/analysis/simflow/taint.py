@@ -13,7 +13,7 @@ propagation
     argument values, and ``self.attr`` stores read back anywhere in the
     class.
 sinks
-    event posts and sim delays (``env.timeout``/``hold``/``_post``/
+    event posts and sim delays (``env.timeout``/``hold``/``_post_at``/
     ``call_at``),
     sim-state writes (attribute stores in sim-coupled modules),
     ordering keys (``sorted``/``min``/``max``/``.sort`` keys, heap
@@ -606,7 +606,7 @@ class _FunctionTaint:
                 and self.local_types.get(recv_name, "").endswith("Environment"))
         )
         is_hold = meth == "hold"
-        is_post = meth in {"_post", "_post_at", "call_at"} and (
+        is_post = meth in {"_post_at", "call_at"} and (
             recv_name == "env" or leaf == "env"
         )
         if is_timeout or is_hold or is_post:

@@ -745,7 +745,7 @@ class DLFSClient:
 
     @property
     def recovery_stats(self):
-        """The reactor's :class:`repro.sim.RecoveryStats`."""
+        """The reactor's :class:`repro.obs.RecoveryStats`."""
         return self.reactor.recovery_stats
 
     def error_report(self) -> dict:

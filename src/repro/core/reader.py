@@ -47,8 +47,8 @@ from ..faults import FaultInjector, RecoveryPolicy
 from ..hw import STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK
 from ..hw.cpu import BoundThread, Core
 from ..hw.platform import CPUSpec, NetworkSpec
-from ..obs import NULL_METRICS, NULL_TRACER
-from ..sim import Environment, Event, RecoveryStats, Store, ThroughputMeter
+from ..obs import NULL_METRICS, NULL_TRACER, RecoveryStats
+from ..sim import Environment, Event, Store, ThroughputMeter
 from ..sim import rng as sim_rng
 from ..spdk import IOQPair, SPDKRequest, aligned_span
 from .batching import ChunkPlan
@@ -99,11 +99,11 @@ class _TimerLane:
 
     A posted request is armed as ``(fire_at, req, attempt)`` in a FIFO;
     the delay is constant and time only moves forward, so the FIFO is
-    sorted by ``fire_at`` and at most one engine event — at the head's
-    fire time, posted with ``_post_at`` — serves the whole lane.  When it
-    fires, each due entry still live (``status is None`` and the attempt
-    not bumped by a re-post) puts a ``check(req, attempt)`` message in
-    the inbox.  An entry that is not live never becomes live again, so
+    sorted by ``fire_at`` and at most one timed call — at the head's
+    fire time, made with ``Environment.call_at`` — serves the whole
+    lane.  When it runs, each due entry still live (``status is None``
+    and the attempt not bumped by a re-post) puts a
+    ``check(req, attempt)`` message in the inbox.  An entry that is not live never becomes live again, so
     settled entries are dropped from the head before re-arming — all but
     the newest: ``env.run()`` drains trailing timers, and the newest
     entry's fire time is the run's end instant (its ``sim_time``), as it
@@ -125,16 +125,10 @@ class _TimerLane:
         fire_at = self.env.now + self.delay
         self.entries.append((fire_at, req, req.attempts))
         if not self.armed:
-            self._schedule(fire_at)
+            self.armed = True
+            self.env.call_at(fire_at, self._fire)
 
-    def _schedule(self, when: float) -> None:
-        timer = Event(self.env)
-        timer._value = None
-        timer.callbacks.append(self._fire)
-        self.env._post_at(timer, when)
-        self.armed = True
-
-    def _fire(self, _timer: Event) -> None:
+    def _fire(self) -> None:
         entries = self.entries
         now = self.env.now
         while entries:
@@ -149,7 +143,7 @@ class _TimerLane:
             else:
                 entries.popleft()
         if entries:
-            self._schedule(entries[0][0])
+            self.env.call_at(entries[0][0], self._fire)
         else:
             self.armed = False
 

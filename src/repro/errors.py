@@ -20,14 +20,6 @@ class DeadlockError(SimulationError):
     """``run()`` returned with live processes but no scheduled events."""
 
 
-class InterruptedProcess(SimulationError):
-    """A simulation process was interrupted while waiting on an event."""
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class ResourceError(SimulationError):
     """Illegal use of a simulated resource (double release, bad handle...)."""
 

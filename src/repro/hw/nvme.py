@@ -16,9 +16,10 @@ nbytes/bandwidth``; sustained small-command throughput approaches
 paper's Intel Optane device.
 
 Every command is timed in closed form at submit: both serialized stages
-are FIFO, so each is one "next free" instant, and a single timer per
-device delivers the completions.  A fault injector changes only what a
-READ's timing is (media error, timeout or hiccup), drawn at submit.
+are FIFO, so each is one "next free" instant, and timed calls
+(``Environment.call_at``), one per completion instant, deliver the
+completions.  A fault injector changes only what a READ's timing is
+(media error, timeout or hiccup), drawn at submit.
 
 For multi-node experiments the paper emulates NVMe with RAMdisk plus an
 injected delay; ``NVMeSpec.emulated_ramdisk()`` mirrors that by keeping
@@ -35,7 +36,7 @@ from typing import Optional
 
 from ..errors import ConfigError, HardwareError, QueueFullError
 from ..obs import NULL_METRICS, NULL_TRACER
-from ..sim import Environment, Event, Resource, ThroughputMeter
+from ..sim import Environment, Event, ThroughputMeter
 from .platform import GB, NVMeSpec
 
 __all__ = [
@@ -113,8 +114,6 @@ class NVMeDevice:
         #: Optional fault injector (see :mod:`repro.faults`): each READ
         #: draws its fault (media error, timeout, hiccup) at submit.
         self.injector = None
-        self._cmd_proc = Resource(env, capacity=1, name=f"{self.name}.cmdproc")
-        self._data_pipe = Resource(env, capacity=1, name=f"{self.name}.data")
         self._outstanding = 0
         self._active_queues = 0
         self.read_meter = ThroughputMeter(env, name=f"{self.name}.read")
@@ -123,10 +122,12 @@ class NVMeDevice:
         self.tracer = NULL_TRACER
         self._h_latency = NULL_METRICS.histogram("")
         #: Closed-form service state (see _time): the next instant each
-        #: serialized stage is free, mirroring the _cmd_proc/_data_pipe
-        #: FIFO resources, which only keep the busy-time integrals.
+        #: serialized stage (command processor, data pipe) is free, and
+        #: each stage's busy-time integral.
         self._proc_free = 0.0
         self._pipe_free = 0.0
+        self._proc_busy = 0.0
+        self._pipe_busy = 0.0
         self._seq = 0
         #: Commands on their way to the data pipe, (arrival, seq, cmd).
         self._arrivals: list[tuple[float, int, NVMeCommand]] = []
@@ -134,7 +135,7 @@ class NVMeDevice:
         #: submit order: a media error overtakes commands queued at the
         #: pipe, and a hiccup reaches it late.
         self._pending: list[tuple[float, int, NVMeCommand, str]] = []
-        #: Fire times of the posted delivery timers (a heap).
+        #: Fire times of the pending delivery calls (a heap).
         self._timers: list[float] = []
 
     def install_observability(self, obs) -> None:
@@ -150,7 +151,10 @@ class NVMeDevice:
 
     def bandwidth_utilization(self) -> float:
         """Fraction of the data pipe kept busy since t=0."""
-        return self._data_pipe.utilization()
+        elapsed = self.env.now
+        if elapsed <= 0.0:
+            return 0.0
+        return self._pipe_busy / elapsed
 
     def install_fault_injector(self, injector) -> None:
         """Attach a :class:`repro.faults.FaultInjector` to this device."""
@@ -252,11 +256,12 @@ class NVMeDevice:
         same order*, so every completion lands at the bit-identical
         instant:
 
-        1. serialized command processing — FIFO grant of ``_cmd_proc``
-           at ``max(now, proc_free)``, released ``cmd_overhead`` later;
+        1. serialized command processing — FIFO grant of the command
+           processor at ``max(now, proc_free)``, released
+           ``cmd_overhead`` later;
         2. media latency — paid concurrently, ``read_latency`` after
            processing (plus the fault's extra delay, see below);
-        3. serialized data movement — FIFO grant of ``_data_pipe`` in
+        3. serialized data movement — FIFO grant of the data pipe in
            arrival order, ties in submit order (a model key, not event
            insertion order).
 
@@ -265,10 +270,10 @@ class NVMeDevice:
         processing and never uses the pipe, a timeout completes
         ``read_latency + extra`` after it, and a hiccup reaches the pipe
         ``extra`` late.  Busy-time integrals get the same per-hold
-        summands in the same (release) order the resources would
-        accumulate, so ``bandwidth_utilization()`` is exact at the end of
-        a run (it is booked ahead of time, so a mid-flight reading runs
-        slightly ahead).
+        summands in the same (release) order the oracle's resources
+        would accumulate, so ``bandwidth_utilization()`` is exact at the
+        end of a run (it is booked ahead of time, so a mid-flight
+        reading runs slightly ahead).
         """
         now = self.env.now
         spec = self.spec
@@ -280,7 +285,7 @@ class NVMeDevice:
         proc_start = self._proc_free if self._proc_free > now else now
         proc_done = proc_start + self.effective_cmd_overhead
         self._proc_free = proc_done
-        self._cmd_proc._busy_integral += proc_done - proc_start
+        self._proc_busy += proc_done - proc_start
         seq = self._seq
         self._seq = seq + 1
         # Healthy arrival at the pipe, and the admission frontier: no
@@ -309,14 +314,14 @@ class NVMeDevice:
 
     def _advance(self, frontier: float) -> None:
         """Move pipe arrivals at or before ``frontier`` onto the pipe, then
-        post a timer for the earliest need no posted timer covers.
+        time a delivery call for the earliest need no pending call covers.
 
         A need is a pending completion or an arrival not yet on the
-        pipe.  Timers fire in time order and each one serves every need
-        due by then, so a new timer is needed only for a need earlier
-        than every posted one (a media error overtaking reads queued at
-        the pipe, a healthy read overtaking a hiccup); an earlier timer
-        is never withdrawn, it serves the next need when it fires.
+        pipe.  Calls run in time order and each one serves every need
+        due by then, so a new call is needed only for a need earlier
+        than every pending one (a media error overtaking reads queued at
+        the pipe, a healthy read overtaking a hiccup); an earlier call
+        is never withdrawn, it serves the next need when it runs.
         """
         arrivals = self._arrivals
         pending = self._pending
@@ -325,7 +330,7 @@ class NVMeDevice:
             start = self._pipe_free if self._pipe_free > arrival else arrival
             complete = start + self.spec.transfer_time(cmd.nbytes)
             self._pipe_free = complete
-            self._data_pipe._busy_integral += complete - start
+            self._pipe_busy += complete - start
             heappush(pending, (complete, seq, cmd, STATUS_OK))
         due = pending[0][0] if pending else inf
         if arrivals and arrivals[0][0] < due:
@@ -333,16 +338,13 @@ class NVMeDevice:
         timers = self._timers
         if due < (timers[0] if timers else inf):
             heappush(timers, due)
-            timer = Event(self.env)
-            timer._value = None
-            timer.callbacks.append(self._on_timer)
-            self.env._post_at(timer, due)
+            self.env.call_at(due, self._on_timer)
 
-    def _on_timer(self, _timer: Event) -> None:
+    def _on_timer(self) -> None:
         """Complete every command due now, then admit arrivals due now.
 
-        One timer event per completion *instant*: a same-instant burst
-        is completed in (time, submit) order under a single event.  An
+        One timed call per completion *instant*: a same-instant burst
+        is completed in (time, submit) order under a single call.  An
         arrival admitted now completes a transfer later, so completing
         first changes nothing.
         """

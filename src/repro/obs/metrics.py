@@ -16,9 +16,8 @@ unmetered one.
   execution lane (the paper's Fig 7 CPU analysis): stages sum to the
   lane's busy time, and the exporter adds the idle remainder so the
   breakdown table sums to total sim time.
-* :class:`RecoveryStats` — failure-recovery accounting, now carried by
-  registry counters so recovery appears in the unified metrics dump
-  (``repro.sim.RecoveryStats`` remains as a re-export shim).
+* :class:`RecoveryStats` — failure-recovery accounting, carried by
+  registry counters so recovery appears in the unified metrics dump.
 
 No timer process is ever scheduled, so enabling metrics cannot extend a
 run's final sim time.

@@ -3,20 +3,13 @@
 Public surface:
 
 * :class:`Environment` — event queue and simulated clock.
-* :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
-  :class:`AnyOf` — the waitable primitives processes yield.
+* :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf` —
+  the waitable primitives processes yield.
 * :class:`Resource`, :class:`Store` — contention primitives.
 * :class:`Counter`, :class:`ThroughputMeter` — measurement accumulators.
 """
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    Timeout,
-)
+from .engine import AllOf, Environment, Event, Process, Timeout
 from .fluid import (
     ArrivalSchedule,
     FluidLane,
@@ -28,7 +21,7 @@ from .fluid import (
 )
 from .resources import Request, Resource, Store
 from .rng import derive_seed, reset_substream_log, rng, substream_log
-from .stats import Counter, RecoveryStats, ThroughputMeter
+from .stats import Counter, ThroughputMeter
 
 __all__ = [
     "Environment",
@@ -36,13 +29,11 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Resource",
     "Request",
     "Store",
     "Counter",
     "ThroughputMeter",
-    "RecoveryStats",
     "FluidLane",
     "RateEnvelope",
     "Segment",

@@ -27,7 +27,7 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..errors import DeadlockError, SimulationError, InterruptedProcess
+from ..errors import DeadlockError, SimulationError
 
 __all__ = [
     "Environment",
@@ -35,7 +35,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "PENDING",
     "set_tiebreak_factory",
     "set_lifecycle_audit",
@@ -65,8 +64,8 @@ _new = object.__new__
 #: is how the sanitizer falsifies that claim.
 _TIEBREAK_FACTORY: Optional[Callable[[], Any]] = None
 
-#: When set, Resources/Stores/qpairs register themselves here at
-#: construction so the sanitizer can check lifecycle invariants
+#: When set, Resources, NIC pipes and qpairs register themselves here
+#: at construction so the sanitizer can check lifecycle invariants
 #: (leak-on-stop, stale completions) after a run.  Must expose
 #: ``register(obj)``.
 _LIFECYCLE_AUDIT: Optional[Any] = None
@@ -138,7 +137,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined zero-delay _post: succeed() dominates datapath posts.
+        # Inlined _post_at(self, now): succeed() dominates datapath posts.
         env = self.env
         env._eid += 1
         key = env._eid if env._tiebreak is None else env._ranked_key()
@@ -153,22 +152,12 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env._post(self)
+        self.env._post_at(self, self.env.now)
         return self
 
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
-
-    def _resolve(self) -> None:
-        """Run callbacks.  Called by the environment, exactly once."""
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        if not self._ok and not self._defused:
-            # A failure nobody waited on must not pass silently.
-            raise self._value
 
     def __repr__(self) -> str:
         state = (
@@ -180,25 +169,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
+
+    Built and posted by :meth:`Environment.timeout`; it has no
+    constructor.
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        # Inlined Event.__init__: timeouts are the most-constructed
-        # event type (one per compute charge in the datapath).
-        self.env = env
-        self.callbacks = []
-        self._defused = False
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        # Inlined _post.
-        env._eid += 1
-        key = env._eid if env._tiebreak is None else env._ranked_key()
-        heapq.heappush(env._queue, (env.now + delay, key, self))
 
 
 class Initialize(Event):
@@ -242,7 +219,7 @@ class Process(Event):
     raises, the process fails with that exception (propagated to waiters).
     """
 
-    __slots__ = ("_generator", "_target", "name", "_stale", "_resume_cb")
+    __slots__ = ("_generator", "name", "_resume_cb")
 
     def __init__(
         self,
@@ -259,12 +236,6 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when running).
-        self._target: Optional[Event] = None
-        #: Events abandoned by interrupt(); their firings are tombstoned:
-        #: _resume drops them instead of paying an O(n) callbacks.remove
-        #: at interrupt time.  None (no check at all) in the common case.
-        self._stale: Optional[list[Event]] = None
         #: ``_resume`` bound once: every wait subscribes this object.
         self._resume_cb = self._resume
         # The start event (an Initialize), built and posted inline.
@@ -283,42 +254,8 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`InterruptedProcess` into the process.
-
-        The process must currently be suspended on an event; the event is
-        abandoned (its firing will be ignored by this process).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has already terminated")
-        if self._target is None:
-            raise SimulationError(f"{self!r} is not waiting on an event")
-        # Detach from the old target: O(1) tombstone instead of an O(n)
-        # callbacks.remove — the subscription stays in place and _resume
-        # discards the stale firing when it arrives.
-        target = self._target
-        self._target = None
-        if target.callbacks is not None:
-            if self._stale is None:
-                self._stale = [target]
-            else:
-                self._stale.append(target)
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = InterruptedProcess(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume_cb)
-        self.env._post(interrupt_event)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        stale = self._stale
-        if stale is not None and event in stale:
-            # Firing of an event abandoned by interrupt(): swallow it.
-            stale.remove(event)
-            if not stale:
-                self._stale = None
-            return
         # (ok, payload): payload is a value when ok, an exception otherwise.
         ok, payload = event._ok, event._value
         if not ok:
@@ -330,7 +267,6 @@ class Process(Event):
                 else:
                     next_event = self._generator.throw(payload)
             except StopIteration as stop:
-                self._target = None
                 self._value = stop.value
                 env = self.env
                 env._eid += 1
@@ -338,10 +274,9 @@ class Process(Event):
                 heapq.heappush(env._queue, (env.now, key, self))
                 break
             except BaseException as exc:
-                self._target = None
                 self._ok = False
                 self._value = exc
-                self.env._post(self)
+                self.env._post_at(self, self.env.now)
                 break
 
             if not isinstance(next_event, Event):
@@ -359,7 +294,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event still pending: subscribe and suspend.
                 next_event.callbacks.append(self._resume_cb)
-                self._target = next_event
                 break
             # Event already processed: continue synchronously.
             ok, payload = next_event._ok, next_event._value
@@ -371,8 +305,11 @@ class Process(Event):
         return f"<Process {self.name!r} {state}>"
 
 
-class Condition(Event):
-    """Base for composite events over a fixed set of child events."""
+class AllOf(Event):
+    """Fires when *all* child events have fired; value maps event -> value.
+
+    A failed child fails the condition with its exception.
+    """
 
     __slots__ = ("_events", "_remaining")
 
@@ -382,32 +319,23 @@ class Condition(Event):
         self._value = PENDING
         self._ok = True
         self._defused = False
-        self._events = list(events)
-        fired = None
-        remaining = 0
-        for event in self._events:
+        self._events = events = list(events)
+        for event in events:
             if event.env is not env:
                 raise SimulationError("condition spans multiple environments")
-            if event.callbacks is None:
-                if fired is None:
-                    fired = [event]
-                else:
-                    fired.append(event)
-            else:
-                remaining += 1
-        self._remaining = remaining
         # Subscribe after validation so a foreign event cannot leave a
         # partially subscribed condition behind.
-        callback = self._child_fired
-        for event in self._events:
+        self._remaining = 0
+        for event in events:
             if event.callbacks is not None:
-                event.callbacks.append(callback)
-        if fired is not None:
-            for event in fired:
-                self._child_fired(event, immediate=True)
-        # Nothing left to wait for (an AllOf over fired children, or an
-        # empty condition, where any-of-nothing is vacuous): fire now.
-        if self._value is PENDING and remaining == 0:
+                event.callbacks.append(self._child_fired)
+                self._remaining += 1
+            elif not event._ok:
+                # An already processed failure fails the condition now.
+                event._defused = True
+                self.fail(event._value)
+                return
+        if self._remaining == 0:
             self.succeed(self._collect())
 
     def _collect(self) -> dict[Event, Any]:
@@ -415,45 +343,20 @@ class Condition(Event):
         # value from construction, so checking ``_value`` would wrongly
         # include timeouts that have not elapsed yet.  Called exactly
         # once per condition, at success — child firings only bump the
-        # O(1) ``_remaining`` counter, so an AllOf/AnyOf over N events
-        # does O(N) total bookkeeping, not O(N^2).
+        # O(1) ``_remaining`` counter, so an AllOf over N events does
+        # O(N) total bookkeeping, not O(N^2).
         return {e: e._value for e in self._events if e.processed}
 
-    def _child_fired(self, event: Event, immediate: bool = False) -> None:
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Fires when *all* child events have fired; value maps event -> value."""
-
-    __slots__ = ()
-
-    def _child_fired(self, event: Event, immediate: bool = False) -> None:
+    def _child_fired(self, event: Event) -> None:
         if self._value is not PENDING:
             return
         if not event._ok:
             event._defused = True
             self.fail(event._value)
             return
-        if not immediate:
-            self._remaining -= 1
+        self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Fires when *any* child event fires; value maps fired events -> values."""
-
-    __slots__ = ()
-
-    def _child_fired(self, event: Event, immediate: bool = False) -> None:
-        if self._value is not PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
 
 
 class Environment:
@@ -502,8 +405,8 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` simulated seconds from now.
 
-        Built and posted here, as :class:`Timeout` does: one frame per
-        compute charge in the datapath.
+        Built and posted here in one frame: one per compute charge in
+        the datapath.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
@@ -527,26 +430,19 @@ class Environment:
         """Event firing once all of ``events`` have fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing once any of ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
     def _ranked_key(self) -> tuple[float, int]:
         """Sanitizer tiebreak key for the event just numbered ``_eid``."""
         return (float(self._tiebreak.random()), self._eid)
 
-    def _post(self, event: Event, delay: float = 0.0) -> None:
-        """Schedule ``event`` for processing ``delay`` seconds from now."""
-        self._post_at(event, self.now + delay)
-
     def _post_at(self, event: Event, time: float) -> None:
         """Schedule ``event`` at the *absolute* time ``time``.
 
-        Kernel-internal: used by analytic model paths that compute
-        fire times in closed form and must hit the exact float the
-        reference event chain would have produced (``now + delay`` is not
-        bit-identical to a precomputed absolute time under IEEE 754).
+        Kernel-internal: failures post here at ``now``, and model paths
+        that compute fire times in closed form post here to hit the
+        exact float the reference event chain would have produced
+        (``now + delay`` is not bit-identical to a precomputed absolute
+        time under IEEE 754).
         """
         self._eid += 1
         key = self._eid if self._tiebreak is None else self._ranked_key()
@@ -589,28 +485,6 @@ class Environment:
         if self._step_listeners is None:
             self._step_listeners = []
         self._step_listeners.append(listener)
-
-    def step(self) -> None:
-        """Process exactly one event: the minimum by (time, key).
-
-        :meth:`run` does not call this; it processes events in its own
-        loop.  Outside ``run`` every timed call is a posted event, so
-        stepping by hand sees every call as an event.
-        """
-        try:
-            self.now, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise SimulationError("step() on an empty event queue") from None
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failure nobody waited on must not pass silently.
-            raise event._value
-        if self._step_listeners is not None:
-            for listener in self._step_listeners:
-                listener(self.now, event)
 
     # -- epoch stepping (hybrid-fidelity lanes) ------------------------------
     def register_lane(self, lane: Any) -> None:

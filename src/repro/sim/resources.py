@@ -3,18 +3,18 @@
 Two primitives cover every contention point in the simulated testbed:
 
 :class:`Resource`
-    FIFO semaphore with fixed capacity — CPU cores, NIC directions,
-    NVMe channel slots.
+    FIFO semaphore with fixed capacity — CPU cores, target reactors,
+    transfer credits.
 :class:`Store`
-    Unbounded-or-bounded FIFO queue of items — request queues,
-    submission/completion queues.
+    Unbounded FIFO queue of items — reactor inboxes, completion sinks,
+    copy-pool task queues.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, Generator, Iterable, Optional
+from typing import Any, Deque, Generator, Optional
 
 from ..errors import ResourceError
 from .engine import PENDING, Environment, Event, audit_register
@@ -30,18 +30,11 @@ class Request(Event):
     """A pending or granted claim on a :class:`Resource`.
 
     Usable directly as a yielded event.  Once granted, pass it back to
-    :meth:`Resource.release`.
+    :meth:`Resource.release`.  Built by :meth:`Resource.request` and
+    :meth:`Resource.try_request`; it has no constructor.
     """
 
     __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        self.env = resource.env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.resource = resource
 
 
 class Resource:
@@ -207,45 +200,22 @@ class Resource:
         )
 
 
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, env: Environment, item: Any) -> None:
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.item = item
-
-
 class StoreGet(Event):
     __slots__ = ()
 
 
 class Store:
-    """A FIFO queue of arbitrary items with blocking ``get``/``put``.
+    """An unbounded FIFO queue of arbitrary items with a blocking ``get``.
 
-    ``capacity`` bounds the number of buffered items; ``put`` on a full
-    store blocks until a ``get`` makes room.  ``capacity=None`` means
-    unbounded (puts always succeed immediately).
+    ``put_nowait`` never blocks: it hands the item to the oldest waiting
+    getter, or buffers it.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        capacity: Optional[int] = None,
-        name: str = "",
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[StoreGet] = deque()
-        self._putters: Deque[StorePut] = deque()
-        audit_register(self)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -255,56 +225,16 @@ class Store:
         """Snapshot of buffered items (oldest first)."""
         return tuple(self._items)
 
-    def preload(self, items: Iterable[Any]) -> None:
-        """Seed buffered items without creating accepted-put events.
-
-        Construction-time bulk loading: a pool that pre-populates
-        thousands of free buffers with ``put`` floods the t=0 event
-        queue with StorePut events nobody waits on.  ``preload``
-        side-steps the event machinery entirely, which is only sound
-        while nothing is blocked on the store — it refuses otherwise.
-        """
-        batch = list(items)
-        if self._getters or self._putters:
-            raise ResourceError(
-                f"{self.name or 'store'}: preload with blocked getters/putters"
-            )
-        if self.capacity is not None and len(self._items) + len(batch) > self.capacity:
-            raise ResourceError(
-                f"{self.name or 'store'}: preload of {len(batch)} item(s) "
-                f"exceeds capacity {self.capacity}"
-            )
-        self._items.extend(batch)
-
     def put_nowait(self, item: Any) -> None:
-        """Fire-and-forget ``put`` for callers that discard the event.
+        """Append ``item``, or hand it straight to the oldest getter.
 
-        ``put`` on a non-full store accepts the item and serves waiting
-        getters *synchronously, inside the call* — the StorePut event it
-        returns is already resolved state-wise and exists only so the
-        caller may yield it.  When the caller throws it away (the SCQ
-        datapath puts thousands per run), the event is pure queue load,
-        so this skips creating it; timing and wakeup order of every
-        other event are unchanged.  When the put would block (bounded
-        store full), this falls back to ``put``.
+        A getter waits only while the store is empty, so a waiting
+        getter takes this item at once.
         """
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            if self._getters:
-                self._serve_getters()
+        if self._getters:
+            self._getters.popleft().succeed(item)
         else:
-            self.put(item)
-
-    def put(self, item: Any) -> StorePut:
-        """Append ``item``; the event fires once the item is accepted."""
-        event = StorePut(self.env, item)
-        if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
-            self._serve_getters()
-        else:
-            self._putters.append(event)
-        return event
 
     def get(self) -> StoreGet:
         """Remove the oldest item; the event's value is the item."""
@@ -320,28 +250,10 @@ class Store:
             env._eid += 1
             key = env._eid if env._tiebreak is None else env._ranked_key()
             heapq.heappush(env._queue, (env.now, key, event))
-            if self._putters:
-                self._serve_putters()
         else:
             event._value = PENDING
             self._getters.append(event)
         return event
 
-    def _serve_getters(self) -> None:
-        while self._getters and self._items:
-            self._getters.popleft().succeed(self._items.popleft())
-            if self._putters:
-                self._serve_putters()
-
-    def _serve_putters(self) -> None:
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            put = self._putters.popleft()
-            self._items.append(put.item)
-            put.succeed()
-            self._serve_getters()
-
     def __repr__(self) -> str:
-        cap = "inf" if self.capacity is None else self.capacity
-        return f"<Store {self.name!r} {len(self._items)}/{cap}>"
+        return f"<Store {self.name!r} {len(self._items)} item(s)>"

@@ -7,7 +7,7 @@ metrics registry's histograms (:mod:`repro.obs.metrics`).
 
 from __future__ import annotations
 
-__all__ = ["Counter", "ThroughputMeter", "RecoveryStats"]
+__all__ = ["Counter", "ThroughputMeter"]
 
 
 class Counter:
@@ -27,12 +27,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self._counts!r}>"
-
-
-# RecoveryStats migrated onto the unified metrics registry (PR 2); the
-# import here keeps the historical ``repro.sim.RecoveryStats`` spelling
-# and attribute API working unchanged.
-from ..obs.metrics import RecoveryStats  # noqa: E402, F401
 
 
 class ThroughputMeter:

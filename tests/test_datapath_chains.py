@@ -4,7 +4,8 @@
 still the earliest ``(time, key)``; :class:`AlwaysPostEnvironment` posts
 every call as an event, and the two kernels must process the same steps
 in the same order, ties, sanitizer ranks, ``run(until=...)`` and step
-listeners included.
+listeners included; a faulted reader fleet and a hedged cluster fleet
+with a crash must give the same witnesses and counters on both.
 
 A fabric transfer, a transfer-engine move and a remote qpair flight are
 callback chains on timed calls.  Their generator forms are kept here as
@@ -19,10 +20,12 @@ contention.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.sanitizer import LifecycleAudit
+from repro.analysis.sanitizer import LifecycleAudit, _witness
+from repro.bench import workloads
+from repro.bench.workloads import Readers, preset, run_fleet
 from repro.cluster.serving import NodeReadCache
 from repro.errors import DeadlockError, ResourceError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, parse_fault_plan
 from repro.hw import STATUS_OK, Fabric, NetworkSpec, NVMeDevice, NVMeSpec
 from repro.hw.memory import HugePagePool
 from repro.hw.network import Pipe
@@ -216,6 +219,56 @@ def test_ten_thousand_chunk_move_does_not_recurse():
     env.run()
     (row,) = engine.link_rows()
     assert row["chunks"] == 10_000 and row["bytes"] == 10_000
+
+
+# ---------------------------------------------------------------------------
+# Whole fleets on both kernels
+# ---------------------------------------------------------------------------
+
+#: A reader fleet whose media errors, wedged commands and forced qpair
+#: resets fire the watchdog lane, and a 4-storage cluster fleet whose
+#: hedge lane fires and whose crash/rejoin runs failover and handoff.
+FLEETS = {
+    "readers": preset(
+        "readers", readers=Readers(reads=600), num_samples=1200,
+        batching="sample",
+        fault_plan=parse_fault_plan("media=0.02,timeout=0.01,reset_period=0.03"),
+    ),
+    "cluster": preset(
+        "cluster", num_storage=4, hedge_delay=20e-6, horizon=0.008,
+        num_samples=4096, node_crashes=((1, 0.002, 0.005),),
+    ),
+}
+
+
+def _fleet_on(monkeypatch, env_cls, spec):
+    """Run ``spec`` on ``env_cls``: the sanitizer's result witness, the
+    cluster and recovery counters, and the kernel's event count."""
+    envs = []
+
+    class Recording(env_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            envs.append(self)
+
+    monkeypatch.setattr(workloads, "Environment", Recording)
+    report = run_fleet(spec)
+    (env,) = envs
+    return (_witness(report), report.lifecycle, report.balancer,
+            report.recovery, report.fault_counts, env._eid)
+
+
+@pytest.mark.parametrize("name", sorted(FLEETS))
+def test_fleet_matches_always_posting_kernel(monkeypatch, name):
+    got = _fleet_on(monkeypatch, Environment, FLEETS[name])
+    assert got == _fleet_on(monkeypatch, AlwaysPostEnvironment, FLEETS[name])
+    _, lifecycle, _, recovery, faults, _ = got
+    if name == "readers":
+        assert recovery["deadline_timeouts"] > 0 and recovery["media_error"] > 0
+        assert faults["timeout"] > 0 and faults["qpair_reset"] > 0
+    else:
+        assert recovery["hedges_posted"] > 0 and recovery["failovers"] > 0
+        assert lifecycle["crashes"] == lifecycle["rejoins"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Kernel and datapath fast-path equivalence tests.
 
 Every optimization — the closed-form NVMe service, the qpair callback
-flight, tombstoned interrupts, O(N) conditions, fire-and-forget store
-puts — must be *invisible* in simulation results.  These tests pin that
+flight, O(N) conditions, fire-and-forget store puts — must be
+*invisible* in simulation results.  These tests pin that
 down at the kernel level (processing-order traces) and at the model
 level: device and qpair timings are compared with the per-command
 service process and the per-request flight process they replaced,
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import Readers, preset, run_fleet
-from repro.errors import InterruptedProcess, ResourceError, SimulationError
 from repro.faults import ZERO_PLAN, FaultInjector, FaultPlan, parse_fault_plan
 from repro.hw import (
     MB, READ, STATUS_ABORTED_RESET, STATUS_MEDIA_ERROR, STATUS_OK,
@@ -26,9 +25,9 @@ from repro.hw import (
 from repro.hw.memory import HugePagePool
 from repro.spdk import SPDKRequest
 from repro.spdk.qpair import IOQPair
-from repro.sim import AllOf, AnyOf, Environment, Event, Resource, Store
+from repro.sim import AllOf, Environment, Resource, Store
 from repro.sim import engine as sim_engine
-from repro.sim.engine import Condition, set_tiebreak_factory
+from repro.sim.engine import set_tiebreak_factory
 
 
 @pytest.fixture(autouse=True)
@@ -86,7 +85,7 @@ def _trace_workload(seed: int) -> tuple[list, float]:
             elif roll < 0.90:
                 script.append(("get", None))
             else:
-                script.append(("anyof", rng.randrange(0, 30) * 1e-6))
+                script.append(("allof", rng.randrange(0, 30) * 1e-6))
         scripts.append(script)
 
     env = Environment()
@@ -101,14 +100,14 @@ def _trace_workload(seed: int) -> tuple[list, float]:
             elif kind == "hold":
                 yield from res.hold(arg)
             elif kind == "put":
-                store.put((pid, arg))
+                store.put_nowait((pid, arg))
             elif kind == "get":
                 if len(store):
                     got = yield store.get()
                     trace.append(("got", pid, got))
             else:
-                value = yield AnyOf(env, [env.timeout(0.0), env.timeout(arg)])
-                trace.append(("any", pid, len(value)))
+                value = yield AllOf(env, [env.timeout(0.0), env.timeout(arg)])
+                trace.append(("all", pid, len(value)))
             trace.append((env.now, pid, k))
 
     for pid, script in enumerate(scripts):
@@ -154,93 +153,6 @@ def test_sanitizer_ranks_order_posts_and_absorbed_timeouts():
 
 
 # ---------------------------------------------------------------------------
-# Interrupt: tombstone detach among many waiters.
-# ---------------------------------------------------------------------------
-
-class TestInterruptTombstone:
-    def _run(self, waiters: int, interrupted: list[int]) -> list:
-        env = Environment()
-        evt = Event(env)
-        results = []
-
-        def waiter(i: int):
-            try:
-                value = yield evt
-                results.append(("ok", i, value))
-            except InterruptedProcess as exc:
-                results.append(("int", i, exc.cause))
-                yield env.timeout(5e-6)  # stale firing arrives while alive
-
-        procs = [env.process(waiter(i), name=f"p{i}") for i in range(waiters)]
-
-        def driver():
-            yield env.timeout(1e-6)
-            for i in interrupted:
-                procs[i].interrupt(cause=i)
-            yield env.timeout(1e-6)
-            evt.succeed("payload")
-
-        env.process(driver(), name="driver")
-        env.run()
-        return results
-
-    def test_interrupt_among_many_waiters(self):
-        results = self._run(50, interrupted=[7, 23, 48])
-        # Every waiter resumed exactly once: no lost wakeups, and the
-        # stale firing of the shared event must not re-enter the
-        # interrupted generators (a double resume would raise inside
-        # _resume or duplicate entries here).
-        assert len(results) == 50
-        assert sorted(i for kind, i, _ in results if kind == "int") == [7, 23, 48]
-        assert all(v == "payload" for kind, _, v in results if kind == "ok")
-
-    def test_tombstones_identical_in_both_modes(self):
-        """Production and sanitizer-perturbed scheduling swallow the same
-        stale firings: only same-instant interrupt order may differ."""
-        ref = self._run(20, interrupted=[0, 19])
-        set_tiebreak_factory(_DescendingRanks)
-        perturbed = self._run(20, interrupted=[0, 19])
-        assert perturbed != ref
-        assert sorted(perturbed, key=repr) == sorted(ref, key=repr)
-
-    def test_stale_list_drains(self):
-        env = Environment()
-        evt = Event(env)
-        seen = []
-
-        def waiter():
-            try:
-                yield evt
-            except InterruptedProcess:
-                seen.append("int")
-                yield env.timeout(5e-6)
-
-        proc = env.process(waiter())
-
-        def driver():
-            yield env.timeout(1e-6)
-            proc.interrupt()
-            evt.succeed()
-
-        env.process(driver())
-        env.run()
-        assert seen == ["int"]
-        assert proc._stale is None  # tombstone consumed, not leaked
-
-    def test_interrupt_not_waiting_still_rejected(self):
-        env = Environment()
-
-        def idle():
-            return
-            yield
-
-        proc = env.process(idle())
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-
-# ---------------------------------------------------------------------------
 # Conditions: _collect runs exactly once, at success.
 # ---------------------------------------------------------------------------
 
@@ -248,13 +160,13 @@ class TestConditionCollectOnce:
     @pytest.fixture
     def counted_collect(self, monkeypatch):
         calls = {"n": 0}
-        orig = Condition._collect
+        orig = AllOf._collect
 
         def counting(self):
             calls["n"] += 1
             return orig(self)
 
-        monkeypatch.setattr(Condition, "_collect", counting)
+        monkeypatch.setattr(AllOf, "_collect", counting)
         return calls
 
     def test_allof_collects_once(self, counted_collect):
@@ -265,25 +177,8 @@ class TestConditionCollectOnce:
         assert counted_collect["n"] == 1
         assert len(cond.value) == 40
 
-    def test_anyof_collects_once(self, counted_collect):
-        env = Environment()
-        events = [env.timeout((i + 1) * 1e-6) for i in range(40)]
-        cond = AnyOf(env, events)
-        env.run()
-        assert counted_collect["n"] == 1
-        assert list(cond.value.values()) == [None]
-
-    def test_anyof_over_processed_children(self):
-        env = Environment()
-        first = env.timeout(0.0)
-        env.run(until=1e-9)  # process the timeout
-        cond = AnyOf(env, [first, env.timeout(1e-6)])
-        env.run()
-        assert first in cond.value
-
     def test_empty_conditions_fire_immediately(self):
         env = Environment()
-        assert AnyOf(env, []).triggered
         assert AllOf(env, []).triggered
 
 
@@ -301,6 +196,11 @@ class ProcessNVMe(NVMeDevice):
     event insertion order, in submit order by the closed form, so the
     oracle comparisons below keep arrivals from tying.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._cmd_proc = Resource(self.env, capacity=1, name=f"{self.name}.cmdproc")
+        self._data_pipe = Resource(self.env, capacity=1, name=f"{self.name}.data")
 
     def _time(self, cmd):
         self.env.process(self._service(cmd), name=f"{self.name}.cmd")
@@ -372,9 +272,12 @@ def _device_trace(device_cls, pattern, plan=None):
 
     env.process(driver())
     env.run()
+    if isinstance(dev, ProcessNVMe):
+        busy = (dev._cmd_proc._busy_integral, dev._data_pipe._busy_integral)
+    else:
+        busy = (dev._proc_busy, dev._pipe_busy)
     return (
-        [done[k] for k in range(len(pattern))], order, env.now,
-        dev._cmd_proc._busy_integral, dev._data_pipe._busy_integral,
+        [done[k] for k in range(len(pattern))], order, env.now, *busy,
         dev.outstanding,
         dict(injector.draws) if injector else {},
         injector.trace_signature() if injector else [],
@@ -625,43 +528,10 @@ def test_faulted_reader_fleet_events_per_sample(monkeypatch, batching, bound):
 
 
 # ---------------------------------------------------------------------------
-# Store: preload and put_nowait.
+# Store: put_nowait.
 # ---------------------------------------------------------------------------
 
 class TestStoreFastOps:
-    def test_preload_serves_fifo(self):
-        env = Environment()
-        store = Store(env, name="s")
-        store.preload(["a", "b", "c"])
-        got = []
-
-        def getter():
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(getter())
-        env.run()
-        assert got == ["a", "b", "c"]
-
-    def test_preload_refuses_blocked_getters(self):
-        env = Environment()
-        store = Store(env, name="s")
-
-        def getter():
-            yield store.get()
-
-        env.process(getter())
-        env.run()
-        with pytest.raises(ResourceError):
-            store.preload([1])
-
-    def test_preload_respects_capacity(self):
-        env = Environment()
-        store = Store(env, capacity=2, name="s")
-        with pytest.raises(ResourceError):
-            store.preload([1, 2, 3])
-
     def test_put_nowait_wakes_getter(self):
         env = Environment()
         store = Store(env, name="s")
@@ -675,43 +545,3 @@ class TestStoreFastOps:
         store.put_nowait("x")
         env.run()
         assert got == ["x"]
-
-    def test_put_nowait_full_store_falls_back_to_blocking_put(self):
-        env = Environment()
-        store = Store(env, capacity=1, name="s")
-        store.put_nowait("a")
-        store.put_nowait("b")  # full: must queue, not drop
-        assert len(store) == 1
-        got = []
-
-        def getter():
-            for _ in range(2):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(getter())
-        env.run()
-        assert got == ["a", "b"]
-
-    def test_put_nowait_reference_mode_identical(self):
-        """``put`` is the reference: same items, same getter wakeups."""
-        results = []
-        for nowait in (False, True):
-            env = Environment()
-            store = Store(env, name="s")
-            got = []
-
-            def getter():
-                item = yield store.get()
-                got.append((env.now, item))
-
-            env.process(getter())
-            env.run()
-            for item in ("x", "y"):
-                if nowait:
-                    store.put_nowait(item)
-                else:
-                    store.put(item)
-            env.run()
-            results.append((store.items, got))
-        assert results[0] == results[1] == (("y",), [(0.0, "x")])

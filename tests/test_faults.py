@@ -38,7 +38,9 @@ from repro.hw import (
     STATUS_TIMEOUT,
     Testbed,
 )
-from repro.sim import Environment, RecoveryStats, Store
+from repro.obs import RecoveryStats
+from repro.sim import Environment, Store
+from repro.sim.engine import _Call
 from repro.spdk import IOQPair, SPDKRequest
 from repro.tenancy import TenantSpec
 
@@ -560,14 +562,19 @@ class _LaneTap:
 
 
 def _most_pending(env, lane):
-    """The most of ``lane``'s events pending in the engine after any
-    step (a one-item list, updated as the run goes)."""
+    """The most of ``lane``'s timed calls pending in the engine after any
+    step, in the heap or in the run loop's slot (a one-item list, updated
+    as the run goes)."""
     most = [0]
 
     def listener(_now, _event):
         pending = sum(
-            lane._fire in item[-1].callbacks for item in env._queue
+            isinstance(item[-1], _Call) and item[-1].fn == lane._fire
+            for item in env._queue
         )
+        slot = env._slot
+        if slot and slot[2] == lane._fire:
+            pending += 1
         most[0] = max(most[0], pending)
 
     env.add_step_listener(listener)

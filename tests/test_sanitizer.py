@@ -13,7 +13,7 @@ from repro.analysis import (
     run_sanitizer,
 )
 from repro.errors import ResourceError
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.sim import engine as sim_engine
 
 
@@ -114,22 +114,6 @@ def test_leaked_resource_slot_is_reported():
         env.run()
     violations = audit.finish()
     assert any("cpu0" in v and "still held" in v for v in violations)
-
-
-def test_blocked_putter_is_reported():
-    audit = LifecycleAudit()
-    with perturbed_tiebreaks(None, audit):
-        env = Environment()
-        store = Store(env, capacity=1, name="scq")
-
-        def wedge():
-            yield store.put("a")
-            yield store.put("b")  # blocks forever: nobody gets
-
-        env.process(wedge())
-        env.run()
-    violations = audit.finish()
-    assert any("scq" in v and "blocked" in v for v in violations)
 
 
 def test_clean_run_has_no_lifecycle_violations():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InterruptedProcess, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Environment
 
 
@@ -30,10 +30,6 @@ class TestClock:
     def test_run_empty_queue_is_noop(self, env):
         env.run()
         assert env.now == 0.0
-
-    def test_step_on_empty_queue_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
     def test_peek_empty_queue_is_inf(self, env):
         assert env.peek() == float("inf")
@@ -267,33 +263,6 @@ class TestProcess:
         assert "my-task" in repr(p)
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_sleeping_process(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except InterruptedProcess as intr:
-                return ("interrupted", intr.cause, env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt(cause="wakeup")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert victim.value == ("interrupted", "wakeup", 1.0)
-
-    def test_interrupt_dead_process_raises(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-
 class TestConditions:
     def test_all_of_waits_for_latest(self, env):
         def proc(env):
@@ -304,15 +273,6 @@ class TestConditions:
         p = env.process(proc(env))
         assert env.run(until=p) == (3.0, [1.0, 2.0, 3.0])
 
-    def test_any_of_fires_on_earliest(self, env):
-        def proc(env):
-            events = [env.timeout(t, value=t) for t in (5.0, 1.0, 3.0)]
-            results = yield env.any_of(events)
-            return (env.now, list(results.values()))
-
-        p = env.process(proc(env))
-        assert env.run(until=p) == (1.0, [1.0])
-
     def test_all_of_empty_fires_immediately(self, env):
         def proc(env):
             results = yield env.all_of([])
@@ -320,14 +280,6 @@ class TestConditions:
 
         p = env.process(proc(env))
         assert env.run(until=p) == (0.0, {})
-
-    def test_any_of_empty_fires_immediately(self, env):
-        def proc(env):
-            results = yield env.any_of([])
-            return results
-
-        p = env.process(proc(env))
-        assert env.run(until=p) == {}
 
     def test_all_of_with_already_processed_children(self, env):
         e1, e2 = env.event(), env.event()
@@ -341,6 +293,22 @@ class TestConditions:
 
         p = env.process(proc(env))
         assert env.run(until=p) == ["a", "b"]
+
+    def test_all_of_fails_on_an_already_failed_child(self, env):
+        ok, bad = env.event(), env.event()
+        ok.succeed("a")
+        bad.fail(ValueError("early"))
+        bad.defuse()
+        env.run()
+
+        def proc(env):
+            try:
+                yield env.all_of([ok, bad])
+            except ValueError as exc:
+                return str(exc)
+
+        p = env.process(proc(env))
+        assert env.run(until=p) == "early"
 
     def test_all_of_fails_if_child_fails(self, env):
         def bad(env):

@@ -264,7 +264,7 @@ class TestStore:
         store = Store(env)
 
         def proc(env):
-            yield store.put("item")
+            store.put_nowait("item")
             value = yield store.get()
             return value
 
@@ -279,27 +279,11 @@ class TestStore:
 
         def putter(env):
             yield env.timeout(3.0)
-            yield store.put("late")
+            store.put_nowait("late")
 
         p = env.process(getter(env))
         env.process(putter(env))
         assert env.run(until=p) == ("late", 3.0)
-
-    def test_bounded_put_blocks_until_get(self, env):
-        store = Store(env, capacity=1)
-
-        def putter(env):
-            yield store.put(1)
-            yield store.put(2)  # blocks
-            return env.now
-
-        def getter(env):
-            yield env.timeout(4.0)
-            yield store.get()
-
-        p = env.process(putter(env))
-        env.process(getter(env))
-        assert env.run(until=p) == 4.0
 
     def test_fifo_item_order(self, env):
         store = Store(env)
@@ -307,7 +291,7 @@ class TestStore:
 
         def proc(env):
             for i in range(5):
-                yield store.put(i)
+                store.put_nowait(i)
             for _ in range(5):
                 got.append((yield store.get()))
 
@@ -325,7 +309,7 @@ class TestStore:
         def putter(env):
             yield env.timeout(1.0)
             for i in range(3):
-                yield store.put(i)
+                store.put_nowait(i)
 
         for tag in ("g0", "g1", "g2"):
             env.process(getter(env, tag))
@@ -335,15 +319,7 @@ class TestStore:
 
     def test_len_and_items_snapshot(self, env):
         store = Store(env)
-
-        def proc(env):
-            yield store.put("a")
-            yield store.put("b")
-
-        env.run(until=env.process(proc(env)))
+        store.put_nowait("a")
+        store.put_nowait("b")
         assert len(store) == 2
         assert store.items == ("a", "b")
-
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)

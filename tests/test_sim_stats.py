@@ -65,10 +65,11 @@ class TestThroughputMeter:
 
 
 class TestRecoveryStatsShim:
-    """``repro.sim.RecoveryStats`` keeps its original standalone API."""
+    """``repro.obs.RecoveryStats`` works standalone, with no registry
+    given, and on a shared one."""
 
     def test_standalone_counters_and_dict_api(self, env):
-        from repro.sim import RecoveryStats
+        from repro.obs import RecoveryStats
 
         rs = RecoveryStats(env)
         assert rs["retries"] == 0
@@ -78,7 +79,7 @@ class TestRecoveryStatsShim:
         assert rs.as_dict()["retries"] == 3
 
     def test_degraded_windows_nest(self, env):
-        from repro.sim import RecoveryStats
+        from repro.obs import RecoveryStats
 
         rs = RecoveryStats(env)
         env.run(until=1.0)
@@ -95,8 +96,7 @@ class TestRecoveryStatsShim:
             rs.exit_degraded()
 
     def test_shared_registry_carries_counters(self, env):
-        from repro.obs import MetricsRegistry
-        from repro.sim import RecoveryStats
+        from repro.obs import MetricsRegistry, RecoveryStats
 
         reg = MetricsRegistry(env)
         rs = RecoveryStats(env, name="r0.recovery", registry=reg)

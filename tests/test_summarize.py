@@ -44,10 +44,10 @@ class TestLoadArtifact:
         assert data == {"ok": True, "n": 3}
 
     def test_malformed_json_names_file(self, tmp_path):
-        path = _write(tmp_path, "BENCH_engine.json", '{"digest_check": {')
+        path = _write(tmp_path, "BENCH_cluster.json", '{"scaling": [{')
         with pytest.raises(summarize.ArtifactError) as exc:
             summarize.load_artifact(str(path))
-        assert "BENCH_engine.json" in str(exc.value)
+        assert "BENCH_cluster.json" in str(exc.value)
         assert "partial write" in str(exc.value)
 
     def test_empty_file_is_rejected(self, tmp_path):
