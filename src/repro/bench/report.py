@@ -1,9 +1,8 @@
 """Plain-text rendering of figure results.
 
-The benchmark targets print these tables so a run of
-``pytest benchmarks/ --benchmark-only`` regenerates every figure's data
-as readable rows (series per column) plus the paper-vs-measured
-headline block.
+``python -m repro figure|all`` print these tables, and ``all --out
+benchmarks/results`` writes them: each figure's data as readable rows
+(series per column) plus the paper-vs-measured headline block.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from .figures import FigureResult
 __all__ = [
     "render_figure",
     "render_headline",
-    "render_metrics_summary",
     "format_quantity",
 ]
 
@@ -83,24 +81,3 @@ def render_headline(result: FigureResult) -> str:
         )
     return "\n".join(lines)
 
-
-def render_metrics_summary(dump: dict) -> str:
-    """Summarize a :meth:`repro.obs.MetricsRegistry.dump` JSON object.
-
-    Works on the in-memory dict or one reloaded from ``metrics.json``,
-    so benchmark reports can fold a prior observed run's metrics in.
-    """
-    if not dump:
-        return "-- metrics: (none recorded) --"
-    lines = [f"-- metrics @ t={dump.get('now', 0.0):.6g}s --"]
-    for name, value in sorted(dump.get("counters", {}).items()):
-        lines.append(f"  counter  {name:<34} {format_quantity(value)}")
-    for name, h in sorted(dump.get("histograms", {}).items()):
-        lines.append(
-            f"  hist     {name:<34} n={h['count']} "
-            f"p50={format_quantity(h['p50'])}s p99={format_quantity(h['p99'])}s"
-        )
-    for name, stages in sorted(dump.get("layers", {}).items()):
-        busy = sum(stages.values())
-        lines.append(f"  layers   {name:<34} busy={format_quantity(busy)}s")
-    return "\n".join(lines)

@@ -35,12 +35,7 @@ from ..octopus import OctopusFS
 from ..sim import Environment
 from ..sim import rng as sim_rng
 from ..tenancy import TenantSpec, TenantWorkload, TrafficEngine
-from ..train import (
-    DLFSTFAdapter,
-    Ext4TFAdapter,
-    OctopusTFAdapter,
-    TFIngestSpec,
-)
+from ..train import DLFSTFAdapter, Ext4TFAdapter, OctopusTFAdapter
 from ..xform import XformRuntime, XformSpec, XformTier, parse_stages
 
 __all__ = [
@@ -80,10 +75,6 @@ class Result:
     sample_throughput: float
     #: Payload bytes per second (aggregate).
     bandwidth: float
-    #: Mean utilization of the busiest client core (1.0 = pegged).
-    cpu_utilization: float = 0.0
-    #: Simulated seconds of the measured window.
-    sim_time: float = 0.0
 
 
 def _dataset(num_samples: int, sample_bytes: int) -> Dataset:
@@ -98,13 +89,13 @@ def ext4_single_node(
     sample_bytes: int,
     threads: int = 1,
     reads_per_thread: int = 250,
-    warmup_per_thread: int = 20,
     warm_metadata: bool = True,
-    testbed: Optional[Testbed] = None,
 ) -> Result:
-    """Ext4 random-sample throughput: Ext4-Base (1 thread) / Ext4-MC."""
+    """Ext4 random-sample throughput on the real device: Ext4-Base (1
+    thread) / Ext4-MC, each thread measured after 20 warm-up reads."""
+    warmup_per_thread = 20
     env = Environment()
-    tb = testbed or Testbed.paper()
+    tb = Testbed.paper()
     cluster = Cluster(env, tb, num_nodes=1, devices_per_node=1)
     node = cluster.node(0)
     total = threads * (reads_per_thread + warmup_per_thread)
@@ -133,20 +124,19 @@ def ext4_single_node(
 
     procs = [env.process(worker(env, t)) for t in range(threads)]
     env.run(until=env.all_of(procs))
-    elapsed = env.now - (t_start[0] or 0.0)
-    throughput = measured_reads / elapsed
-    util = max(core.utilization() for core in node.cpu.cores)
-    return Result(throughput, throughput * sample_bytes, util, elapsed)
+    throughput = measured_reads / (env.now - (t_start[0] or 0.0))
+    return Result(throughput, throughput * sample_bytes)
 
 
 def ext4_multi_node(
     num_nodes: int,
     sample_bytes: int,
     reads_per_node: int = 300,
-    warmup_per_node: int = 20,
 ) -> Result:
     """Ext4 reads its node-local data (the paper's Ext4 configuration:
-    datasets replicated/partitioned onto local burst buffers)."""
+    datasets replicated/partitioned onto local burst buffers), each node
+    measured after 20 warm-up reads."""
+    warmup_per_node = 20
     env = Environment()
     cluster = Cluster(
         env, Testbed.paper_emulated(), num_nodes=num_nodes, devices_per_node=1
@@ -180,19 +170,19 @@ def ext4_multi_node(
 
     procs = [env.process(worker(env, *f)) for f in filesystems]
     env.run(until=env.all_of(procs))
-    elapsed = env.now - (t_start[0] or 0.0)
-    throughput = measured / elapsed
-    return Result(throughput, throughput * sample_bytes, 0.0, elapsed)
+    throughput = measured / (env.now - (t_start[0] or 0.0))
+    return Result(throughput, throughput * sample_bytes)
 
 
 def octopus_multi_node(
     num_nodes: int,
     sample_bytes: int,
     reads_per_node: int = 250,
-    warmup_per_node: int = 15,
 ) -> Result:
     """Octopus aggregated throughput: one client per node, distributed
-    metadata + RDMA data reads."""
+    metadata + RDMA data reads, each node measured after 15 warm-up
+    reads."""
+    warmup_per_node = 15
     env = Environment()
     cluster = Cluster(
         env, Testbed.paper_emulated(), num_nodes=num_nodes, devices_per_node=1
@@ -217,9 +207,8 @@ def octopus_multi_node(
 
     procs = [env.process(worker(env, r)) for r in range(num_nodes)]
     env.run(until=env.all_of(procs))
-    elapsed = env.now - (t_start[0] or 0.0)
-    throughput = measured / elapsed
-    return Result(throughput, throughput * sample_bytes, 0.0, elapsed)
+    throughput = measured / (env.now - (t_start[0] or 0.0))
+    return Result(throughput, throughput * sample_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +327,15 @@ def octopus_lookup_time(
 
 def ideal_disaggregated_throughput(
     num_devices: int, num_clients: int, sample_bytes: int,
-    testbed: Optional[Testbed] = None,
 ) -> float:
     """The paper's analytic NVMe-1C / NVMe-16C curves (Fig 11).
 
-    Aggregate device bandwidth divided by sample size, capped by the
-    clients' total NIC bandwidth once devices outnumber what the client
-    links can absorb (the paper's rule: with one client, the network
-    bottlenecks past 2 devices).
+    Aggregate emulated-device bandwidth divided by sample size, capped
+    by the clients' total NIC bandwidth once devices outnumber what the
+    client links can absorb (the paper's rule: with one client, the
+    network bottlenecks past 2 devices).
     """
-    tb = testbed or Testbed.paper_emulated()
+    tb = Testbed.paper_emulated()
     device_bw = num_devices * tb.nvme.read_bandwidth
     client_bw = num_clients * tb.network.bandwidth
     return min(device_bw, client_bw) / sample_bytes
@@ -1060,13 +1048,13 @@ def tf_ingest_throughput(
     num_nodes: int,
     sample_bytes: int,
     batches_per_node: int = 20,
-    batch: int = 32,
-    warmup_batches: int = 3,
-    spec: Optional[TFIngestSpec] = None,
 ) -> Result:
-    """Aggregate TF-adapter ingest throughput for one system."""
+    """Aggregate TF-adapter ingest throughput for one system: per node,
+    ``batches_per_node`` measured 32-sample batches after 3 warm-up
+    batches, at the default :class:`~repro.train.TFIngestSpec` costs."""
     if system not in ("dlfs", "ext4", "octopus"):
         raise ConfigError(f"unknown system {system!r}")
+    batch, warmup_batches = 32, 3
     env = Environment()
     cluster = Cluster(
         env, Testbed.paper_emulated(), num_nodes=num_nodes, devices_per_node=1
@@ -1081,7 +1069,7 @@ def tf_ingest_throughput(
             # The TF input-pipeline thread lives on a second core; the
             # reactor busy-polls core 0.
             thread = BoundThread(cluster.node(r).cpu.core(1), f"tf{r}")
-            adapters.append(DLFSTFAdapter(client, thread, spec))
+            adapters.append(DLFSTFAdapter(client, thread))
     elif system == "ext4":
         for node in cluster:
             ds = Dataset.fixed(
@@ -1092,17 +1080,15 @@ def tf_ingest_throughput(
             fs.ingest_dataset(ds)
             fs.warm_metadata()
             thread = BoundThread(node.cpu.core(0), f"tf{node.index}")
-            adapters.append(Ext4TFAdapter(fs, ds, thread, spec=spec))
+            adapters.append(Ext4TFAdapter(fs, ds, thread))
     else:
         ds = _dataset(max(2 * num_nodes * per_node, 2000), sample_bytes)
         fs = OctopusFS(cluster)
         fs.mount(ds)
         for r in range(num_nodes):
             thread = BoundThread(cluster.node(r).cpu.core(0), f"tf{r}")
-            adapters.append(
-                OctopusTFAdapter(fs, thread, rank=r, num_ranks=num_nodes,
-                                 spec=spec)
-            )
+            adapters.append(OctopusTFAdapter(fs, thread, rank=r,
+                                             num_ranks=num_nodes))
 
     def app(env, adapter):
         adapter.start_epoch(DEFAULT_SEED)
@@ -1116,4 +1102,4 @@ def tf_ingest_throughput(
     env.run(until=env.all_of(procs))
     throughput = sum(a.ingest_rate() for a in adapters)
     bandwidth = sum(a.meter.bandwidth() for a in adapters)
-    return Result(throughput, bandwidth, 0.0, env.now)
+    return Result(throughput, bandwidth)

@@ -4,13 +4,14 @@ Usage::
 
     python -m repro list
     python -m repro figure fig09 [--scale 0.5] [--out results/]
-    python -m repro all [--scale 1.0] [--out results/]
+    python -m repro all [--scale 1.0] [--out benchmarks/results]
     python -m repro claims [--scale 0.5]
 
-``figure``/``all`` print each figure's data table and headline block
-(the same rendering the benchmarks produce) and optionally write them
-to files.  ``claims`` prints only the paper-vs-measured headlines —
-the quickest way to check the reproduction end to end.
+``figure``/``all`` print each table of :data:`FIGURES` (the paper's
+figures, ablations, sweeps and mount breakdown) with its headline block,
+and optionally write them to files.  ``claims`` prints only the
+paper-vs-measured headlines.  All three print every claim band that
+fails, with its value and bounds, and exit 1 if any did.
 
 ``fleet`` runs one deployment preset and prints its throughput and a
 section per layer it built.  ``readers`` is the paper's datapath:
@@ -73,13 +74,15 @@ import time
 from typing import Callable
 
 from .analysis.sanitizer import SWEEPS, run_sanitizer
+from .bench import ablations as A
 from .bench import figures as F
 from .bench.report import render_figure, render_headline
 from .bench.workloads import PRESETS, Readers
 
 __all__ = ["main", "FIGURES", "COMMANDS"]
 
-#: name -> (callable, description)
+#: Every table under ``benchmarks/results/``: its file stem -> (the
+#: function producing its FigureResult, description).
 FIGURES: dict[str, tuple[Callable, str]] = {
     "fig01": (F.fig01_size_distribution, "sample-size distributions"),
     "fig06": (F.fig06_single_node_throughput, "single-node throughput"),
@@ -91,10 +94,18 @@ FIGURES: dict[str, tuple[Callable, str]] = {
     "fig11": (F.fig11_disaggregation, "disaggregation effectiveness"),
     "fig12": (F.fig12_tensorflow, "TensorFlow ingest"),
     "fig13": (F.fig13_training_accuracy, "training accuracy"),
+    "ablation_chunk_size": (A.ablation_chunk_size, "ablation: chunk size"),
+    "ablation_copy_threads": (A.ablation_copy_threads, "ablation: copy threads"),
+    "ablation_scq": (A.ablation_scq, "ablation: shared completion queue"),
+    "ablation_zero_copy": (A.ablation_zero_copy, "ablation: zero-copy"),
+    "ablation_metadata": (A.ablation_metadata, "ablation: metadata replication"),
+    "sweep_queue_depth": (A.sweep_queue_depth, "sweep: SPDK queue depth"),
+    "sweep_window": (A.sweep_window, "sweep: chunk-pipeline window"),
+    "mount_breakdown": (A.mount_breakdown, "dlfs_mount time breakdown"),
 }
 
-#: Figures whose drivers accept a ``scale`` parameter.
-_UNSCALED = {"fig01"}
+#: Tables whose functions take no ``scale``: they run one fixed size.
+_UNSCALED = {"fig01", *A.__all__}
 
 #: ``fleet`` flags that set the FleetSpec field of the same name.
 _FLEET_FLAGS = (
@@ -111,13 +122,6 @@ _FLEET_QUICK = {
     "xform": dict(num_samples=1024, horizon=0.005),
     "readers": dict(num_samples=512, readers=Readers(epochs=1)),
 }
-
-
-def _run_figure(name: str, scale: float):
-    fn, _ = FIGURES[name]
-    if name in _UNSCALED:
-        return fn()
-    return fn(scale=scale)
 
 
 def _parse_crash(spec: str, flag: str, unit: str) -> tuple:
@@ -168,15 +172,31 @@ def _write_json(out: pathlib.Path | None, blob, as_json: bool) -> None:
             print(f"\nwrote {out}")
 
 
-def _emit(result, out_dir: pathlib.Path | None, headline_only: bool) -> None:
-    text = render_headline(result) if headline_only else render_figure(result)
-    print(f"\n== {result.figure}: {result.title} ==" if headline_only else "")
-    print(text)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{result.figure}.txt").write_text(
-            render_figure(result) + "\n"
-        )
+def _run_tables(names, scale: float, out_dir: pathlib.Path | None,
+                headline_only: bool) -> int:
+    """Print each table of ``names`` (and write it under ``out_dir``),
+    then every claim band that failed; 1 if any did."""
+    failed, bands = [], 0
+    for name in names:
+        fn, _ = FIGURES[name]
+        result = fn() if name in _UNSCALED else fn(scale=scale)
+        text = render_headline(result) if headline_only else render_figure(result)
+        print(f"\n== {result.figure}: {result.title} ==" if headline_only else "")
+        print(text)
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / f"{result.figure}.txt").write_text(
+                render_figure(result) + "\n"
+            )
+        bands += len(result.bands)
+        failed += [
+            f"FAILED {result.figure}: {band}: measured {measured:.6g}, "
+            f"band [{lo:.6g}, {hi:.6g}]"
+            for band, (measured, lo, hi) in result.failed_bands()
+        ]
+    print("", *failed, f"claim bands: {bands - len(failed)} of {bands} hold",
+          sep="\n")
+    return 1 if failed else 0
 
 
 def _timed(fn: Callable, *args, **kwargs) -> tuple:
@@ -213,9 +233,10 @@ def main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def _list(args: argparse.Namespace) -> int:
-    """list available figures"""
+    """list available tables"""
+    width = max(map(len, FIGURES))
     for name, (_, desc) in sorted(FIGURES.items()):
-        print(f"{name:<8} {desc}")
+        print(f"{name:<{width}} {desc}")
     return 0
 
 
@@ -228,9 +249,8 @@ def _figure_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _figure(args: argparse.Namespace) -> int:
-    """run one figure"""
-    _emit(_run_figure(args.name, args.scale), args.out, headline_only=False)
-    return 0
+    """run one table and check its claim bands"""
+    return _run_tables([args.name], args.scale, args.out, headline_only=False)
 
 
 def _all_flags(p: argparse.ArgumentParser) -> None:
@@ -239,10 +259,9 @@ def _all_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _all(args: argparse.Namespace) -> int:
-    """run every figure"""
-    for name in sorted(FIGURES):
-        _emit(_run_figure(name, args.scale), args.out, headline_only=False)
-    return 0
+    """run every table and check its claim bands"""
+    return _run_tables(sorted(FIGURES), args.scale, args.out,
+                       headline_only=False)
 
 
 def _claims_flags(p: argparse.ArgumentParser) -> None:
@@ -250,10 +269,8 @@ def _claims_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _claims(args: argparse.Namespace) -> int:
-    """print only the paper-vs-measured headlines"""
-    for name in sorted(FIGURES):
-        _emit(_run_figure(name, args.scale), None, headline_only=True)
-    return 0
+    """print only the paper-vs-measured headlines; check every band"""
+    return _run_tables(sorted(FIGURES), args.scale, None, headline_only=True)
 
 
 # ---------------------------------------------------------------------------

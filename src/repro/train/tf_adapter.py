@@ -107,7 +107,64 @@ class DLFSTFAdapter(_AdapterBase):
         return samples
 
 
-class Ext4TFAdapter(_AdapterBase):
+class _PerSampleAdapter(_AdapterBase):
+    """tf.data over a file system ``fs`` read one sample at a time, in
+    this rank's share of the global sequence; subclasses supply the
+    dataset size and the read."""
+
+    def __init__(
+        self,
+        fs: Ext4FileSystem | OctopusFS,
+        thread: BoundThread,
+        rank: int = 0,
+        num_ranks: int = 1,
+        spec: Optional[TFIngestSpec] = None,
+    ) -> None:
+        super().__init__(thread, spec)
+        self.fs = fs
+        self.rank = rank
+        self.num_ranks = num_ranks
+        self._order: Optional[np.ndarray] = None
+        self._pos = 0
+
+    def _num_samples(self) -> int:
+        raise NotImplementedError
+
+    def _read(self, idx: int) -> Generator[Event, Any, int]:
+        """Read sample ``idx``; return its bytes."""
+        raise NotImplementedError
+
+    def start_epoch(self, seed: int) -> None:
+        self._seed = seed
+        self._epoch = 0
+        self._arm()
+
+    def _arm(self) -> None:
+        seq = GlobalSequence(
+            self._num_samples(), self._seed + self._epoch,
+            num_ranks=self.num_ranks, batch_per_rank=32,
+        )
+        self._order = seq.epoch_order_for_rank(self.rank)
+        self._pos = 0
+
+    def next_batch(self, batch_size: int) -> Generator[Event, Any, np.ndarray]:
+        if self._order is None:
+            raise ConfigError("call start_epoch() first")
+        if self._pos >= len(self._order):
+            self._epoch += 1
+            self._arm()
+        end = min(self._pos + batch_size, len(self._order))
+        batch = self._order[self._pos:end]
+        self._pos = end
+        total = 0
+        for idx in batch:
+            total += yield from self._read(int(idx))
+        yield from self._charge(len(batch))
+        self.meter.record(nbytes=total, count=len(batch))
+        return batch
+
+
+class Ext4TFAdapter(_PerSampleAdapter):
     """tf.data over the kernel FS: one open/read/close per sample."""
 
     def __init__(
@@ -120,101 +177,33 @@ class Ext4TFAdapter(_AdapterBase):
         spec: Optional[TFIngestSpec] = None,
         file_layer_overhead: float = 60.0 * USEC,
     ) -> None:
-        super().__init__(thread, spec)
-        self.fs = fs
+        super().__init__(fs, thread, rank, num_ranks, spec)
         self.dataset = dataset
-        self.rank = rank
-        self.num_ranks = num_ranks
         #: TF reaches kernel files through its generic Env/GFile layer
         #: (per-file object construction, stat, locking) — absent in the
         #: custom zero-copy ops used for DLFS/Octopus.  Calibrated so
         #: Fig 12's Ext4-TF degradation versus raw Ext4 (Fig 9) holds.
         self.file_layer_overhead = file_layer_overhead
-        self._order: Optional[np.ndarray] = None
-        self._pos = 0
 
-    def start_epoch(self, seed: int, batch_per_rank: int = 32) -> None:
-        self._seed = seed
-        self._epoch = 0
-        self._batch_per_rank = batch_per_rank
-        self._arm()
+    def _num_samples(self) -> int:
+        return self.dataset.num_samples
 
-    def _arm(self) -> None:
-        seq = GlobalSequence(
-            self.dataset.num_samples, self._seed + self._epoch,
-            num_ranks=self.num_ranks, batch_per_rank=self._batch_per_rank,
-        )
-        self._order = seq.epoch_order_for_rank(self.rank)
-        self._pos = 0
-
-    def next_batch(self, batch_size: int) -> Generator[Event, Any, np.ndarray]:
-        if self._order is None:
-            raise ConfigError("call start_epoch() first")
-        if self._pos >= len(self._order):
-            self._epoch += 1
-            self._arm()
-        end = min(self._pos + batch_size, len(self._order))
-        batch = self._order[self._pos:end]
-        self._pos = end
-        total = 0
-        for idx in batch:
-            yield from self.thread.run(self.file_layer_overhead)
-            total += yield from self.fs.read_sample(
-                self.thread, self.dataset.sample_name(int(idx))
-            )
-        yield from self._charge(len(batch))
-        self.meter.record(nbytes=total, count=len(batch))
-        return batch
+    def _read(self, idx: int) -> Generator[Event, Any, int]:
+        yield from self.thread.run(self.file_layer_overhead)
+        return (yield from self.fs.read_sample(
+            self.thread, self.dataset.sample_name(idx)
+        ))
 
 
-class OctopusTFAdapter(_AdapterBase):
+class OctopusTFAdapter(_PerSampleAdapter):
     """tf.data over Octopus: one distributed read per sample."""
 
-    def __init__(
-        self,
-        fs: OctopusFS,
-        thread: BoundThread,
-        rank: int = 0,
-        num_ranks: int = 1,
-        spec: Optional[TFIngestSpec] = None,
-    ) -> None:
-        super().__init__(thread, spec)
-        self.fs = fs
-        self.rank = rank
-        self.num_ranks = num_ranks
-        self._order: Optional[np.ndarray] = None
-        self._pos = 0
-
-    def start_epoch(self, seed: int, batch_per_rank: int = 32) -> None:
+    def _num_samples(self) -> int:
         if self.fs.dataset is None:
             raise ConfigError("OctopusFS must be mounted first")
-        self._seed = seed
-        self._epoch = 0
-        self._batch_per_rank = batch_per_rank
-        self._arm()
+        return self.fs.dataset.num_samples
 
-    def _arm(self) -> None:
-        seq = GlobalSequence(
-            self.fs.dataset.num_samples, self._seed + self._epoch,
-            num_ranks=self.num_ranks, batch_per_rank=self._batch_per_rank,
-        )
-        self._order = seq.epoch_order_for_rank(self.rank)
-        self._pos = 0
-
-    def next_batch(self, batch_size: int) -> Generator[Event, Any, np.ndarray]:
-        if self._order is None:
-            raise ConfigError("call start_epoch() first")
-        if self._pos >= len(self._order):
-            self._epoch += 1
-            self._arm()
-        end = min(self._pos + batch_size, len(self._order))
-        batch = self._order[self._pos:end]
-        self._pos = end
-        total = 0
-        for idx in batch:
-            # The Octopus client path charges its own costs; the TF
-            # thread is occupied for the duration of the synchronous op.
-            total += yield from self.fs.read_sample(self.rank, int(idx))
-        yield from self._charge(len(batch))
-        self.meter.record(nbytes=total, count=len(batch))
-        return batch
+    def _read(self, idx: int) -> Generator[Event, Any, int]:
+        # The Octopus client path charges its own costs; the TF thread
+        # is occupied for the duration of the synchronous op.
+        return (yield from self.fs.read_sample(self.rank, idx))

@@ -1,5 +1,6 @@
 """Tests for the CLI entry point."""
 
+import pathlib
 import re
 
 import pytest
@@ -15,10 +16,16 @@ class TestList:
             assert name in out
 
     def test_registry_complete(self):
+        """Every committed table has exactly one producer, the registry."""
         assert set(FIGURES) == {
             "fig01", "fig06", "fig07a", "fig07b", "fig08", "fig09",
             "fig10", "fig11", "fig12", "fig13",
+            "ablation_chunk_size", "ablation_copy_threads", "ablation_scq",
+            "ablation_zero_copy", "ablation_metadata",
+            "sweep_queue_depth", "sweep_window", "mount_breakdown",
         }
+        results = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
+        assert set(FIGURES) == {p.stem for p in results.glob("*.txt")}
 
 
 class TestFigure:
@@ -44,6 +51,22 @@ class TestFigure:
         assert main(["figure", "fig13", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "Full_Rand" in out
+
+    def test_failed_band_exits_1_and_is_named(self, monkeypatch, capsys):
+        fn, desc = FIGURES["fig01"]
+        name = "IMDB fraction <= 1.6 KB"
+
+        def broken(**kwargs):
+            result = fn(**kwargs)
+            _, lo, hi = result.bands[name]
+            result.bands[name] = (hi + 0.01, lo, hi)
+            return result
+
+        monkeypatch.setitem(FIGURES, "fig01", (broken, desc))
+        assert main(["figure", "fig01"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAILED fig01: {name}: measured 0.79, band [0.72, 0.78]" in out
+        assert "claim bands: 2 of 3 hold" in out
 
     def test_unknown_figure_rejected(self, capsys):
         with pytest.raises(SystemExit):
