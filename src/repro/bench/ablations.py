@@ -249,10 +249,8 @@ def sweep_queue_depth() -> FigureResult:
     # and returns flatten once the device is saturated.
     result.band("depth 16 / depth 1", curve[16] / curve[1], gt=3.0)
     result.band("depth 128 / depth 16", curve[128] / curve[16], lt=1.5)
-    depths = sorted(curve)
     result.band("step to the next depth, min",
-                min(curve[b] / curve[a] for a, b in zip(depths, depths[1:])),
-                ge=0.9)
+                min(result.steps("DLFS-sample")), ge=0.9)
     return result
 
 

@@ -94,6 +94,12 @@ class FigureResult:
     def max_ratio(self, numerator: str, denominator: str, xs) -> float:
         return max(self.ratio(numerator, denominator, x) for x in xs)
 
+    def steps(self, name: str) -> list[float]:
+        """Each point of series ``name`` over the one before it, in x order."""
+        curve = self.series[name]
+        xs = sorted(curve)
+        return [curve[b] / curve[a] for a, b in zip(xs, xs[1:])]
+
 
 def _n(count: int, scale: float, minimum: int = 2) -> int:
     return max(minimum, int(round(count * scale)))
@@ -303,8 +309,7 @@ def fig07b_compute_overlap(
             )
     # Throughput degrades monotonically as compute grows.
     result.band("relative throughput step, max over curves",
-                max(curve[b] / curve[a] for curve in result.series.values()
-                    for a, b in zip(sorted(curve), sorted(curve)[1:])), le=1.05)
+                max(max(result.steps(name)) for name in result.series), le=1.05)
     result.notes.append(
         "512B divergence: the paper's poll loop blocks on a batch of "
         "chunk-size requests, so tiny samples inherit the chunk batch's "
@@ -399,12 +404,6 @@ def fig09_scalability(
                 n, size, reads_per_node=reads
             ).sample_throughput
 
-    def growth(name: str) -> float:
-        """The smallest step-to-step growth of series ``name``."""
-        curve = result.series[name]
-        return min(curve[b] / curve[a]
-                   for a, b in zip(node_counts, node_counts[1:]))
-
     if 512 in sizes:
         ext4_ratio = result.mean_ratio("DLFS@512B", "Ext4@512B", node_counts)
         oct_ratio = result.mean_ratio("DLFS@512B", "Octopus@512B", node_counts)
@@ -429,8 +428,8 @@ def fig09_scalability(
                     result.max_ratio("Octopus@512B", "Ext4@512B", node_counts),
                     lt=1.0)
         result.band("DLFS @512B scaling linearity", linearity, gt=0.7)
-        result.band("DLFS @512B growth per node step, min", growth("DLFS@512B"),
-                    gt=1.0)
+        result.band("DLFS @512B growth per node step, min",
+                    min(result.steps("DLFS@512B")), gt=1.0)
     big = 128 * KB
     if big in sizes:
         ext4_big = result.mean_ratio(f"DLFS@{big}B", f"Ext4@{big}B", node_counts)
@@ -443,7 +442,7 @@ def fig09_scalability(
             1.37, oct_big
         )
         result.band("DLFS @128KB growth per node step, min",
-                    growth(f"DLFS@{big}B"), gt=1.0)
+                    min(result.steps(f"DLFS@{big}B")), gt=1.0)
         result.band("DLFS / Ext4 @128KB, mean", ext4_big, ge=1.2, le=2.6)
         result.band("DLFS / Octopus @128KB, mean", oct_big, ge=1.05, le=2.6)
         # Paper: Octopus beats Ext4 at 128 KB (RDMA saves copies).  Ours
