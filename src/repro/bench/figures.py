@@ -6,7 +6,8 @@ paper plots, the paper's headline numbers for side-by-side comparison,
 and the claim bands its measurements must fall in.  Every DLFS bar is a
 closed-loop readers run (:func:`~repro.bench.workloads.dlfs_readers`).
 ``repro.cli.FIGURES`` registers these and the tables of
-:mod:`repro.bench.ablations`; ``repro.bench.report`` renders them.
+:mod:`repro.bench.ablations` and :mod:`repro.bench.subsystems`;
+``repro.bench.report`` renders them.
 
 ``scale < 1.0`` shrinks workload sizes proportionally (``repro claims``
 runs at 0.5, the test suite smaller); the committed tables under

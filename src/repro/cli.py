@@ -8,8 +8,8 @@ Usage::
     python -m repro claims [--scale 0.5]
 
 ``figure``/``all`` print each table of :data:`FIGURES` (the paper's
-figures, ablations, sweeps and mount breakdown) with its headline block,
-and optionally write them to files.  ``claims`` prints only the
+figures, ablations, sweeps, mount breakdown and subsystem benchmarks)
+with its headline block, and optionally write them to files.  ``claims`` prints only the
 paper-vs-measured headlines.  All three print every claim band that
 fails, with its value and bounds, and exit 1 if any did.
 
@@ -76,6 +76,7 @@ from typing import Callable
 from .analysis.sanitizer import SWEEPS, run_sanitizer
 from .bench import ablations as A
 from .bench import figures as F
+from .bench import subsystems as S
 from .bench.report import render_figure, render_headline
 from .bench.workloads import PRESETS, Readers
 
@@ -102,10 +103,17 @@ FIGURES: dict[str, tuple[Callable, str]] = {
     "sweep_queue_depth": (A.sweep_queue_depth, "sweep: SPDK queue depth"),
     "sweep_window": (A.sweep_window, "sweep: chunk-pipeline window"),
     "mount_breakdown": (A.mount_breakdown, "dlfs_mount time breakdown"),
+    "chaos": (S.chaos, "chaos sweep: fault rates vs accounting"),
+    "tenancy_fairness": (S.tenancy_fairness, "tenancy: weighted fair shares"),
+    "tenancy_isolation": (S.tenancy_isolation, "tenancy: noisy-neighbor isolation"),
+    "cluster_scaling": (S.cluster_scaling, "cluster: fleet scaling"),
+    "cluster_failover": (S.cluster_failover, "cluster: crash + rejoin failover"),
+    "cluster_isolation": (S.cluster_isolation, "cluster: serve beside train"),
+    "xform_crossover": (S.xform_crossover, "transform tier: pushdown crossover"),
 }
 
 #: Tables whose functions take no ``scale``: they run one fixed size.
-_UNSCALED = {"fig01", *A.__all__}
+_UNSCALED = {"fig01", *A.__all__, *S.__all__}
 
 #: ``fleet`` flags that set the FleetSpec field of the same name.
 _FLEET_FLAGS = (

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from repro.bench import subsystems
 from repro.cli import COMMANDS, FIGURES, main
+from repro.faults import ZERO_PLAN
 
 
 class TestList:
@@ -23,6 +25,9 @@ class TestList:
             "ablation_chunk_size", "ablation_copy_threads", "ablation_scq",
             "ablation_zero_copy", "ablation_metadata",
             "sweep_queue_depth", "sweep_window", "mount_breakdown",
+            "chaos", "tenancy_fairness", "tenancy_isolation",
+            "cluster_scaling", "cluster_failover", "cluster_isolation",
+            "xform_crossover",
         }
         results = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
         assert set(FIGURES) == {p.stem for p in results.glob("*.txt")}
@@ -67,6 +72,18 @@ class TestFigure:
         out = capsys.readouterr().out
         assert f"FAILED fig01: {name}: measured 0.79, band [0.72, 0.78]" in out
         assert "claim bands: 2 of 3 hold" in out
+
+    def test_chaos_sweep_accounts_and_recovers(self, capsys):
+        assert main(["figure", "chaos"]) == 0
+        assert "claim bands: 5 of 5 hold" in capsys.readouterr().out
+
+    def test_chaos_without_faults_fails_the_retries_band(self, monkeypatch,
+                                                          capsys):
+        monkeypatch.setattr(subsystems, "plan_for", lambda rate: ZERO_PLAN)
+        assert main(["figure", "chaos"]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED chaos: retries, max over the fault rates:" in out
+        assert "claim bands: 4 of 5 hold" in out
 
     def test_unknown_figure_rejected(self, capsys):
         with pytest.raises(SystemExit):
